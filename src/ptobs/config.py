@@ -361,7 +361,7 @@ def build_experiment(doc: ConfigDocument) -> Experiment:
     smoothing = None
     if doc.get("sim", "sign_smoothing") is not None:
         smoothing = reader.scalar("sim", "sign_smoothing")
-        if smoothing <= 0:
+        if not smoothing > 0:
             reader._fail("sim", "sign_smoothing", "must be positive when given")
     try:
         sim_cfg = SimConfig(

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DimensionMismatch
 
 
@@ -135,3 +137,14 @@ def rate_ratio(w: ScalingWindow, t: float, guard: float) -> float:
 def stage_gain(sched: CascadeSchedule, stage_k: int, t: float, guard: float) -> float:
     """Rate ratio of stage k's window at time t (the observer scales it by beta)."""
     return rate_ratio(sched.window(stage_k), t, guard)
+
+
+def stage_rates(sched: CascadeSchedule, times: np.ndarray, guard: float) -> np.ndarray:
+    """Rate ratios of all stages at each time, shape (len(times), n): entry
+    [i, k-1] is the same float as stage_gain(sched, k, times[i], guard)."""
+    if guard <= 0.0:
+        raise DimensionMismatch(f"guard must be positive, got {guard}")
+    t = np.asarray(times, dtype=float)[:, None]
+    start, end, exponent = np.array([(w.start, w.end, w.exponent) for w in sched._windows]).T
+    inside = (start <= t) & (t < end)
+    return np.where(inside, exponent / np.maximum(end - t, guard), 0.0)

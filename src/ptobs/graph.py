@@ -19,6 +19,7 @@ and they are validated (not assumed) here.
 
 from __future__ import annotations
 
+import bisect
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -302,6 +303,7 @@ class TopologySequence:
                 deduped.append(entry)
         object.__setattr__(self, "topologies", topos)
         object.__setattr__(self, "schedule", tuple(deduped))
+        object.__setattr__(self, "_switch_times", tuple(t for t, _ in deduped))
         if self.common_H is not None:
             eta = _as_readonly(np.atleast_1d(self.common_H))
             if eta.shape != (topos[0].follower_count,):
@@ -327,13 +329,8 @@ class TopologySequence:
 
     def active_index(self, t: float) -> int:
         """1-based index of the topology active at time t (right-continuous)."""
-        idx = self.schedule[0][1]
-        for time, j in self.schedule:
-            if time <= t:
-                idx = j
-            else:
-                break
-        return idx
+        i = bisect.bisect_right(self._switch_times, t)
+        return self.schedule[max(i - 1, 0)][1]
 
     def analyses(self) -> tuple[GraphAnalysis, ...]:
         """One GraphAnalysis per topology.

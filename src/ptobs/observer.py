@@ -56,13 +56,15 @@ class LeaderModel:
     def __post_init__(self):
         if self.order < 1:
             raise DimensionMismatch(f"leader order must be >= 1, got {self.order}")
-        if self.input_bound < 0.0:
-            raise DimensionMismatch("input bound must be nonnegative")
+        if not 0.0 <= self.input_bound < np.inf:
+            raise DimensionMismatch(f"input bound must be finite and >= 0, got {self.input_bound}")
         x0 = np.atleast_1d(np.asarray(self.initial_state, dtype=float))
         if x0.shape != (self.order,):
             raise DimensionMismatch(
                 f"initial state length {x0.shape[0]} does not match order {self.order}"
             )
+        if not np.all(np.isfinite(x0)):
+            raise DimensionMismatch("initial state must be finite")
         x0.flags.writeable = False
         object.__setattr__(self, "initial_state", x0)
 
@@ -77,10 +79,10 @@ class ObserverGains:
     provenance: str = "user"
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise DimensionMismatch(f"alpha must be positive, got {self.alpha}")
-        if self.beta < 0.0 or self.sigma < 0.0:
-            raise DimensionMismatch("beta and sigma must be nonnegative")
+        if not 0.0 < self.alpha < np.inf:
+            raise DimensionMismatch(f"alpha must be finite and positive, got {self.alpha}")
+        if not (0.0 <= self.beta < np.inf and 0.0 <= self.sigma < np.inf):
+            raise DimensionMismatch("beta and sigma must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -138,22 +140,23 @@ def input_by_name(name: str, *params: float) -> InputFn:
 # ---------------------------------------------------------------------------
 
 
+def _leader_input(model: LeaderModel, x0: np.ndarray, t: float) -> float:
+    # Written as "not <=" so a NaN input fails the bound check too.
+    f0 = float(model.input_fn(x0, t))
+    if not abs(f0) <= model.input_bound + _BOUND_SLACK:
+        raise InputBoundViolated(
+            f"|f0| = {abs(f0):.6g} exceeds declared bound {model.input_bound:.6g} at t={t:.6g}"
+        )
+    return f0
+
+
 def leader_rhs(model: LeaderModel, x0: np.ndarray, t: float) -> np.ndarray:
     """Integrator-chain derivative of the leader state.
 
     Monitors the input bound at every evaluation and raises
-    InputBoundViolated when |f0| exceeds it beyond slack.
+    InputBoundViolated when |f0| exceeds it beyond slack or is NaN.
     """
-    n = model.order
-    f0 = float(model.input_fn(x0, t))
-    if abs(f0) > model.input_bound + _BOUND_SLACK:
-        raise InputBoundViolated(
-            f"|f0| = {abs(f0):.6g} exceeds declared bound {model.input_bound:.6g} at t={t:.6g}"
-        )
-    dx = np.empty(n)
-    dx[: n - 1] = x0[1:]
-    dx[n - 1] = f0
-    return dx
+    return np.append(x0[1:], _leader_input(model, x0, t))
 
 
 def local_errors(analysis: GraphAnalysis, estimates: np.ndarray, x0: np.ndarray) -> np.ndarray:
@@ -180,6 +183,19 @@ def _sign(x: np.ndarray, smoothing: float | None) -> np.ndarray:
     return x / (np.abs(x) + smoothing)
 
 
+def _stacked_rhs(L0, sigma, smoothing, leader: LeaderModel | None, g, Z, t: float, out):
+    # Derivative of the stacked state Z = [x0; estimates] at t, written into out;
+    # g holds the n stage gains alpha + beta r_k(t).  No shape checks: callers
+    # validate once.  With leader None, out[0, -1] (the leader input) is unset.
+    psi = L0 @ (Z[1:] - Z[0])
+    out[:, :-1] = Z[:, 1:]
+    if leader is not None:
+        out[0, -1] = _leader_input(leader, Z[0], t)
+    out[1:, -1] = -sigma * _sign(psi[:, -1], smoothing)
+    out[1:] -= g * psi
+    return out
+
+
 def dpto_rhs(
     analysis_at_t: GraphAnalysis,
     gains: ObserverGains,
@@ -195,16 +211,16 @@ def dpto_rhs(
     analysis_at_t must belong to the topology active at time t; under
     switching the caller swaps it at switch instants.
     """
-    n = sched.order
-    psi = local_errors(analysis_at_t, estimates, x0)
-    out = np.empty_like(psi)
-    for k in range(1, n + 1):
-        g = gains.alpha + gains.beta * stage_gain(sched, k, t, guard)
-        col = k - 1
-        if k < n:
-            out[:, col] = estimates[:, col + 1] - g * psi[:, col]
-        else:
-            out[:, col] = -gains.sigma * _sign(psi[:, col], sign_smoothing) - g * psi[:, col]
+    n, N = sched.order, analysis_at_t.follower_count
+    estimates, x0 = np.asarray(estimates, dtype=float), np.asarray(x0, dtype=float)
+    if estimates.shape != (N, n) or x0.shape != (n,):
+        raise DimensionMismatch(f"need estimates ({N}, {n}) and x0 ({n},)")
+    rates = [stage_gain(sched, k, t, guard) for k in range(1, n + 1)]
+    g = gains.alpha + gains.beta * np.array(rates)
+    Z = np.vstack((x0, estimates))
+    out = _stacked_rhs(
+        analysis_at_t.sub_laplacian, gains.sigma, sign_smoothing, None, g, Z, t, np.empty_like(Z)
+    )[1:]
     if not np.all(np.isfinite(out)):
         raise NonFinite(f"observer derivative is non-finite at t={t:.6g}")
     return out

@@ -177,6 +177,37 @@ def test_run_divergence_exits_3(capsys):
     assert "diverged at t" in capsys.readouterr().err
 
 
+def test_run_nan_leader_input_exits_1(tmp_path, capsys):
+    code = main([
+        "run", "--config", CFG, "--quiet", "--out", str(tmp_path),
+        "--set", "leader.input=constant(nan)",
+    ])
+    assert code == 1
+    assert "exceeds declared bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "override, section",
+    [
+        ("leader.input_bound=nan", "[leader]"),
+        ("leader.input_bound=inf", "[leader]"),
+        ("leader.initial_state=1 nan 0", "[leader]"),
+        ("sim.dt=nan", "[sim]"),
+        ("sim.t_end=inf", "[sim]"),
+        ("sim.guard=inf", "[sim]"),
+        ("sim.tolerance=nan", "[sim]"),
+        ("sim.sign_smoothing=nan", "[sim]"),
+        ("gains.beta=nan", "[gains]"),
+        ("gains.alpha=inf", "[gains]"),
+    ],
+)
+def test_run_non_finite_setting_exits_1(tmp_path, capsys, override, section):
+    code = main(["run", "--config", CFG, "--quiet", "--out", str(tmp_path), "--set", override])
+    assert code == 1
+    assert section in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def test_report_generates_deterministic_svgs(tmp_path, capsys):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"

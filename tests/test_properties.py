@@ -1,0 +1,90 @@
+"""Property tests: the event grid and the switch lookup against their plain scans."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ptobs
+from ptobs.sim import _EVENT_MERGE_TOL, _event_grid
+
+_TOPO = ptobs.DirectedTopology(adjacency=[[0.0]], pinning=[1.0])
+
+# Offsets that land a switch on, just inside, or just outside the merge
+# tolerance of a stage boundary or of another switch.
+_NEAR = st.sampled_from([0.0, 5e-13, -5e-13, 1e-12, -1e-12, 1.5e-12, -1.5e-12, 3e-12])
+
+
+def _scan_event_grid(cfg, sched, topos):
+    # The quadratic scan the sorted merge replaced: each candidate is compared
+    # against every event accepted so far.
+    events = []
+
+    def add(t):
+        if cfg.t0 <= t <= cfg.t_end and all(abs(t - e) > _EVENT_MERGE_TOL for e in events):
+            events.append(t)
+
+    for b in sched.boundaries():
+        add(b)
+    add(cfg.t0)
+    add(cfg.t_end)
+    for t, _ in topos.schedule:
+        add(t)
+    return sorted(events)
+
+
+def _scan_active_index(schedule, t):
+    idx = schedule[0][1]
+    for time, j in schedule:
+        if time <= t:
+            idx = j
+        else:
+            break
+    return idx
+
+
+@st.composite
+def _schedules(draw):
+    t0 = draw(st.sampled_from([0.0, 1.0, -0.3]))
+    durations = draw(
+        st.lists(
+            st.one_of(st.floats(1e-3, 1.0), st.sampled_from([0.1, 0.2, 1e-12, 4e-13])),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    sched = ptobs.CascadeSchedule(t0=t0, stage_durations=tuple(durations), exponent=2.01)
+    anchors = sched.boundaries()
+    near_anchor = st.builds(lambda a, d: a + d, st.sampled_from(anchors), _NEAR)
+    t_end = draw(st.one_of(near_anchor, st.floats(t0 + 1e-3, t0 + 4.0)))
+    if not t_end > t0:
+        t_end = sched.t_star + 1.0
+    raw = draw(
+        st.lists(st.one_of(near_anchor, st.floats(t0, t0 + 5.0)), max_size=25)
+    )
+    # Clusters: some switches get a neighbour within the tolerance.
+    extra = [t + d for t, d in zip(raw, draw(st.lists(_NEAR, max_size=len(raw))))]
+    times = sorted({t for t in raw + extra if t > t0})
+    schedule = [(t0, 1)] + [(t, 1 + i % 2) for i, t in enumerate(times, start=1)]
+    seq = ptobs.TopologySequence(topologies=(_TOPO, _TOPO), schedule=tuple(schedule))
+    cfg = ptobs.SimConfig(t0=t0, t_end=t_end, dt=1e-3)
+    return cfg, sched, seq
+
+
+@settings(max_examples=300, deadline=None)
+@given(_schedules())
+def test_event_grid_equals_quadratic_scan(case):
+    cfg, sched, seq = case
+    assert _event_grid(cfg, sched, seq) == _scan_event_grid(cfg, sched, seq)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_schedules(), st.lists(st.floats(-1.0, 7.0), max_size=20))
+def test_active_index_equals_linear_scan(case, probes):
+    _, _, seq = case
+    switch_times = [t for t, _ in seq.schedule]
+    # Probe each switch time exactly and at its float neighbours as well.
+    probes = probes + switch_times
+    probes += [float(np.nextafter(t, -np.inf)) for t in switch_times]
+    probes += [float(np.nextafter(t, np.inf)) for t in switch_times]
+    for t in probes:
+        assert seq.active_index(t) == _scan_active_index(seq.schedule, t)

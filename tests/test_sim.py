@@ -3,6 +3,7 @@ import pytest
 
 import ptobs
 from ptobs.errors import DimensionMismatch, Diverged, InputBoundViolated
+from ptobs.observer import dpto_rhs, leader_rhs, local_errors
 from ptobs.sim import decay_budget, detect_convergence
 from conftest import ETA, INITIAL_ESTIMATES
 
@@ -213,6 +214,77 @@ def test_divergence_detected(digraph1, cascade):
     assert 0.0 < info.value.time <= 0.2
 
 
+@pytest.mark.parametrize("method, when", [("euler", 0.071), ("rk4", 0.019)])
+def test_divergence_by_overflow_reports_step_time(digraph1, cascade, method, when):
+    # No threshold: the state overflows to inf and NaN, and the step whose
+    # stage derivatives first turned non-finite is reported by its start time.
+    leader = _zero_leader(3, x0=np.array([0.0, 0.0, 0.0]), bound=0.0)
+    gains = ptobs.ObserverGains(alpha=1e7, beta=0.0, sigma=0.0)
+    cfg = ptobs.SimConfig(
+        t0=0.0, t_end=0.2, dt=1e-3, method=method, guard=1e-2, divergence_threshold=np.inf
+    )
+    with pytest.raises(Diverged) as info, np.errstate(over="ignore", invalid="ignore"):
+        ptobs.run(
+            ptobs.TopologySequence.static(digraph1, 0.0), leader, gains, cascade,
+            INITIAL_ESTIMATES, cfg,
+        )
+    assert info.value.time == pytest.approx(when, abs=1e-12)
+
+
+def _public_rhs_replay(res, seq, leader, gains, sched, estimates, cfg):
+    """Step a plain loop over res.times with the public leader_rhs and dpto_rhs."""
+    analyses = seq.analyses()
+    x0 = leader.initial_state.copy()
+    E = np.array(estimates, dtype=float)
+
+    def f(t, x, e, a):
+        return (
+            leader_rhs(leader, x, t),
+            dpto_rhs(a, gains, sched, cfg.guard, e, x, t, cfg.sign_smoothing),
+        )
+
+    for i in range(1, len(res.times)):
+        t, tn = float(res.times[i - 1]), float(res.times[i])
+        h = tn - t
+        a = analyses[seq.active_index(t) - 1]
+        if cfg.method == "rk4":
+            k1 = f(t, x0, E, a)
+            k2 = f(t + 0.5 * h, x0 + 0.5 * h * k1[0], E + 0.5 * h * k1[1], a)
+            k3 = f(t + 0.5 * h, x0 + 0.5 * h * k2[0], E + 0.5 * h * k2[1], a)
+            k4 = f(tn, x0 + h * k3[0], E + h * k3[1], a)
+            x0 = x0 + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+            E = E + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        else:
+            k1 = f(t, x0, E, a)
+            x0 = x0 + h * k1[0]
+            E = E + h * k1[1]
+        assert np.array_equal(res.leader_states[i], x0), f"leader differs at t={tn}"
+        assert np.array_equal(res.estimate_errors[i], E - x0[None, :]), f"errors differ at t={tn}"
+        psi = local_errors(analyses[seq.active_index(tn) - 1], E, x0)
+        assert np.array_equal(res.local_errors[i], psi), f"psi differs at t={tn}"
+
+
+@pytest.mark.parametrize("case", ["static", "switching", "smoothing", "euler"])
+def test_integrator_matches_public_rhs_exactly(digraph1, digraph2, sine_leader, cascade, case):
+    if case == "switching":
+        seq = ptobs.TopologySequence(
+            topologies=(digraph1, digraph2),
+            schedule=tuple((round(0.05 * i, 10), 1 + i % 2) for i in range(7)),
+            common_H=ETA,
+        )
+    else:
+        seq = ptobs.TopologySequence.static(digraph1, 0.0)
+    cfg = ptobs.SimConfig(
+        t0=0.0, t_end=0.3, dt=1e-3, guard=1e-2, record_stride=1,
+        method="euler" if case == "euler" else "rk4",
+        sign_smoothing=0.05 if case == "smoothing" else None,
+    )
+    gains = ptobs.ObserverGains(alpha=1.05, beta=5.692, sigma=0.125)
+    res = ptobs.run(seq, sine_leader, gains, cascade, INITIAL_ESTIMATES, cfg)
+    assert len(res.times) == 301
+    _public_rhs_replay(res, seq, sine_leader, gains, cascade, INITIAL_ESTIMATES, cfg)
+
+
 def test_input_bound_violation_propagates(digraph1, cascade):
     leader = ptobs.LeaderModel(
         order=3,
@@ -258,3 +330,46 @@ def test_run_validates_estimates(digraph1, sine_leader, cascade):
     bad[0, 0] = np.inf
     with pytest.raises(DimensionMismatch):
         ptobs.run(seq, sine_leader, gains, cascade, bad, cfg)
+
+
+def test_nan_leader_input_violates_bound(digraph1, cascade):
+    leader = ptobs.LeaderModel(
+        order=3,
+        input_fn=ptobs.input_by_name("constant", np.nan),
+        input_bound=0.125,
+        initial_state=[1.0, 0.0, 0.0],
+    )
+    with pytest.raises(InputBoundViolated):
+        leader_rhs(leader, leader.initial_state, 0.0)
+    gains = ptobs.ObserverGains(alpha=1.05, beta=5.692, sigma=0.125)
+    cfg = ptobs.SimConfig(t0=0.0, t_end=0.1, dt=1e-3, guard=1e-2)
+    with pytest.raises(InputBoundViolated):
+        ptobs.run(
+            ptobs.TopologySequence.static(digraph1, 0.0), leader, gains, cascade,
+            INITIAL_ESTIMATES, cfg,
+        )
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("t0", np.nan), ("t_end", np.inf), ("t_end", np.nan), ("dt", np.nan), ("dt", np.inf),
+        ("guard", np.inf), ("guard", np.nan), ("sign_smoothing", np.nan),
+        ("sign_smoothing", 0.0), ("convergence_tolerance", np.nan),
+        ("convergence_tolerance", np.inf), ("divergence_threshold", np.nan),
+    ],
+)
+def test_sim_config_rejects_non_finite(field, value):
+    settings = dict(t0=0.0, t_end=1.0, dt=1e-3, guard=1e-2)
+    settings[field] = value
+    with pytest.raises(DimensionMismatch):
+        ptobs.SimConfig(**settings)
+
+
+@pytest.mark.parametrize("bound, x0", [(np.nan, 0.0), (np.inf, 0.0), (0.1, np.nan), (0.1, np.inf)])
+def test_leader_model_rejects_non_finite(bound, x0):
+    with pytest.raises(DimensionMismatch):
+        ptobs.LeaderModel(
+            order=2, input_fn=ptobs.input_by_name("zero"), input_bound=bound,
+            initial_state=[x0, 0.0],
+        )
