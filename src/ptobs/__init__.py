@@ -16,7 +16,6 @@ from .errors import (
     InfeasibleTopology,
     InputBoundViolated,
     MalformedTrace,
-    NoConvergence,
     NonFinite,
     NoSpanningTree,
     NotSymmetric,
@@ -61,7 +60,6 @@ __all__ = [
     "InputBoundViolated",
     "LeaderModel",
     "MalformedTrace",
-    "NoConvergence",
     "NonFinite",
     "NoSpanningTree",
     "NotSymmetric",

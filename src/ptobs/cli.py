@@ -90,12 +90,17 @@ def cmd_analyze(args) -> int:
     feasible = True
     for j, topo in enumerate(exp.sequence.topologies, start=1):
         p.info(f"topology {j}:")
-        ok = has_spanning_tree(topo)
-        p.info(f"  leader-rooted spanning tree: {'yes' if ok else 'NO'}")
-        if not ok:
+        if eta is None:
+            try:
+                analysis = build_analysis(topo)  # runs the reachability check itself
+            except NoSpanningTree:
+                analysis = None
+        else:
+            analysis = mirror_with_H(topo, eta) if has_spanning_tree(topo) else None
+        p.info(f"  leader-rooted spanning tree: {'yes' if analysis is not None else 'NO'}")
+        if analysis is None:
             feasible = False
             continue
-        analysis = build_analysis(topo) if eta is None else mirror_with_H(topo, eta)
         analyses.append(analysis)
         label = "rho" if analysis.weight_source == "rho_from_L0" else "eta"
         p.info(f"  weights ({label}): {_vec(analysis.rho)}")

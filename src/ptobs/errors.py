@@ -10,7 +10,7 @@ class NoSpanningTree(ToolkitError):
 
 
 class SingularLaplacian(ToolkitError):
-    """Rank deficiency detected while solving against the follower Laplacian."""
+    """The follower Laplacian is numerically singular, so rho cannot be solved for."""
 
 
 class DimensionMismatch(ToolkitError):
@@ -19,10 +19,6 @@ class DimensionMismatch(ToolkitError):
 
 class NotSymmetric(ToolkitError):
     """A matrix expected to be symmetric is not."""
-
-
-class NoConvergence(ToolkitError):
-    """An iterative solver exhausted its budget without converging."""
 
 
 class InfeasibleTopology(ToolkitError):

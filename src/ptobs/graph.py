@@ -28,7 +28,6 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     InfeasibleTopology,
-    NoConvergence,
     NoSpanningTree,
     NotSymmetric,
     SingularLaplacian,
@@ -39,7 +38,9 @@ from .errors import (
 EDGE_EPS = 1e-15
 
 _SYMMETRY_TOL = 1e-10
-_JACOBI_MAX_SWEEPS = 50
+# L0 counts as singular when its smallest singular value is at most this
+# times ||L0^T||_inf, the matrix the rho solve factors.
+_SINGULAR_RTOL = 1e-12
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -71,8 +72,10 @@ class DirectedTopology:
             )
         if np.any(np.diag(a) != 0.0):
             raise DimensionMismatch("adjacency diagonal must be zero (no self-loops)")
-        if np.any(a < 0.0) or np.any(b < 0.0):
-            raise DimensionMismatch("edge and pinning weights must be nonnegative")
+        weights = np.concatenate((a.ravel(), b))
+        # Written as "not ..." so NaN weights fail the check too.
+        if not np.all((0.0 <= weights) & (weights < np.inf)):
+            raise DimensionMismatch("edge and pinning weights must be finite and nonnegative")
         object.__setattr__(self, "adjacency", a)
         object.__setattr__(self, "pinning", b)
 
@@ -133,77 +136,32 @@ def has_spanning_tree(topo: DirectedTopology) -> bool:
     return bool(seen.all())
 
 
-def _solve_partial_pivot(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gaussian elimination with partial pivoting and explicit rank check.
+def min_eig_symmetric(M: np.ndarray) -> float:
+    """Smallest eigenvalue of a symmetric matrix.
 
-    Raises SingularLaplacian when a pivot falls below 1e-12 * ||A||_inf.
-    Robustness over speed: the systems here are tiny.
-    """
-    n = A.shape[0]
-    aug = np.hstack([A.astype(float), b.reshape(n, 1).astype(float)])
-    scale = np.abs(A).sum(axis=1).max()  # ||A||_inf
-    tol = 1e-12 * max(scale, 1e-300)
-    for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(aug[col:, col])))
-        if abs(aug[pivot_row, col]) <= tol:
-            raise SingularLaplacian(
-                f"pivot {abs(aug[pivot_row, col]):.3e} below tolerance {tol:.3e} "
-                f"at elimination step {col}"
-            )
-        if pivot_row != col:
-            aug[[col, pivot_row]] = aug[[pivot_row, col]]
-        factors = aug[col + 1 :, col] / aug[col, col]
-        aug[col + 1 :, col:] -= np.outer(factors, aug[col, col:])
-    x = np.empty(n)
-    for row in range(n - 1, -1, -1):
-        x[row] = (aug[row, -1] - aug[row, row + 1 : n] @ x[row + 1 :]) / aug[row, row]
-    return x
+    LAPACK's eigh gives the lowest eigenpair (lam, v), with lam off by up to
+    a few ulp of ||A||.  One Rayleigh-quotient correction,
+    lam + v.(A v - lam v) / (v.v) with the residual in np.longdouble, brings
+    it to within about half an ulp where longdouble is wider than double (as
+    on x86-64 Linux).  Deterministic for fixed input.
 
-
-def min_eig_symmetric(M: np.ndarray, tol: float = 1e-12) -> float:
-    """Smallest eigenvalue of a symmetric matrix via cyclic Jacobi rotations.
-
-    The sweep stops once the off-diagonal Frobenius norm is at most tol, which
-    bounds the eigenvalue error by tol (Weyl).  Deterministic for fixed input.
-
-    Raises NotSymmetric if max|M - M^T| > 1e-10, NoConvergence after the
-    sweep budget.
+    Raises NotSymmetric if max|M - M^T| > 1e-10.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got {M.shape}")
-    if tol <= 0.0:
-        raise DimensionMismatch("tol must be positive")
     if M.shape[0] > 1 and np.max(np.abs(M - M.T)) > _SYMMETRY_TOL:
         raise NotSymmetric(
             f"asymmetry {np.max(np.abs(M - M.T)):.3e} exceeds {_SYMMETRY_TOL:.0e}"
         )
     A = 0.5 * (M + M.T)
-    n = A.shape[0]
-    if n == 1:
+    if A.shape[0] == 1:
         return float(A[0, 0])
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = np.sqrt(np.sum(np.tril(A, -1) ** 2) * 2.0)
-        if off <= tol:
-            return float(np.min(np.diag(A)))
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) < 1e-300:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.hypot(1.0, theta))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                rot = np.array([[c, s], [-s, c]])
-                A[[p, q], :] = rot.T @ A[[p, q], :]
-                A[:, [p, q]] = A[:, [p, q]] @ rot
-                A[p, q] = A[q, p] = 0.0  # annihilated exactly by construction
-    raise NoConvergence(
-        f"Jacobi sweep budget {_JACOBI_MAX_SWEEPS} exhausted (off-diagonal {off:.3e})"
-    )
+    w, V = np.linalg.eigh(A)
+    lam = w[0]
+    v = V[:, 0].astype(np.longdouble)
+    residual = A.astype(np.longdouble) @ v - lam * v
+    return float(lam + (v @ residual) / (v @ v))
 
 
 def _mirror_of(L0: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -216,21 +174,24 @@ def build_analysis(topo: DirectedTopology) -> GraphAnalysis:
     """Laplacian partition, rho weights, mirror matrix and its lambda_min.
 
     rho solves L0^T rho = 1_N.  Raises NoSpanningTree when some follower is
-    unreachable from the leader; SingularLaplacian when the solve detects rank
-    deficiency even though reachability passed (both facts are reported).
+    unreachable from the leader; SingularLaplacian when L0 is numerically
+    singular (smallest singular value at most 1e-12 ||L0^T||_inf) even though
+    reachability passed (both facts are reported).
     """
     if not has_spanning_tree(topo):
         raise NoSpanningTree(
             "no leader-rooted spanning tree: some follower is unreachable"
         )
     L0 = sub_laplacian(topo)
-    try:
-        rho = _solve_partial_pivot(L0.T, np.ones(topo.follower_count))
-    except SingularLaplacian as exc:
+    sigma_min = np.linalg.svd(L0, compute_uv=False)[-1]
+    tol = _SINGULAR_RTOL * np.linalg.norm(L0.T, np.inf)
+    if sigma_min <= tol:
         raise SingularLaplacian(
             f"follower Laplacian is numerically singular although the "
-            f"reachability check passed ({exc})"
-        ) from exc
+            f"reachability check passed (smallest singular value {sigma_min:.3e} "
+            f"below tolerance {tol:.3e})"
+        )
+    rho = np.linalg.solve(L0.T, np.ones(topo.follower_count))
     mirror = _mirror_of(L0, rho)
     lam = min_eig_symmetric(mirror)
     return GraphAnalysis(

@@ -24,7 +24,7 @@ from .graph import GraphAnalysis, TopologySequence
 from .observer import LeaderModel, ObserverGains, _stacked_rhs, local_errors
 from .observer import dpto_rhs, leader_rhs  # noqa: F401  (public forms, wrapped by perfbench)
 
-_EVENT_MERGE_TOL = 1e-12
+_EVENT_MERGE_TOL = 1e-12  # absolute part of the event-merge tolerance
 _GAIN_BLOCK = 4096  # steps whose gains one vector expression computes; caps memory
 
 
@@ -139,14 +139,16 @@ def detect_convergence(
 
 
 def _event_grid(cfg: SimConfig, sched: CascadeSchedule, topos: TopologySequence) -> list[float]:
-    # A candidate within the merge tolerance of an accepted event is dropped;
-    # stage boundaries go first so their exact floats win over near-duplicates.
-    # Accepted events stay sorted: only the insertion point's neighbours can clash.
+    # A candidate within max(1e-12, 4 ulp(t)) of an accepted event is dropped
+    # (past |t| ~ 2e3 one ulp of t exceeds 1e-12); stage boundaries go first
+    # so their exact floats win over near-duplicates.  Accepted events stay
+    # sorted: only the insertion point's neighbours can clash.
     events: list[float] = []
     for t in (*sched.boundaries(), cfg.t0, cfg.t_end, *(s for s, _ in topos.schedule)):
         i = bisect.bisect_left(events, t)
+        tol = max(_EVENT_MERGE_TOL, 4.0 * math.ulp(t))
         if cfg.t0 <= t <= cfg.t_end and all(
-            abs(t - e) > _EVENT_MERGE_TOL for e in events[max(i - 1, 0) : i + 1]
+            abs(t - e) > tol for e in events[max(i - 1, 0) : i + 1]
         ):
             events.insert(i, t)
     return events

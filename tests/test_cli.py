@@ -57,8 +57,26 @@ def test_analyze_no_pinning_exits_2(tmp_path, capsys):
     cfg = tmp_path / "nopin.cfg"
     cfg.write_text(NO_PINNING)
     assert main(["analyze", "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert "no leader-rooted spanning tree" in err
+    captured = capsys.readouterr()
+    assert "leader-rooted spanning tree: NO" in captured.out
+    assert "no leader-rooted spanning tree" in captured.err
+
+
+def test_analyze_checks_reachability_once_per_topology(tmp_path, monkeypatch, capsys):
+    original = ptobs.graph.has_spanning_tree
+    calls = []
+
+    def counting(topo):
+        calls.append(topo)
+        return original(topo)
+
+    monkeypatch.setattr(ptobs.graph, "has_spanning_tree", counting)
+    monkeypatch.setattr(ptobs.cli, "has_spanning_tree", counting)
+    cfg = tmp_path / "pinned.cfg"
+    cfg.write_text(NO_PINNING.replace("pinning = 0 0", "pinning = 1 0"))
+    assert main(["analyze", "--config", str(cfg)]) == 0
+    assert "leader-rooted spanning tree: yes" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_malformed_adjacency_exits_1(tmp_path, capsys):
@@ -80,7 +98,9 @@ def test_missing_config_exits_1(capsys):
 def test_synthesize_reference_topologies(capsys):
     assert main(["synthesize", "--config", CFG]) == 0
     out = capsys.readouterr().out
-    assert "beta  = 10.404782557797308" in out
+    # 5 / lambda_min(topology 2) = 10.40478255779731165... (50-digit mpmath
+    # reference, see tests/test_graph.py); this is the nearest double.
+    assert "beta  = 10.404782557797311" in out
     assert "sigma = 0.125" in out
     assert "lambda_min(M) = 0.922398032" in out
     assert "lambda_min(M) = 0.480548245" in out

@@ -7,6 +7,7 @@ from ptobs.errors import (
     InfeasibleTopology,
     NoSpanningTree,
     NotSymmetric,
+    SingularLaplacian,
 )
 from conftest import ETA
 from oracles import char_poly_min_eig, cofactor_inverse, random_spanning_topology
@@ -36,6 +37,23 @@ def test_digraph1_analysis_vs_oracles(digraph1):
     assert abs(a.lambda_min - char_poly_min_eig(a.mirror)) < 1e-9
     assert np.max(np.abs(a.sub_laplacian.T @ a.rho - 1.0)) <= 1e-10
     assert a.max_weight == pytest.approx(5.0)
+
+
+def test_numerically_singular_laplacian_raises():
+    # Reachable through a 1e-14 pinning link, so only the conditioning check
+    # can tell that L0 = [[1 + 1e-14, -1], [-1, 1]] is singular to working precision.
+    topo = ptobs.DirectedTopology(adjacency=[[0, 1], [1, 0]], pinning=[1e-14, 0])
+    assert ptobs.has_spanning_tree(topo)
+    with pytest.raises(SingularLaplacian):
+        ptobs.build_analysis(topo)
+
+
+def test_non_finite_weights_rejected():
+    for bad in (np.inf, np.nan):
+        with pytest.raises(DimensionMismatch):
+            ptobs.DirectedTopology(adjacency=[[0, 1], [1, 0]], pinning=[bad, 0])
+        with pytest.raises(DimensionMismatch):
+            ptobs.DirectedTopology(adjacency=[[0, bad], [1, 0]], pinning=[1, 0])
 
 
 def test_disconnected_followers_raise():
@@ -95,6 +113,15 @@ def test_min_eig_diagonal():
 def test_min_eig_digraph2_with_H_vs_cubic(digraph2):
     h = ptobs.mirror_with_H(digraph2, ETA)
     assert abs(h.lambda_min - char_poly_min_eig(h.mirror)) < 1e-9
+
+
+def test_min_eig_bundled_mirrors_within_one_ulp(digraph1, digraph2):
+    # Smallest eigenvalues of the two bundled mirror matrices (H = diag(3, 5, 4)),
+    # computed with mpmath.eigsy at 50 significant digits.
+    exact = (0.92239803214785522438, 0.48054824521565955912)
+    for topo, ref in zip((digraph1, digraph2), exact):
+        lam = ptobs.mirror_with_H(topo, ETA).lambda_min
+        assert abs(lam - ref) <= np.spacing(ref)
 
 
 def test_min_eig_rejects_asymmetric():

@@ -1,11 +1,14 @@
-"""Property tests: the event grid and the switch lookup against their plain scans."""
+"""Property tests: the event grid and the switch lookup against their plain scans,
+and the event grid far from t = 0."""
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ptobs
-from ptobs.sim import _EVENT_MERGE_TOL, _event_grid
+from ptobs.sim import _EVENT_MERGE_TOL, _event_grid, _segment_steps
 
 _TOPO = ptobs.DirectedTopology(adjacency=[[0.0]], pinning=[1.0])
 
@@ -88,3 +91,56 @@ def test_active_index_equals_linear_scan(case, probes):
     probes += [float(np.nextafter(t, np.inf)) for t in switch_times]
     for t in probes:
         assert seq.active_index(t) == _scan_active_index(seq.schedule, t)
+
+
+@st.composite
+def _far_schedules(draw):
+    # Around t = 1e5 one ulp of t is 1.5e-11, above the 1e-12 absolute merge
+    # tolerance, so near-duplicate events are a few ulps apart, not 1e-12.
+    t0 = 1e5 + draw(st.sampled_from([0.0, 0.3, -0.7]))
+    ulp = math.ulp(t0)
+    durations = draw(
+        st.lists(
+            st.one_of(st.sampled_from([0.1, 0.2, 0.3]), st.floats(1e-3, 1.0)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    sched = ptobs.CascadeSchedule(t0=t0, stage_durations=tuple(durations), exponent=2.01)
+    near_anchor = st.builds(
+        lambda a, k: a + k * ulp, st.sampled_from(sched.boundaries()), st.integers(-6, 6)
+    )
+    t_end = draw(st.one_of(near_anchor, st.floats(t0 + 1e-2, t0 + 4.0)))
+    if not t_end > t0:
+        t_end = sched.t_star + 1.0
+    # Periodic switching as the config builds it (t0 + i * period), plus
+    # switches a few ulps from the stage boundaries and anywhere in between.
+    period = draw(st.sampled_from([0.05, 0.1, 0.2]))
+    periodic = [t0 + i * period for i in range(1, draw(st.integers(0, 40)))]
+    raw = draw(st.lists(st.one_of(near_anchor, st.floats(t0, t0 + 5.0)), max_size=15))
+    times = sorted({t for t in periodic + raw if t > t0})
+    schedule = [(t0, 1)] + [(t, 1 + i % 2) for i, t in enumerate(times, start=1)]
+    seq = ptobs.TopologySequence(topologies=(_TOPO, _TOPO), schedule=tuple(schedule))
+    cfg = ptobs.SimConfig(t0=t0, t_end=t_end, dt=draw(st.sampled_from([1e-3, 1e-2])))
+    return cfg, sched, seq
+
+
+@settings(max_examples=300, deadline=None)
+@given(_far_schedules())
+def test_event_grid_far_from_zero(case):
+    cfg, sched, seq = case
+    events = _event_grid(cfg, sched, seq)
+    tol = 4 * math.ulp(cfg.t0)
+    # Every stage boundary in range is hit exactly; every switch is merged
+    # into an event at most 4 ulps away.
+    assert all(b in events for b in sched.boundaries() if cfg.t0 <= b <= cfg.t_end)
+    for t, _ in seq.schedule:
+        if cfg.t0 <= t <= cfg.t_end:
+            assert min(abs(t - e) for e in events) <= tol
+    # Events are more than the merge tolerance apart, and the steps the
+    # integrator takes between them (sim.run's grid) all have positive length.
+    for e1, e2 in zip(events, events[1:]):
+        assert e2 - e1 > tol
+        grid = e1 + np.arange(_segment_steps(e1, e2, cfg.dt) + 1) * cfg.dt
+        grid[-1] = e2
+        assert np.all(np.diff(grid) > 0.0)
