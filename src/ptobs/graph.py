@@ -272,12 +272,12 @@ class TopologySequence:
             if np.any(eta <= 0.0):
                 raise DimensionMismatch("common_H entries must be positive")
             object.__setattr__(self, "common_H", eta)
-            for j, topo in enumerate(topos, start=1):
-                lam = mirror_with_H(topo, eta).lambda_min
-                if lam <= 0.0:
+            object.__setattr__(self, "_analyses", tuple(mirror_with_H(t, eta) for t in topos))
+            for j, analysis in enumerate(self._analyses, start=1):
+                if analysis.lambda_min <= 0.0:
                     raise InfeasibleTopology(
                         f"mirror of topology {j} is not positive definite with the "
-                        f"given H (lambda_min = {lam:.6g})"
+                        f"given H (lambda_min = {analysis.lambda_min:.6g})"
                     )
 
     @classmethod
@@ -294,11 +294,10 @@ class TopologySequence:
         return self.schedule[max(i - 1, 0)][1]
 
     def analyses(self) -> tuple[GraphAnalysis, ...]:
-        """One GraphAnalysis per topology.
-
-        Uses the shared eta weights when common_H is set, otherwise the
-        per-topology rho solve.
-        """
-        if self.common_H is not None:
-            return tuple(mirror_with_H(t, self.common_H) for t in self.topologies)
-        return tuple(build_analysis(t) for t in self.topologies)
+        """One GraphAnalysis per topology, computed once: at construction with the
+        common_H weights, else by build_analysis on the first call."""
+        if not hasattr(self, "_analyses"):
+            object.__setattr__(
+                self, "_analyses", tuple(build_analysis(t) for t in self.topologies)
+            )
+        return self._analyses

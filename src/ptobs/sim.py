@@ -3,10 +3,12 @@
 Every stage-window boundary, topology switch time and t_end lands exactly on
 a step boundary: dt is shortened locally before each event, so no step
 straddles a switch, and a step uses the topology active at its start
-(switching is right-continuous).  The loop steps one stacked state
-Z = [x0; estimates], takes each block's stage gains from one vector
-expression, validates inputs once per run and checks divergence once per
-step.  Results are deterministic and bit-identical to stepping leader_rhs and dpto_rhs.
+(switching is right-continuous).  One step plan per run numbers the grid
+points; the loop steps one stacked state Z = [x0; estimates] with each block's
+stage gains from one vector expression, checks divergence once per step and
+keeps only (t, Z) at record points.  Errors, psi, V and the decay envelope come
+from the stacked snapshots after the loop.  Bit-identical to stepping
+leader_rhs and dpto_rhs.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import numpy as np
 from .errors import DimensionMismatch, Diverged
 from .gain import CascadeSchedule, stage_rates, varsigma_clamped
 from .graph import GraphAnalysis, TopologySequence
-from .observer import LeaderModel, ObserverGains, _stacked_rhs, local_errors
-from .observer import dpto_rhs, leader_rhs  # noqa: F401  (public forms, wrapped by perfbench)
+from .observer import LeaderModel, ObserverGains, _stacked_rhs, _weighted_energy
+from .observer import dpto_rhs, leader_rhs, local_errors  # noqa: F401  (public forms, wrapped by perfbench)
 
 _EVENT_MERGE_TOL = 1e-12  # absolute part of the event-merge tolerance
 _GAIN_BLOCK = 4096  # steps whose gains one vector expression computes; caps memory
@@ -201,46 +203,10 @@ def run(
 
     analyses = topos.analyses()
     worst = min(analyses, key=lambda a: a.lambda_min)  # envelope uses the worst topology
-    guard = cfg.guard
-
     stage_starts = {k: sched.stage_start(k) for k in range(1, n + 1)}
     stage_ends = {k: sched.window(k).end for k in range(1, n + 1)}
-    baselines: dict[int, float] = {}
 
-    Z = np.vstack((leader.initial_state, E))  # row 0 leader, rows 1..N followers
-
-    times: list[float] = []
-    rec_leader: list[np.ndarray] = []
-    rec_err: list[np.ndarray] = []
-    rec_psi: list[np.ndarray] = []
-    rec_V: list[np.ndarray] = []
-    rec_budget: list[float] = []
     event_log: list[tuple[float, str]] = []
-
-    def record(t: float):
-        analysis = analyses[topos.active_index(t) - 1]
-        x0, E = Z[0], Z[1:]
-        err = E - x0[None, :]
-        psi = local_errors(analysis, E, x0)
-        V = 0.5 * (analysis.rho[:, None] * psi * psi).sum(axis=0)
-        for k in range(1, n + 1):
-            if t == stage_starts[k] and k not in baselines:
-                baselines[k] = float(V[k - 1])
-        # stage 1 opens last, so the first opened window in 1..n is the active one
-        k = next((k for k in range(1, n + 1) if stage_starts[k] <= t), n)
-        budget = (
-            decay_budget(worst, gains, sched, k, baselines[k], t, guard)
-            if k in baselines
-            else np.inf
-        )
-        times.append(t)
-        rec_leader.append(x0.copy())
-        rec_err.append(err)
-        rec_psi.append(psi)
-        rec_V.append(V)
-        rec_budget.append(float(budget))
-
-    events = _event_grid(cfg, sched, topos)
     for k in range(1, n + 1):
         if cfg.t0 <= stage_starts[k] <= cfg.t_end:
             event_log.append((stage_starts[k], f"stage {k} window opens"))
@@ -251,54 +217,87 @@ def run(
             event_log.append((t, f"switch to topology {j}"))
     event_log.sort(key=lambda item: item[0])
 
+    # Step plan: segment s runs events[s] -> events[s + 1] in steps[s] steps;
+    # its grid points are events[s] + j * dt for j < steps[s], and its last
+    # point is the next segment's first.  first[s] numbers segment s's first
+    # point in the run; the run's last point, first[-1], starts no step.
+    events = _event_grid(cfg, sched, topos)
+    steps = [_segment_steps(e1, e2, cfg.dt) for e1, e2 in zip(events[:-1], events[1:])]
+    first = np.cumsum([0, *steps])
+    origin = np.array(events)
+    seg_topo = [topos.active_index(e1) - 1 for e1 in events[:-1]]
+    kernels = [partial(_stacked_rhs, a.sub_laplacian, gains.sigma, cfg.sign_smoothing, leader)
+               for a in analyses]
+
     rk4 = cfg.method == "rk4"
     K = np.empty((4 if rk4 else 1, N + 1, n))  # stage derivatives, reused every step
-
-    record(cfg.t0)
-    step_count = 0
-    for e1, e2 in zip(events[:-1], events[1:]):
-        L0 = analyses[topos.active_index(e1) - 1].sub_laplacian
-        f = partial(_stacked_rhs, L0, gains.sigma, cfg.sign_smoothing, leader)
-        m = _segment_steps(e1, e2, cfg.dt)
-        for j0 in range(0, m, _GAIN_BLOCK):
-            j1 = min(j0 + _GAIN_BLOCK, m)
-            grid = e1 + np.arange(j0, j1 + 1) * cfg.dt  # step j runs grid[j] -> grid[j + 1]
-            if j1 == m:
-                grid[-1] = e2
-            g_at = gains.alpha + gains.beta * stage_rates(sched, grid, guard)
+    Z = np.vstack((leader.initial_state, E))  # row 0 leader, rows 1..N followers
+    # Z is rebound, never written in place, so a snapshot needs no copy.
+    rec_t, rec_Z = [cfg.t0], [Z]
+    for P0 in range(0, first[-1], _GAIN_BLOCK):
+        P = np.arange(P0, min(P0 + _GAIN_BLOCK, first[-1]) + 1)
+        seg = np.searchsorted(first, P, side="right") - 1
+        offset = P - first[seg]
+        grid = origin[seg] + offset * cfg.dt  # step P runs grid[P] -> grid[P + 1]
+        g_at = gains.alpha + gains.beta * stage_rates(sched, grid, cfg.guard)
+        if rk4:
+            mid = grid[:-1] + 0.5 * np.diff(grid)
+            g_mid = gains.alpha + gains.beta * stage_rates(sched, mid, cfg.guard)
+        # The kernel rebinds at segment starts; segment ends and every stride-th point record.
+        opens = np.where(offset == 0, seg, -1).tolist()
+        keep = ((P % cfg.record_stride == 0) | (offset == 0)).tolist()
+        ts = grid.tolist()
+        for i, (t, tn) in enumerate(zip(ts, ts[1:])):
+            if opens[i] >= 0:
+                f = kernels[seg_topo[opens[i]]]
+            h = tn - t
             if rk4:
-                mid = grid[:-1] + 0.5 * np.diff(grid)
-                g_mid = gains.alpha + gains.beta * stage_rates(sched, mid, guard)
-            ts = grid.tolist()
-            for j, (t, tn) in enumerate(zip(ts, ts[1:])):
-                h = tn - t
-                if rk4:
-                    k1 = f(g_at[j], Z, t, K[0])
-                    k2 = f(g_mid[j], Z + 0.5 * h * k1, t + 0.5 * h, K[1])
-                    k3 = f(g_mid[j], Z + 0.5 * h * k2, t + 0.5 * h, K[2])
-                    k4 = f(g_at[j + 1], Z + h * k3, tn, K[3])
-                    Z = Z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                else:
-                    Z = Z + h * f(g_at[j], Z, t, K[0])
-                step_count += 1
-                # One check per step: a non-finite stage derivative shows up in Z.
-                peak = np.abs(Z).max()
-                if not (math.isfinite(peak) and peak <= cfg.divergence_threshold):
-                    raise Diverged(tn if np.isfinite(K[:, 1:]).all() else t)
-                if (step_count % cfg.record_stride == 0 or j0 + j + 1 == m) and times[-1] != tn:
-                    record(tn)
+                k1 = f(g_at[i], Z, t, K[0])
+                k2 = f(g_mid[i], Z + 0.5 * h * k1, t + 0.5 * h, K[1])
+                k3 = f(g_mid[i], Z + 0.5 * h * k2, t + 0.5 * h, K[2])
+                k4 = f(g_at[i + 1], Z + h * k3, tn, K[3])
+                Z = Z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            else:
+                Z = Z + h * f(g_at[i], Z, t, K[0])
+            # One check per step: a non-finite stage derivative shows up in Z.
+            peak = np.abs(Z).max()
+            if not (math.isfinite(peak) and peak <= cfg.divergence_threshold):
+                raise Diverged(tn if np.isfinite(K[:, 1:]).all() else t)
+            if keep[i + 1] and rec_t[-1] != tn:
+                rec_t.append(tn)
+                rec_Z.append(Z)
 
-    arr_times = np.array(times)
-    arr_err = np.array(rec_err)
+    # Diagnostics from the stacked snapshots, under each sample's active topology.
+    times = np.array(rec_t)
+    snaps = np.array(rec_Z)
+    errors = snaps[:, 1:] - snaps[:, :1]
+    active = np.array([topos.active_index(t) - 1 for t in rec_t])
+    psi = np.empty_like(errors)
+    for j, analysis in enumerate(analyses):
+        psi[active == j] = np.matmul(analysis.sub_laplacian, errors[active == j])
+    V = _weighted_energy(np.array([a.rho for a in analyses])[active], psi)
+    # Each stage's envelope starts from V at the sample exactly at its window start.
+    baselines = {
+        k: float(V[rec_t.index(start), k - 1])
+        for k, start in stage_starts.items()
+        if start in rec_t
+    }
+    budget = np.full(times.shape, np.inf)
+    for s, t in enumerate(rec_t):
+        # stage 1 opens last, so the first opened window in 1..n is the active one
+        k = next((k for k in range(1, n + 1) if stage_starts[k] <= t), n)
+        if k in baselines:
+            budget[s] = decay_budget(worst, gains, sched, k, baselines[k], t, cfg.guard)
+
     return SimResult(
-        times=arr_times,
-        leader_states=np.array(rec_leader),
-        estimate_errors=arr_err,
-        local_errors=np.array(rec_psi),
-        lyapunov=np.array(rec_V),
-        decay_bound=np.array(rec_budget),
+        times=times,
+        leader_states=snaps[:, 0],
+        estimate_errors=errors,
+        local_errors=psi,
+        lyapunov=V,
+        decay_bound=budget,
         convergence_times=tuple(
-            detect_convergence(arr_times, arr_err, cfg.convergence_tolerance)
+            detect_convergence(times, errors, cfg.convergence_tolerance)
         ),
         event_log=tuple(event_log),
     )

@@ -78,10 +78,10 @@ def render_error_plot(
     pw = _WIDTH - _ML - _MR
     ph = _HEIGHT - _MT - _MB
 
-    def px(x: float) -> float:
+    def px(x):
         return _ML + (x - x_lo) / (x_hi - x_lo) * pw
 
-    def py(y: float) -> float:
+    def py(y):
         return _MT + (y_hi - y) / (y_hi - y_lo) * ph
 
     c = _Canvas()
@@ -124,17 +124,14 @@ def render_error_plot(
         f'stroke="black" stroke-width="1"/>'
     )
 
+    xs = px(np.asarray(times, dtype=float)).tolist()
+    ys = py(np.asarray(errors, dtype=float))
     for i in range(N):
-        pts = " ".join(
-            f"{px(float(t)):.2f},{py(float(e)):.2f}" for t, e in zip(times, errors[:, i])
-        )
         color = _PALETTE[i % len(_PALETTE)]
         if S == 1:
-            c.add(
-                f'<circle cx="{px(float(times[0])):.2f}" cy="{py(float(errors[0, i])):.2f}" '
-                f'r="3" fill="{color}"/>'
-            )
+            c.add(f'<circle cx="{xs[0]:.2f}" cy="{ys[0, i]:.2f}" r="3" fill="{color}"/>')
         else:
+            pts = " ".join(map("{:.2f},{:.2f}".format, xs, ys[:, i].tolist()))
             c.add(
                 f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
             )

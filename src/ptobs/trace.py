@@ -16,8 +16,8 @@ from .errors import MalformedTrace
 from .sim import SimResult
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+# Rows formatted per write: bounds the copy of the result the writer holds.
+_CHUNK_ROWS = 256
 
 
 def header_columns(N: int, n: int) -> list[str]:
@@ -33,16 +33,15 @@ def header_columns(N: int, n: int) -> list[str]:
 def write_trace(result: SimResult, path: str):
     S, N, n = result.estimate_errors.shape
     cols = header_columns(N, n)
+    row = ",".join(["{:.17g}"] * len(cols)) + "\n"
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
-        for s in range(S):
-            row = [result.times[s]]
-            row += list(result.leader_states[s])
-            row += list(result.estimate_errors[s].reshape(-1))
-            row += list(result.local_errors[s].reshape(-1))
-            row += list(result.lyapunov[s])
-            row.append(result.decay_bound[s])
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        arrays = (result.times, result.leader_states, result.estimate_errors,
+                  result.local_errors, result.lyapunov, result.decay_bound)
+        for a in range(0, S, _CHUNK_ROWS):
+            m = min(_CHUNK_ROWS, S - a)
+            block = np.hstack([x[a : a + m].reshape(m, -1) for x in arrays])
+            fh.write("".join(row.format(*values) for values in block.tolist()))
 
 
 @dataclass(frozen=True)

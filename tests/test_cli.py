@@ -1,9 +1,13 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
 import ptobs
 from ptobs.cli import main
 from ptobs.errors import MalformedTrace
+from ptobs.svgplot import render_error_plot
 from ptobs.trace import header_columns, read_trace, write_trace
 from conftest import BUNDLED_CONFIG, INITIAL_ESTIMATES
 
@@ -77,6 +81,27 @@ def test_analyze_checks_reachability_once_per_topology(tmp_path, monkeypatch, ca
     assert main(["analyze", "--config", str(cfg)]) == 0
     assert "leader-rooted spanning tree: yes" in capsys.readouterr().out
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "command", [["run", "--set", "sim.t_end=0.05"], ["analyze"], ["synthesize"]],
+    ids=["run", "analyze", "synthesize"],
+)
+def test_commands_compute_each_mirror_once(tmp_path, monkeypatch, command):
+    # Two topologies with common_H: the construction-time positive-definiteness
+    # check computes both analyses, and every later use reuses them.
+    original = ptobs.graph.mirror_with_H
+    calls = []
+
+    def counting(topo, eta):
+        calls.append(topo)
+        return original(topo, eta)
+
+    monkeypatch.setattr(ptobs.graph, "mirror_with_H", counting)
+    monkeypatch.setattr(ptobs.cli, "mirror_with_H", counting)
+    argv = [command[0], "--config", CFG, "--quiet", "--out", str(tmp_path), *command[1:]]
+    assert main(argv) == 0
+    assert len(calls) == 2
 
 
 def test_malformed_adjacency_exits_1(tmp_path, capsys):
@@ -171,6 +196,74 @@ def test_trace_write_read_exact(tmp_path, digraph1, sine_leader, cascade):
     assert np.array_equal(data.local_errors, res.local_errors)
     assert np.array_equal(data.lyapunov, res.lyapunov)
     assert np.array_equal(data.decay_bound, res.decay_bound)
+
+
+def _write_trace_per_value(result, path):
+    # The row-at-a-time writer write_trace replaced: one f"{x:.17g}" per value.
+    S, N, n = result.estimate_errors.shape
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(",".join(header_columns(N, n)) + "\n")
+        for s in range(S):
+            row = [result.times[s], *result.leader_states[s]]
+            row += list(result.estimate_errors[s].reshape(-1))
+            row += list(result.local_errors[s].reshape(-1))
+            row += [*result.lyapunov[s], result.decay_bound[s]]
+            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+
+
+def test_write_trace_equals_per_value_writer(tmp_path, static_run):
+    res = static_run[3]  # 701 rows: several chunks and a partial last one
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308, 0.1])
+    odd = dataclasses.replace(
+        res,
+        times=np.resize(special, res.times.shape),
+        estimate_errors=np.resize(special[::-1], res.estimate_errors.shape),
+        decay_bound=np.resize(special[2:], res.decay_bound.shape),
+    )
+    fields = [f.name for f in dataclasses.fields(res) if isinstance(getattr(res, f.name), np.ndarray)]
+    results = [res, odd]
+    results += [dataclasses.replace(res, **{f: getattr(res, f)[:m] for f in fields}) for m in (1, 256, 257)]
+    for i, result in enumerate(results):
+        write_trace(result, str(tmp_path / f"new{i}.csv"))
+        _write_trace_per_value(result, str(tmp_path / f"old{i}.csv"))
+        assert (tmp_path / f"new{i}.csv").read_bytes() == (tmp_path / f"old{i}.csv").read_bytes()
+
+
+def _polyline_points_per_point(times, errors):
+    # Per-point mapping render_error_plot used before it mapped a stage at once.
+    x_lo, x_hi = float(times[0]), float(times[-1])
+    if x_hi <= x_lo:
+        x_hi = x_lo + 1.0
+    y_lo, y_hi = float(np.min(errors)), float(np.max(errors))
+    if y_hi <= y_lo:
+        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+
+    def px(x):
+        return 70 + (x - x_lo) / (x_hi - x_lo) * 630
+
+    def py(y):
+        return 40 + (y_hi - y) / (y_hi - y_lo) * 345
+
+    return [
+        " ".join(f"{px(float(t)):.2f},{py(float(e)):.2f}" for t, e in zip(times, errors[:, i]))
+        for i in range(errors.shape[1])
+    ]
+
+
+def test_error_plot_points_equal_per_point_mapping(static_run):
+    res = static_run[3]
+    rng = np.random.default_rng(3)
+    cases = [(res.times, res.estimate_errors[:, :, k]) for k in range(3)]
+    cases.append((res.times[:50], rng.normal(size=(50, 4)) * 10.0 ** rng.integers(-9, 9, (50, 4))))
+    cases.append((np.array([0.0, 1e-9, 2e-9]), np.full((3, 2), 0.25)))
+    cases.append((res.times[:1], res.estimate_errors[:1, :, 0]))  # one sample: circles
+    for times, errors in cases:
+        svg = render_error_plot(times, errors, 1, (0.0, 0.2), "t")
+        points = re.findall(r'<polyline points="([^"]*)"', svg)
+        points += [f"{x},{y}" for x, y in re.findall(r'<circle cx="([^"]*)" cy="([^"]*)"', svg)]
+        assert points == _polyline_points_per_point(times, errors)
 
 
 def test_run_with_synthesize_mode_gains(tmp_path, capsys):

@@ -212,3 +212,31 @@ def test_sequence_analyses_weight_source(digraph1, digraph2):
     assert all(np.allclose(a.rho, ETA) for a in analyses)
     static = ptobs.TopologySequence.static(digraph1, 0.0)
     assert static.analyses()[0].weight_source == "rho_from_L0"
+
+
+def test_sequence_analyses_computed_once(digraph1, digraph2, monkeypatch):
+    calls = []
+    for name in ("build_analysis", "mirror_with_H"):
+        original = getattr(ptobs.graph, name)
+        monkeypatch.setattr(
+            ptobs.graph, name, lambda *a, _f=original: calls.append(a[0]) or _f(*a)
+        )
+    seq = ptobs.TopologySequence(
+        topologies=(digraph1, digraph2), schedule=((0.0, 1), (0.1, 2)), common_H=ETA
+    )
+    assert len(calls) == 2  # the positive-definiteness check
+    assert seq.analyses() is seq.analyses()
+    assert len(calls) == 2
+    static = ptobs.TopologySequence.static(digraph1, 0.0)
+    assert len(calls) == 2  # without common_H nothing is computed before the first call
+    assert static.analyses() is static.analyses()
+    assert len(calls) == 3
+    assert not static.analyses()[0].rho.flags.writeable
+
+
+def test_unreachable_static_sequence_raises_on_every_analyses_call():
+    topo = ptobs.DirectedTopology(adjacency=np.zeros((2, 2)), pinning=[1.0, 0.0])
+    seq = ptobs.TopologySequence.static(topo, 0.0)  # construction does not analyse
+    for _ in range(2):
+        with pytest.raises(NoSpanningTree):
+            seq.analyses()

@@ -1,13 +1,16 @@
 """Property tests: the event grid and the switch lookup against their plain scans,
-and the event grid far from t = 0."""
+the event grid far from t = 0, and sim.run's step grid against a per-segment one."""
 
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ptobs
+import ptobs.sim
 from ptobs.sim import _EVENT_MERGE_TOL, _event_grid, _segment_steps
 
 _TOPO = ptobs.DirectedTopology(adjacency=[[0.0]], pinning=[1.0])
@@ -144,3 +147,57 @@ def test_event_grid_far_from_zero(case):
         grid = e1 + np.arange(_segment_steps(e1, e2, cfg.dt) + 1) * cfg.dt
         grid[-1] = e2
         assert np.all(np.diff(grid) > 0.0)
+
+
+@st.composite
+def _off_grid_runs(draw):
+    # Switch times sit strictly between multiples of dt (5-95 % of a step past
+    # one), so every segment ends with a shortened step.
+    t0 = draw(st.sampled_from([0.0, 0.3]))
+    dt = draw(st.sampled_from([1e-2, 4e-3]))
+    steps = draw(st.integers(20, 120))
+    ticks = draw(st.lists(st.integers(0, steps - 2), min_size=1, max_size=12, unique=True))
+    fracs = draw(st.lists(st.floats(0.05, 0.95), min_size=len(ticks), max_size=len(ticks)))
+    times = sorted(t0 + (i + f) * dt for i, f in zip(ticks, fracs))
+    schedule = [(t0, 1)] + [(t, 1 + i % 2) for i, t in enumerate(times, start=1)]
+    topos = ptobs.TopologySequence(
+        topologies=(_TOPO, ptobs.DirectedTopology(adjacency=[[0.0]], pinning=[2.0])),
+        schedule=tuple(schedule),
+        common_H=[1.0],
+    )
+    durations = tuple(draw(st.lists(st.floats(0.05, 0.4), min_size=1, max_size=3)))
+    sched = ptobs.CascadeSchedule(t0=t0, stage_durations=durations, exponent=2.01)
+    n = sched.order
+    leader = ptobs.LeaderModel(
+        order=n, input_fn=ptobs.input_by_name("zero"), input_bound=0.0,
+        initial_state=[1.0] * n,
+    )
+    cfg = ptobs.SimConfig(
+        t0=t0, t_end=t0 + steps * dt + draw(st.sampled_from([0.0, 0.3 * dt])), dt=dt,
+        record_stride=1, method=draw(st.sampled_from(["rk4", "euler"])),
+    )
+    gains = ptobs.ObserverGains(alpha=1.0, beta=0.5, sigma=0.0)
+    block = draw(st.sampled_from([1, 2, 7, 64]))
+    return topos, leader, gains, sched, np.zeros((1, n)), cfg, block
+
+
+@settings(max_examples=100, deadline=None)
+@given(_off_grid_runs())
+def test_step_grid_equals_per_segment_grid(case):
+    *args, block = case
+    topos, _, _, sched, _, cfg = args
+    res = ptobs.run(*args)
+    # The grid the per-segment loop built: e1 + arange(m + 1) * dt, last point e2.
+    events = _event_grid(cfg, sched, topos)
+    expected = [events[0]]
+    for e1, e2 in zip(events[:-1], events[1:]):
+        grid = e1 + np.arange(_segment_steps(e1, e2, cfg.dt) + 1) * cfg.dt
+        grid[-1] = e2
+        expected += grid[1:].tolist()
+    assert np.array_equal(res.times, expected)
+    # Gain blocks that span segment boundaries change nothing.
+    with mock.patch.object(ptobs.sim, "_GAIN_BLOCK", block):
+        small = ptobs.run(*args)
+    for field in dataclasses.fields(res):
+        a, b = getattr(res, field.name), getattr(small, field.name)
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b

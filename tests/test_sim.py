@@ -4,6 +4,7 @@ import pytest
 import ptobs
 from ptobs.errors import DimensionMismatch, Diverged, InputBoundViolated
 from ptobs.observer import dpto_rhs, leader_rhs, local_errors
+from ptobs.observer import lyapunov_trace
 from ptobs.sim import decay_budget, detect_convergence
 from conftest import ETA, INITIAL_ESTIMATES
 
@@ -165,6 +166,36 @@ def test_recorded_budget_column_matches_active_stage(static_run):
     assert res.decay_bound[i] == pytest.approx(
         decay_budget(analysis, gains, sched, 2, V20, t, cfg.guard)
     )
+
+
+def test_recorded_energy_and_budget_equal_public_forms(digraph1, digraph2, sine_leader, cascade):
+    # Switches every 0.0137 s and a stride of 7: segments are 137 steps (or a
+    # remainder), so record points fall mid-segment, at segment ends and on
+    # stage boundaries alike.
+    seq = ptobs.TopologySequence(
+        topologies=(digraph1, digraph2),
+        schedule=tuple((0.0137 * i, 1 + i % 2) for i in range(50)),
+        common_H=ETA,
+    )
+    gains = ptobs.ObserverGains(alpha=1.05, beta=5.692, sigma=0.125)
+    cfg = ptobs.SimConfig(t0=0.0, t_end=0.65, dt=1e-4, guard=1e-3, record_stride=7)
+    res = ptobs.run(seq, sine_leader, gains, cascade, INITIAL_ESTIMATES, cfg)
+    analyses = seq.analyses()
+    worst = min(analyses, key=lambda a: a.lambda_min)
+    starts = {k: cascade.stage_start(k) for k in (1, 2, 3)}
+    baseline_index = {k: np.flatnonzero(res.times == t)[0] for k, t in starts.items()}
+    for s, t in enumerate(res.times.tolist()):
+        active = analyses[seq.active_index(t) - 1]
+        for k in (1, 2, 3):
+            psi = res.local_errors[s, :, k - 1]
+            assert res.lyapunov[s, k - 1] == lyapunov_trace(active, psi)
+            # Row-by-row sum in Python floats: the old per-sample recorder's order.
+            assert res.lyapunov[s, k - 1] == 0.5 * sum(
+                w * p * p for w, p in zip(active.rho.tolist(), psi.tolist())
+            )
+        k = min(k for k in (1, 2, 3) if starts[k] <= t)
+        V0 = res.lyapunov[baseline_index[k], k - 1]
+        assert res.decay_bound[s] == decay_budget(worst, gains, cascade, k, V0, t, cfg.guard)
 
 
 def test_cascade_order(static_run):
