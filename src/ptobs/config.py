@@ -25,7 +25,7 @@ Sections and keys:
     [initial_estimates] row_<i> = n values (follower i's initial estimate)
     [sim]               dt, t_end, method, guard, tolerance, record_stride,
                         optional sign_smoothing
-    [output]            directory, csv = on|off, svg = on|off
+    [output]            directory, csv = on|off
 """
 
 from __future__ import annotations
@@ -222,7 +222,6 @@ def _parse_leader_input(reader: _Reader):
 class OutputOptions:
     directory: str
     write_csv: bool
-    write_svg: bool
 
 
 @dataclass(frozen=True)
@@ -444,7 +443,6 @@ def build_experiment(doc: ConfigDocument) -> Experiment:
     output = OutputOptions(
         directory=doc.get("output", "directory", "out"),
         write_csv=reader.flag("output", "csv", True),
-        write_svg=reader.flag("output", "svg", True),
     )
 
     return Experiment(

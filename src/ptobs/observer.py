@@ -21,6 +21,10 @@ each stage's window.  Sufficient gains: alpha > 0, sigma at least the leader
 input bound, and beta at least max(weights) / min(lambda_min) over the
 topologies in play (the single-topology case reduces to the same formula with
 the rho weights).
+
+One kernel evaluates this right-hand side for the integrator and for dpto_rhs,
+over preallocated buffers: the integrator allocates them once per run,
+dpto_rhs afresh per call.
 """
 
 from __future__ import annotations
@@ -175,25 +179,49 @@ def local_errors(analysis: GraphAnalysis, estimates: np.ndarray, x0: np.ndarray)
     return analysis.sub_laplacian @ (estimates - np.asarray(x0, dtype=float)[None, :])
 
 
-def _sign(x: np.ndarray, smoothing: float | None) -> np.ndarray:
-    # Hard sign with sign(0) = 0 by default; optional boundary-layer smoothing
-    # x / (|x| + eps) for chattering studies.
-    if smoothing is None:
-        return np.sign(x)
-    return x / (np.abs(x) + smoothing)
+def _stacked_kernel(N: int, n: int, sigma: float, smoothing: float | None,
+                    leader: LeaderModel | None, out_rows: tuple[int, ...] = (0,)):
+    """Work area (X, K) of the stacked observer and its right-hand side rhs.
 
+    A stage input X[s], (2N, n), stacks N copies of the leader state above the
+    N estimates: the copies evolve identically and make estimates - x0 one
+    same-shape subtraction.  rhs(L0, g, s, t) writes the derivative of X[s] at
+    t into K[out_rows[s]], with g the stage gains alpha + beta r_k(t) as (n,)
+    or one row per follower.  It allocates nothing and checks no shapes; with
+    no leader it leaves the leader input unset.
+    """
+    X = np.zeros((len(out_rows), 2 * N, n))
+    K = np.zeros((max(out_rows) + 1, 2 * N, n))
+    D, psi, sign, neg_sigma = np.empty((N, n)), np.empty((N, n)), np.empty(N), np.full(N, -sigma)
+    # g * psi below zero leader rows: K.flat[:-1] = X.flat[1:] - GP.flat[:-1]
+    # is then every shift term, exactly x0[1:] in leader rows.
+    GP = np.zeros((2 * N, n))
+    gp, gp_flat, gp_top, psi_top = GP[N:], GP.reshape(-1)[:-1], GP[N:, -1], psi[:, -1]
+    # Per stage: estimates, leader copies, one leader row, flat input from its
+    # second entry, flat output up to its last, both top columns.
+    views = [(Xs[N:], Xs[:N], Xs[N - 1], Xs.reshape(-1)[1:], Ks.reshape(-1)[:-1], Ks[N:, -1], Ks[:N, -1])
+             for Xs, Ks in zip(X, [K[r] for r in out_rows])]
 
-def _stacked_rhs(L0, sigma, smoothing, leader: LeaderModel | None, g, Z, t: float, out):
-    # Derivative of the stacked state Z = [x0; estimates] at t, written into out;
-    # g holds the n stage gains alpha + beta r_k(t).  No shape checks: callers
-    # validate once.  With leader None, out[0, -1] (the leader input) is unset.
-    psi = L0 @ (Z[1:] - Z[0])
-    out[:, :-1] = Z[:, 1:]
-    if leader is not None:
-        out[0, -1] = _leader_input(leader, Z[0], t)
-    out[1:, -1] = -sigma * _sign(psi[:, -1], smoothing)
-    out[1:] -= g * psi
-    return out
+    def rhs(L0: np.ndarray, g: np.ndarray, s: int, t: float):
+        F, L, x0, X_shift, K_flat, K_top, K_input = views[s]
+        np.subtract(F, L, out=D)
+        np.matmul(L0, D, out=psi)
+        np.multiply(psi, g, out=gp)
+        np.subtract(X_shift, gp_flat, out=K_flat)
+        # Top column -sigma sign(psi_n) - g_n psi_n: hard sign (sign(0) = 0) or
+        # the boundary layer psi / (|psi| + eps) for chattering studies.
+        if smoothing is None:
+            np.sign(psi_top, out=sign)
+        else:
+            np.abs(psi_top, out=sign)
+            np.add(sign, smoothing, out=sign)
+            np.divide(psi_top, sign, out=sign)
+        np.multiply(neg_sigma, sign, out=K_top)
+        np.subtract(K_top, gp_top, out=K_top)
+        if leader is not None:
+            K_input[:] = _leader_input(leader, x0, t)
+
+    return X, K, rhs
 
 
 def dpto_rhs(
@@ -217,10 +245,10 @@ def dpto_rhs(
         raise DimensionMismatch(f"need estimates ({N}, {n}) and x0 ({n},)")
     rates = [stage_gain(sched, k, t, guard) for k in range(1, n + 1)]
     g = gains.alpha + gains.beta * np.array(rates)
-    Z = np.vstack((x0, estimates))
-    out = _stacked_rhs(
-        analysis_at_t.sub_laplacian, gains.sigma, sign_smoothing, None, g, Z, t, np.empty_like(Z)
-    )[1:]
+    X, K, rhs = _stacked_kernel(N, n, gains.sigma, sign_smoothing, None)  # fresh: out owns K
+    X[0, :N], X[0, N:] = x0, estimates
+    rhs(analysis_at_t.sub_laplacian, g, 0, t)
+    out = K[0, N:]
     if not np.all(np.isfinite(out)):
         raise NonFinite(f"observer derivative is non-finite at t={t:.6g}")
     return out

@@ -4,11 +4,12 @@ Every stage-window boundary, topology switch time and t_end lands exactly on
 a step boundary: dt is shortened locally before each event, so no step
 straddles a switch, and a step uses the topology active at its start
 (switching is right-continuous).  One step plan per run numbers the grid
-points; the loop steps one stacked state Z = [x0; estimates] with each block's
-stage gains from one vector expression, checks divergence once per step and
-keeps only (t, Z) at record points.  Errors, psi, V and the decay envelope come
-from the stacked snapshots after the loop.  Bit-identical to stepping
-leader_rhs and dpto_rhs.
+points; the loop steps one stacked state in place in the observer kernel's
+work area, allocated once per run, with each block's stage gains from one
+vector expression and every per-step operation written through out=.  It
+checks divergence once per step and copies [x0; estimates] only at record
+points.  Errors, psi, V and the decay envelope come from those snapshots
+after the loop.  Bit-identical to stepping leader_rhs and dpto_rhs.
 """
 
 from __future__ import annotations
@@ -16,18 +17,17 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .errors import DimensionMismatch, Diverged
 from .gain import CascadeSchedule, stage_rates, varsigma_clamped
 from .graph import GraphAnalysis, TopologySequence
-from .observer import LeaderModel, ObserverGains, _stacked_rhs, _weighted_energy
+from .observer import LeaderModel, ObserverGains, _stacked_kernel, _weighted_energy
 from .observer import dpto_rhs, leader_rhs, local_errors  # noqa: F401  (public forms, wrapped by perfbench)
 
 _EVENT_MERGE_TOL = 1e-12  # absolute part of the event-merge tolerance
-_GAIN_BLOCK = 4096  # steps whose gains one vector expression computes; caps memory
+_GAIN_BLOCK = 4096  # gain rows (steps x followers) one block computes; caps memory
 
 
 @dataclass(frozen=True)
@@ -225,47 +225,71 @@ def run(
     steps = [_segment_steps(e1, e2, cfg.dt) for e1, e2 in zip(events[:-1], events[1:])]
     first = np.cumsum([0, *steps])
     origin = np.array(events)
-    seg_topo = [topos.active_index(e1) - 1 for e1 in events[:-1]]
-    kernels = [partial(_stacked_rhs, a.sub_laplacian, gains.sigma, cfg.sign_smoothing, leader)
-               for a in analyses]
+    seg_L0 = [analyses[topos.active_index(e1) - 1].sub_laplacian for e1 in events[:-1]]
 
+    def gain_rows(times: np.ndarray) -> np.ndarray:
+        # An (N, n) gain matrix per time makes the kernel's g * psi same-shape.
+        g = gains.alpha + gains.beta * stage_rates(sched, times, cfg.guard)
+        return np.repeat(g[:, None], N, axis=1)
+
+    # rk4 evaluates k1..k4 into K[0], K[4], K[5], K[3] and writes 2 k2, 2 k3
+    # into K[1], K[2], so one reduce over K[:4] sums ((k1 + 2 k2) + 2 k3) + k4.
     rk4 = cfg.method == "rk4"
-    K = np.empty((4 if rk4 else 1, N + 1, n))  # stage derivatives, reused every step
-    Z = np.vstack((leader.initial_state, E))  # row 0 leader, rows 1..N followers
-    # Z is rebound, never written in place, so a snapshot needs no copy.
-    rec_t, rec_Z = [cfg.t0], [Z]
-    for P0 in range(0, first[-1], _GAIN_BLOCK):
-        P = np.arange(P0, min(P0 + _GAIN_BLOCK, first[-1]) + 1)
+    stage_rows = (0, 4, 5, 3) if rk4 else (0,)
+    X, K, rhs = _stacked_kernel(N, n, gains.sigma, cfg.sign_smoothing, leader, stage_rows)
+    Z, K0 = X[0], K[0]  # the state, N leader copies over the estimates; stage 1 reads it in place
+    Z[:N], Z[N:] = leader.initial_state, E
+    if rk4:
+        X1, X2, X3 = X[1:]
+        K1, K2, K3 = K[4], K[5], K[3]
+        K_weighted, K_doubled, K_mid = K[:4], K[1:3], K[4:]
+    T, A = np.empty_like(Z), np.empty_like(Z)  # step increment; |Z|
+    # 0-d arrays: a ufunc converts a Python float argument on every call.
+    half, full, sixth, two = np.empty(()), np.empty(()), np.empty(()), np.array(2.0)
+    rec_t, rec_Z = [cfg.t0], [Z[N - 1 :].copy()]  # snapshots are [x0; estimates]
+    block = max(1, _GAIN_BLOCK // N)
+    for P0 in range(0, first[-1], block):
+        P = np.arange(P0, min(P0 + block, first[-1]) + 1)
         seg = np.searchsorted(first, P, side="right") - 1
         offset = P - first[seg]
         grid = origin[seg] + offset * cfg.dt  # step P runs grid[P] -> grid[P + 1]
-        g_at = gains.alpha + gains.beta * stage_rates(sched, grid, cfg.guard)
+        g_at = gain_rows(grid)
         if rk4:
-            mid = grid[:-1] + 0.5 * np.diff(grid)
-            g_mid = gains.alpha + gains.beta * stage_rates(sched, mid, cfg.guard)
-        # The kernel rebinds at segment starts; segment ends and every stride-th point record.
+            g_mid = gain_rows(grid[:-1] + 0.5 * np.diff(grid))
+        # L0 switches at segment starts; segment ends and every stride-th point record.
         opens = np.where(offset == 0, seg, -1).tolist()
         keep = ((P % cfg.record_stride == 0) | (offset == 0)).tolist()
         ts = grid.tolist()
         for i, (t, tn) in enumerate(zip(ts, ts[1:])):
             if opens[i] >= 0:
-                f = kernels[seg_topo[opens[i]]]
+                L0 = seg_L0[opens[i]]
             h = tn - t
-            if rk4:
-                k1 = f(g_at[i], Z, t, K[0])
-                k2 = f(g_mid[i], Z + 0.5 * h * k1, t + 0.5 * h, K[1])
-                k3 = f(g_mid[i], Z + 0.5 * h * k2, t + 0.5 * h, K[2])
-                k4 = f(g_at[i + 1], Z + h * k3, tn, K[3])
-                Z = Z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            half[()], full[()], sixth[()] = 0.5 * h, h, h / 6.0
+            rhs(L0, g_at[i], 0, t)
+            if rk4:  # stage inputs Z + (h/2) k1, Z + (h/2) k2, Z + h k3
+                np.multiply(K0, half, out=X1)
+                np.add(Z, X1, out=X1)
+                gm, tm = g_mid[i], t + 0.5 * h
+                rhs(L0, gm, 1, tm)
+                np.multiply(K1, half, out=X2)
+                np.add(Z, X2, out=X2)
+                rhs(L0, gm, 2, tm)
+                np.multiply(K2, full, out=X3)
+                np.add(Z, X3, out=X3)
+                rhs(L0, g_at[i + 1], 3, tn)
+                np.multiply(K_mid, two, out=K_doubled)
+                np.add.reduce(K_weighted, axis=0, out=T)
+                np.multiply(T, sixth, out=T)
             else:
-                Z = Z + h * f(g_at[i], Z, t, K[0])
+                np.multiply(K0, full, out=T)
+            np.add(Z, T, out=Z)
             # One check per step: a non-finite stage derivative shows up in Z.
-            peak = np.abs(Z).max()
+            peak = np.maximum.reduce(np.abs(Z, out=A), axis=None)
             if not (math.isfinite(peak) and peak <= cfg.divergence_threshold):
-                raise Diverged(tn if np.isfinite(K[:, 1:]).all() else t)
+                raise Diverged(tn if np.isfinite(K[stage_rows, N:]).all() else t)
             if keep[i + 1] and rec_t[-1] != tn:
                 rec_t.append(tn)
-                rec_Z.append(Z)
+                rec_Z.append(Z[N - 1 :].copy())
 
     # Diagnostics from the stacked snapshots, under each sample's active topology.
     times = np.array(rec_t)

@@ -85,39 +85,37 @@ def read_trace(path: str) -> TraceData:
     N = nxt // n
     if header != header_columns(N, n):
         raise MalformedTrace("header does not match the expected column layout")
-    expected = len(header)
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != expected:
-            raise MalformedTrace(
-                f"line {lineno}: expected {expected} fields, got {len(fields)}"
-            )
-        try:
-            rows.append([float(f) for f in fields])
-        except ValueError:
-            raise MalformedTrace(f"line {lineno}: non-numeric field") from None
-    if not rows:
+    if not any(lines[1:]):
         raise MalformedTrace("trace has a header but no data rows")
-    data = np.array(rows)
+    # One C-level parse.  numpy's row numbers are not file lines, so a file it
+    # rejects is parsed per field again, which names the first bad line.
+    try:
+        data = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        data = None
+    if data is None or data.shape[1] != len(header):
+        rows = []
+        for lineno, line in enumerate(lines[1:], start=2):
+            if not line:
+                continue
+            fields = line.split(",")
+            if len(fields) != len(header):
+                raise MalformedTrace(
+                    f"line {lineno}: expected {len(header)} fields, got {len(fields)}"
+                )
+            try:
+                rows.append([float(f) for f in fields])
+            except ValueError:
+                raise MalformedTrace(f"line {lineno}: non-numeric field") from None
+        data = np.array(rows)
     S = data.shape[0]
-    pos = 1
-    leader = data[:, pos : pos + n]
-    pos += n
-    xt = data[:, pos : pos + N * n].reshape(S, N, n)
-    pos += N * n
-    psi = data[:, pos : pos + N * n].reshape(S, N, n)
-    pos += N * n
-    V = data[:, pos : pos + n]
-    pos += n
-    budget = data[:, pos]
+    times, leader, xt, psi, V, budget = np.split(data, np.cumsum([1, n, N * n, N * n, n]), axis=1)
     return TraceData(
-        times=data[:, 0],
+        times=times[:, 0],
         leader_states=leader,
-        estimate_errors=xt,
-        local_errors=psi,
+        estimate_errors=xt.reshape(S, N, n),
+        local_errors=psi.reshape(S, N, n),
         lyapunov=V,
-        decay_bound=budget,
+        decay_bound=budget[:, 0],
     )
+

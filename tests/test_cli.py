@@ -229,6 +229,87 @@ def test_write_trace_equals_per_value_writer(tmp_path, static_run):
         assert (tmp_path / f"new{i}.csv").read_bytes() == (tmp_path / f"old{i}.csv").read_bytes()
 
 
+def _read_trace_per_field(path):
+    # The reader read_trace replaced: float() per field, file lines counted from 1.
+    with open(path, "r", encoding="ascii") as fh:
+        lines = fh.read().splitlines()
+    header = lines[0].split(",")
+    n = sum(1 for c in header if c.startswith("x0_"))
+    N = sum(1 for c in header if c.startswith("xt_")) // n
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != len(header):
+            raise MalformedTrace(f"line {lineno}: expected {len(header)} fields, got {len(fields)}")
+        try:
+            rows.append([float(f) for f in fields])
+        except ValueError:
+            raise MalformedTrace(f"line {lineno}: non-numeric field") from None
+    if not rows:
+        raise MalformedTrace("trace has a header but no data rows")
+    data = np.array(rows)
+    S = data.shape[0]
+    cut = np.cumsum([1, n, N * n, N * n, n])
+    return ptobs.trace.TraceData(
+        times=data[:, 0],
+        leader_states=data[:, cut[0] : cut[1]],
+        estimate_errors=data[:, cut[1] : cut[2]].reshape(S, N, n),
+        local_errors=data[:, cut[2] : cut[3]].reshape(S, N, n),
+        lyapunov=data[:, cut[3] : cut[4]],
+        decay_bound=data[:, cut[4]],
+    )
+
+
+def _read_outcome(reader, path):
+    try:
+        data = reader(path)
+    except MalformedTrace as exc:
+        return str(exc)
+    return [(f.name, getattr(data, f.name).shape, getattr(data, f.name).tobytes())
+            for f in dataclasses.fields(data)]
+
+
+def test_read_trace_equals_per_field_reader(tmp_path, static_run):
+    res = static_run[3]
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308, 0.1])
+    odd = dataclasses.replace(
+        res,
+        times=np.resize(special, res.times.shape),
+        leader_states=np.resize(-special, res.leader_states.shape),
+        local_errors=np.resize(special[::-1], res.local_errors.shape),
+        decay_bound=np.resize(special[2:], res.decay_bound.shape),
+    )
+    one_row = dataclasses.replace(odd, **{
+        f.name: getattr(odd, f.name)[:1]
+        for f in dataclasses.fields(odd) if isinstance(getattr(odd, f.name), np.ndarray)
+    })
+    for i, result in enumerate([res, odd, one_row]):
+        path = str(tmp_path / f"t{i}.csv")
+        write_trace(result, path)
+        assert _read_outcome(read_trace, path) == _read_outcome(_read_trace_per_field, path)
+    # Bad files fail alike, and name the file line, blank lines counted.
+    header = ",".join(header_columns(2, 1))
+    good = ",".join(["0.5"] * len(header_columns(2, 1)))
+    bodies = [
+        [good, "", good, "1,2"],                      # short row after a blank line
+        [good, good + ",3"],                          # long row
+        [good, "", "", good.replace("0.5", "x", 1)],  # non-numeric field
+        [good, good[:-3]],                            # empty last field
+        [good, "  "],                                 # whitespace-only line
+        ["1,2", "1,2"],                               # every row equally short
+        [],                                           # header only
+        ["", ""],                                     # blank lines only
+        [good.replace("0.5", "1_0", 1)],              # float() reads it, numpy does not
+    ]
+    path = str(tmp_path / "bad.csv")
+    for body in bodies:
+        with open(path, "w", encoding="ascii", newline="\n") as fh:
+            fh.write("\n".join([header, *body]) + "\n")
+        assert _read_outcome(read_trace, path) == _read_outcome(_read_trace_per_field, path), body
+
+
 def _polyline_points_per_point(times, errors):
     # Per-point mapping render_error_plot used before it mapped a stage at once.
     x_lo, x_hi = float(times[0]), float(times[-1])

@@ -59,7 +59,7 @@ def test_bundled_config_loads():
     assert exp.sched.stage_durations == (0.2, 0.2, 0.2)
     assert exp.sim.dt == 1e-4 and exp.sim.guard == 1e-3
     assert exp.initial_estimates.shape == (3, 3)
-    assert exp.output.write_csv and exp.output.write_svg
+    assert exp.output.write_csv
 
 
 def test_roundtrip_parse_serialize_parse_fixed_point():

@@ -114,6 +114,20 @@ def test_dpto_rhs_reference_at_start(digraph1, cascade):
     )
 
 
+def test_dpto_rhs_results_do_not_share_buffers(digraph1, cascade):
+    # A work area reused across calls would let the second call overwrite the
+    # first result.
+    a = ptobs.build_analysis(digraph1)
+    gains = ptobs.ObserverGains(alpha=1.05, beta=5.692, sigma=0.125)
+    x0 = np.array([1.0, 0.0, 0.0])
+    first = ptobs.dpto_rhs(a, gains, cascade, 1e-3, INITIAL_ESTIMATES, x0, 0.1)
+    kept = first.copy()
+    second = ptobs.dpto_rhs(a, gains, cascade, 1e-3, -2.0 * INITIAL_ESTIMATES, -x0, 0.5)
+    assert np.array_equal(first, kept)
+    assert not np.array_equal(first, second)
+    assert not np.shares_memory(first, second)
+
+
 def test_dpto_rhs_beta_monotonicity(digraph1, cascade):
     a = ptobs.build_analysis(digraph1)
     x0 = np.array([1.0, 0.0, 0.0])

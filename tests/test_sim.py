@@ -295,25 +295,58 @@ def _public_rhs_replay(res, seq, leader, gains, sched, estimates, cfg):
         assert np.array_equal(res.local_errors[i], psi), f"psi differs at t={tn}"
 
 
-@pytest.mark.parametrize("case", ["static", "switching", "smoothing", "euler"])
+def _random_static_case(N, n, seed):
+    """Static digraph with a spanning tree from the leader, sine leader, random estimates."""
+    rng = np.random.default_rng(seed)
+    A = np.where(rng.random((N, N)) < 2.0 / N, rng.uniform(0.5, 1.5, (N, N)), 0.0)
+    for i in range(1, N):  # follower i hears an earlier one, so every follower is reached
+        A[i, rng.integers(0, i)] = rng.uniform(0.5, 1.5)
+    np.fill_diagonal(A, 0.0)
+    pinning = np.where(np.arange(N) == 0, 1.0, 0.0)
+    seq = ptobs.TopologySequence.static(ptobs.DirectedTopology(adjacency=A, pinning=pinning), 0.0)
+    leader = ptobs.LeaderModel(
+        order=n, input_fn=ptobs.input_by_name("sine", 0.125, 0.5), input_bound=0.125,
+        initial_state=rng.normal(size=n),
+    )
+    sched = ptobs.CascadeSchedule(t0=0.0, stage_durations=(0.1,) * n, exponent=2.01)
+    return seq, leader, sched, rng.normal(size=(N, n)) * 3.0
+
+
+# Static digraphs of other shapes: the flat shift and the top-column overwrite
+# are what a single follower (N = 1) or a single stage (n = 1) could break.
+_SWEEP = [
+    f"{N}x{n}-{method}-{sign}"
+    for N, n in ((1, 1), (1, 3), (4, 1), (5, 2), (40, 3))
+    for method in ("rk4", "euler")
+    for sign in ("hard", "smooth")
+]
+
+
+@pytest.mark.parametrize("case", ["static", "switching", "smoothing", "euler", *_SWEEP])
 def test_integrator_matches_public_rhs_exactly(digraph1, digraph2, sine_leader, cascade, case):
+    leader, sched, estimates = sine_leader, cascade, INITIAL_ESTIMATES
+    gains = ptobs.ObserverGains(alpha=1.05, beta=5.692, sigma=0.125)
+    method = "euler" if "euler" in case else "rk4"
+    smoothing = 0.05 if "smooth" in case else None
     if case == "switching":
         seq = ptobs.TopologySequence(
             topologies=(digraph1, digraph2),
             schedule=tuple((round(0.05 * i, 10), 1 + i % 2) for i in range(7)),
             common_H=ETA,
         )
+    elif case in _SWEEP:
+        N, n = map(int, case.split("-")[0].split("x"))
+        seq, leader, sched, estimates = _random_static_case(N, n, seed=N * 10 + n)
+        gains = ptobs.ObserverGains(alpha=1.0, beta=0.5, sigma=0.125)
     else:
         seq = ptobs.TopologySequence.static(digraph1, 0.0)
     cfg = ptobs.SimConfig(
         t0=0.0, t_end=0.3, dt=1e-3, guard=1e-2, record_stride=1,
-        method="euler" if case == "euler" else "rk4",
-        sign_smoothing=0.05 if case == "smoothing" else None,
+        method=method, sign_smoothing=smoothing,
     )
-    gains = ptobs.ObserverGains(alpha=1.05, beta=5.692, sigma=0.125)
-    res = ptobs.run(seq, sine_leader, gains, cascade, INITIAL_ESTIMATES, cfg)
+    res = ptobs.run(seq, leader, gains, sched, estimates, cfg)
     assert len(res.times) == 301
-    _public_rhs_replay(res, seq, sine_leader, gains, cascade, INITIAL_ESTIMATES, cfg)
+    _public_rhs_replay(res, seq, leader, gains, sched, estimates, cfg)
 
 
 def test_input_bound_violation_propagates(digraph1, cascade):
