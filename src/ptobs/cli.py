@@ -7,6 +7,7 @@ Exit codes are a stable contract: 0 success, 1 config or input error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ import numpy as np
 from .config import (
     Experiment,
     apply_overrides,
+    build_experiment,
     load_config,
     load_experiment,
     serialize_config,
@@ -57,15 +59,8 @@ class _Printer:
         print(f"warning: {msg}", file=sys.stderr)
 
 
-def _out_dir(args, experiment: Experiment | None) -> Path:
-    if args.out:
-        path = Path(args.out)
-    elif os.environ.get("OUTPUT_DIR"):
-        path = Path(os.environ["OUTPUT_DIR"])
-    elif experiment is not None:
-        path = Path(experiment.output.directory)
-    else:
-        path = Path("out")
+def _out_dir(args, experiment: Experiment) -> Path:
+    path = Path(args.out or os.environ.get("OUTPUT_DIR") or experiment.output.directory)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -122,20 +117,16 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    path = _require_config(args)
-    exp = load_experiment(path, args.set or [])
+    doc = load_config(_require_config(args))
+    apply_overrides(doc, args.set or [])
+    exp = build_experiment(doc)
     p = _Printer(args.quiet)
-    base = exp.margins if exp.gains_mode == "synthesize" else None
-    margins = GainMargins(
-        alpha=args.alpha_margin
-        if args.alpha_margin is not None
-        else (base.alpha if base else 1.0),
-        beta_factor=args.beta_factor
-        if args.beta_factor is not None
-        else (base.beta_factor if base else 1.0),
-        sigma_factor=args.sigma_factor
-        if args.sigma_factor is not None
-        else (base.sigma_factor if base else 1.0),
+    flags = {
+        "alpha": args.alpha_margin, "beta_factor": args.beta_factor, "sigma_factor": args.sigma_factor
+    }
+    margins = dataclasses.replace(
+        exp.margins if exp.gains_mode == "synthesize" else GainMargins(alpha=1.0),
+        **{name: value for name, value in flags.items() if value is not None},
     )
     analyses = exp.sequence.analyses()
     gains = synthesize_gains(analyses, exp.leader.input_bound, margins)
@@ -149,9 +140,6 @@ def cmd_synthesize(args) -> int:
         f"x factor {margins.sigma_factor:g})"
     )
     if args.emit_config:
-        doc = load_config(path)
-        if args.set:
-            apply_overrides(doc, args.set)
         doc.sections["gains"] = {}
         doc.set("gains", "mode", "explicit")
         doc.set("gains", "alpha", f"{gains.alpha:.17g}")
@@ -258,23 +246,15 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MalformedTrace as exc:
-        print(f"error: malformed trace: {exc}", file=sys.stderr)
-        return 1
-    except NoSpanningTree as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InfeasibleTopology as exc:
+    except (NoSpanningTree, InfeasibleTopology) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Diverged as exc:
         print(f"error: simulation diverged at t = {exc.time:.6g} s", file=sys.stderr)
         return 3
     except ToolkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        kind = "malformed trace: " if isinstance(exc, MalformedTrace) else ""
+        print(f"error: {kind}{exc}", file=sys.stderr)
         return 1
 
 

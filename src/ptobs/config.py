@@ -26,11 +26,20 @@ Sections and keys:
     [sim]               dt, t_end, method, guard, tolerance, record_stride,
                         optional sign_smoothing
     [output]            directory, csv = on|off
+
+A value that does not convert, and a few range checks no model can place
+(order, followers, sign_smoothing, period), name the key's line.  Every other
+check belongs to the model a section builds, and is reported under that
+section: non-finite or out-of-range values for the leader, the cascade (t0,
+stage durations, exponent), the switching signal (switch times, common_h),
+the gains and the sim settings all fail the load.  Absent optional keys take
+the model's own defaults.
 """
 
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,13 +52,20 @@ from .sim import SimConfig
 
 _SECTION_RE = re.compile(r"^\[([A-Za-z0-9_.]+)\]$")
 _KEY_RE = re.compile(r"^[A-Za-z0-9_]+$")
+_INPUT_RE = re.compile(r"^([a-z_]+)\s*(?:\(\s*([^)]*)\s*\))?$")
 
 _KNOWN_SECTIONS = {"leader", "switching", "cascade", "gains", "initial_estimates", "sim", "output"}
+_REQUIRED = object()  # default of a typed accessor whose key must be present
 
 
 @dataclass
 class ConfigDocument:
-    """Parsed config text: ordered sections of key -> (value, line)."""
+    """Parsed config text: ordered sections of key -> (value, line).
+
+    The typed accessors (scalar, integer, choice, vector) report a value that
+    does not convert at its line; _section_errors reports what a model rejects
+    under the section it was read from.
+    """
 
     path: str = "<config>"
     sections: dict[str, dict[str, tuple[str, int]]] = field(default_factory=dict)
@@ -72,6 +88,54 @@ class ConfigDocument:
 
     def set(self, section: str, key: str, value: str, line: int = 0):
         self.sections.setdefault(section, {})[key] = (value, line)
+
+    def _fail(self, section: str, key: str, message: str):
+        raise ConfigError(f"[{section}] {key}: {message}", self.path, self.line_of(section, key))
+
+    def _convert(self, section: str, key: str, convert, expected: str, default):
+        raw = self.get(section, key)
+        if raw is None:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing key '{key}' in section [{section}]", self.path)
+            return default
+        try:
+            return convert(raw)
+        except ValueError:
+            self._fail(section, key, f"expected {expected}, got '{raw}'")
+
+    def scalar(self, section: str, key: str, default=_REQUIRED) -> float:
+        return self._convert(section, key, float, "a number", default)
+
+    def integer(self, section: str, key: str, default=_REQUIRED) -> int:
+        return self._convert(section, key, int, "an integer", default)
+
+    def choice(self, section: str, key: str, options: tuple[str, ...], default=_REQUIRED) -> str:
+        def member(raw: str) -> str:
+            if raw not in options:
+                raise ValueError(raw)
+            return raw
+
+        return self._convert(section, key, member, f"one of {options}", default)
+
+    def vector(self, section: str, key: str, length: int | None = None) -> np.ndarray:
+        raw = self.require(section, key)
+        try:
+            vals = np.array([float(tok) for tok in raw.split()])
+        except ValueError:
+            self._fail(section, key, f"expected whitespace-separated numbers, got '{raw}'")
+        if length is not None and vals.shape != (length,):
+            self._fail(section, key, f"expected {length} values, got {vals.shape[0]}")
+        return vals
+
+    @contextmanager
+    def _section_errors(self, section: str):
+        """Report a model's validation error as a config error of `section`."""
+        try:
+            yield
+        except (ConfigError, InfeasibleTopology):
+            raise
+        except Exception as exc:
+            raise ConfigError(f"[{section}]: {exc}", self.path) from None
 
 
 def parse_config(text: str, path: str = "<config>") -> ConfigDocument:
@@ -133,89 +197,21 @@ def apply_overrides(doc: ConfigDocument, pairs: list[str]):
         doc.set(section, key.strip(), value.strip(), line=0)
 
 
-# ---------------------------------------------------------------------------
-# Typed accessors: every conversion failure points at the config line.
-
-
-class _Reader:
-    def __init__(self, doc: ConfigDocument):
-        self.doc = doc
-
-    def _fail(self, section: str, key: str, message: str):
-        raise ConfigError(
-            f"[{section}] {key}: {message}", self.doc.path, self.doc.line_of(section, key)
-        )
-
-    def scalar(self, section: str, key: str, default: float | None = None) -> float:
-        raw = self.doc.get(section, key)
-        if raw is None:
-            if default is not None:
-                return default
-            raise ConfigError(f"missing key '{key}' in section [{section}]", self.doc.path)
-        try:
-            return float(raw)
-        except ValueError:
-            self._fail(section, key, f"expected a number, got '{raw}'")
-
-    def integer(self, section: str, key: str, default: int | None = None) -> int:
-        raw = self.doc.get(section, key)
-        if raw is None:
-            if default is not None:
-                return default
-            raise ConfigError(f"missing key '{key}' in section [{section}]", self.doc.path)
-        try:
-            return int(raw)
-        except ValueError:
-            self._fail(section, key, f"expected an integer, got '{raw}'")
-
-    def vector(self, section: str, key: str, length: int | None = None) -> np.ndarray:
-        raw = self.doc.require(section, key)
-        try:
-            vals = np.array([float(tok) for tok in raw.split()])
-        except ValueError:
-            self._fail(section, key, f"expected whitespace-separated numbers, got '{raw}'")
-        if length is not None and vals.shape != (length,):
-            self._fail(section, key, f"expected {length} values, got {vals.shape[0]}")
-        return vals
-
-    def choice(self, section: str, key: str, options: tuple[str, ...], default: str | None = None) -> str:
-        raw = self.doc.get(section, key, default)
-        if raw is None:
-            raise ConfigError(f"missing key '{key}' in section [{section}]", self.doc.path)
-        if raw not in options:
-            self._fail(section, key, f"expected one of {options}, got '{raw}'")
-        return raw
-
-    def flag(self, section: str, key: str, default: bool) -> bool:
-        raw = self.doc.get(section, key)
-        if raw is None:
-            return default
-        if raw not in ("on", "off"):
-            self._fail(section, key, f"expected on or off, got '{raw}'")
-        return raw == "on"
-
-
-_INPUT_RE = re.compile(r"^([a-z_]+)\s*(?:\(\s*([^)]*)\s*\))?$")
-
-
-def _parse_leader_input(reader: _Reader):
-    raw = reader.doc.require("leader", "input")
+def _parse_leader_input(doc: ConfigDocument):
+    raw = doc.require("leader", "input")
     m = _INPUT_RE.match(raw)
     if not m:
-        reader._fail("leader", "input", f"cannot parse input spec '{raw}'")
-    name = m.group(1)
+        doc._fail("leader", "input", f"cannot parse input spec '{raw}'")
     params = []
-    if m.group(2):
-        for tok in m.group(2).split(","):
-            try:
-                params.append(float(tok))
-            except ValueError:
-                reader._fail("leader", "input", f"bad parameter '{tok.strip()}' in '{raw}'")
+    for tok in m.group(2).split(",") if m.group(2) else ():
+        try:
+            params.append(float(tok))
+        except ValueError:
+            doc._fail("leader", "input", f"bad parameter '{tok.strip()}' in '{raw}'")
     try:
-        fn = input_by_name(name, *params)
+        return input_by_name(m.group(1), *params)
     except Exception as exc:
-        reader._fail("leader", "input", str(exc))
-    return fn
+        doc._fail("leader", "input", str(exc))
 
 
 @dataclass(frozen=True)
@@ -259,82 +255,64 @@ def _topology_indices(doc: ConfigDocument) -> list[int]:
     return sorted(out)
 
 
-def _read_topology(reader: _Reader, section: str) -> DirectedTopology:
-    doc = reader.doc
-    count = reader.integer(section, "followers")
+def _read_topology(doc: ConfigDocument, section: str) -> DirectedTopology:
+    count = doc.integer(section, "followers")
     if count < 1:
-        reader._fail(section, "followers", "must be a positive integer")
-    rows = []
-    for i in range(1, count + 1):
-        key = f"adjacency_row_{i}"
-        if doc.get(section, key) is None:
-            raise ConfigError(f"missing key '{key}' in section [{section}]", doc.path)
-        rows.append(reader.vector(section, key, count))
-    pinning = reader.vector(section, "pinning", count)
-    try:
+        doc._fail(section, "followers", "must be a positive integer")
+    rows = [doc.vector(section, f"adjacency_row_{i}", count) for i in range(1, count + 1)]
+    pinning = doc.vector(section, "pinning", count)
+    with doc._section_errors(section):
         return DirectedTopology(adjacency=np.vstack(rows), pinning=pinning)
-    except Exception as exc:
-        raise ConfigError(f"[{section}]: {exc}", doc.path) from None
 
 
-def _read_schedule(reader: _Reader, t0: float, t_end: float) -> list[tuple[float, int]]:
-    doc = reader.doc
+def _read_schedule(doc: ConfigDocument, t0: float, t_end: float) -> list[tuple[float, int]]:
     raw = doc.get("switching", "schedule")
     if raw is not None:
         pairs = []
         for tok in raw.split():
-            time_s, colon, idx_s = tok.partition(":")
+            time_s, _, idx_s = tok.partition(":")
             try:
                 pairs.append((float(time_s), int(idx_s)))
             except ValueError:
-                colon = ""
-            if not colon:
-                reader._fail("switching", "schedule", f"expected t:index pairs, got '{tok}'")
+                doc._fail("switching", "schedule", f"expected t:index pairs, got '{tok}'")
         return pairs
-    period = doc.get("switching", "period")
     cycle = doc.get("switching", "cycle")
-    if period is None or cycle is None:
+    if doc.get("switching", "period") is None or cycle is None:
         raise ConfigError(
             "[switching] needs either 'schedule' or both 'period' and 'cycle'", doc.path
         )
-    period_s = reader.scalar("switching", "period")
-    if period_s <= 0:
-        reader._fail("switching", "period", "must be positive")
+    period = doc.scalar("switching", "period")
+    if not 0.0 < period < np.inf:
+        doc._fail("switching", "period", "must be finite and positive")
     try:
         indices = [int(tok) for tok in cycle.split()]
     except ValueError:
-        reader._fail("switching", "cycle", f"expected integer indices, got '{cycle}'")
+        doc._fail("switching", "cycle", f"expected integer indices, got '{cycle}'")
     if not indices:
-        reader._fail("switching", "cycle", "must list at least one topology index")
+        doc._fail("switching", "cycle", "must list at least one topology index")
     pairs = []
-    i = 0
     t = t0
     while t < t_end:
-        pairs.append((t, indices[i % len(indices)]))
-        i += 1
-        t = t0 + i * period_s
+        pairs.append((t, indices[len(pairs) % len(indices)]))
+        t = t0 + len(pairs) * period
     return pairs
 
 
 def build_experiment(doc: ConfigDocument) -> Experiment:
     """Assemble and validate the experiment described by a parsed config."""
-    reader = _Reader(doc)
-
-    order = reader.integer("leader", "order")
+    order = doc.integer("leader", "order")
     if order < 1:
-        reader._fail("leader", "order", "must be >= 1")
-    input_fn = _parse_leader_input(reader)
-    input_bound = reader.scalar("leader", "input_bound")
-    initial_state = reader.vector("leader", "initial_state", order)
-    try:
+        doc._fail("leader", "order", "must be >= 1")
+    with doc._section_errors("leader"):
         leader = LeaderModel(
-            order=order, input_fn=input_fn, input_bound=input_bound, initial_state=initial_state
+            order=order,
+            input_fn=_parse_leader_input(doc),
+            input_bound=doc.scalar("leader", "input_bound"),
+            initial_state=doc.vector("leader", "initial_state", order),
         )
-    except Exception as exc:
-        raise ConfigError(f"[leader]: {exc}", doc.path) from None
 
     indices = _topology_indices(doc)
-    topologies = tuple(_read_topology(reader, f"topology.{j}") for j in indices)
+    topologies = tuple(_read_topology(doc, f"topology.{j}") for j in indices)
     N = topologies[0].follower_count
     for j, topo in zip(indices, topologies):
         if topo.follower_count != N:
@@ -343,106 +321,71 @@ def build_experiment(doc: ConfigDocument) -> Experiment:
                 doc.path,
             )
 
-    t0 = reader.scalar("cascade", "t0")
-    durations = reader.vector("cascade", "stage_durations", order)
-    exponent = reader.scalar("cascade", "exponent", default=2.01)
-    try:
-        sched = CascadeSchedule(t0=t0, stage_durations=tuple(durations), exponent=exponent)
-    except Exception as exc:
-        raise ConfigError(f"[cascade]: {exc}", doc.path) from None
+    t0 = doc.scalar("cascade", "t0")
+    with doc._section_errors("cascade"):
+        sched = CascadeSchedule(
+            t0=t0,
+            stage_durations=tuple(doc.vector("cascade", "stage_durations", order)),
+            exponent=doc.scalar("cascade", "exponent", 2.01),
+        )
 
-    dt = reader.scalar("sim", "dt")
-    t_end = reader.scalar("sim", "t_end")
-    method = reader.choice("sim", "method", ("euler", "rk4"), default="rk4")
-    guard = reader.scalar("sim", "guard", default=10.0 * dt)
-    tolerance = reader.scalar("sim", "tolerance", default=0.01)
-    stride = reader.integer("sim", "record_stride", default=10)
-    smoothing = None
-    if doc.get("sim", "sign_smoothing") is not None:
-        smoothing = reader.scalar("sim", "sign_smoothing")
-        if not smoothing > 0:
-            reader._fail("sim", "sign_smoothing", "must be positive when given")
-    try:
+    smoothing = doc.scalar("sim", "sign_smoothing", None)
+    if smoothing is not None and not 0.0 < smoothing < np.inf:
+        doc._fail("sim", "sign_smoothing", "must be finite and positive when given")
+    with doc._section_errors("sim"):
         sim_cfg = SimConfig(
             t0=t0,
-            t_end=t_end,
-            dt=dt,
-            method=method,
-            guard=guard,
+            dt=doc.scalar("sim", "dt"),
+            t_end=doc.scalar("sim", "t_end"),
+            method=doc.choice("sim", "method", ("euler", "rk4"), SimConfig.method),
+            guard=doc.scalar("sim", "guard", SimConfig.guard),
+            convergence_tolerance=doc.scalar("sim", "tolerance", SimConfig.convergence_tolerance),
+            record_stride=doc.integer("sim", "record_stride", SimConfig.record_stride),
             sign_smoothing=smoothing,
-            record_stride=stride,
-            convergence_tolerance=tolerance,
         )
-    except Exception as exc:
-        raise ConfigError(f"[sim]: {exc}", doc.path) from None
 
     common_H = None
+    schedule = [(t0, 1)]
     if "switching" in doc.sections:
         if doc.get("switching", "common_h") is not None:
-            common_H = reader.vector("switching", "common_h", N)
-        schedule = _read_schedule(reader, t0, t_end)
+            common_H = doc.vector("switching", "common_h", N)
+        schedule = _read_schedule(doc, t0, sim_cfg.t_end)
         if not schedule or schedule[0][0] != t0:
             raise ConfigError("[switching]: schedule must start at the cascade t0", doc.path)
-    else:
-        if len(topologies) > 1:
-            raise ConfigError(
-                "several topologies defined but no [switching] section", doc.path
-            )
-        schedule = [(t0, 1)]
+    elif len(topologies) > 1:
+        raise ConfigError("several topologies defined but no [switching] section", doc.path)
     if len(topologies) > 1 and common_H is None:
         raise ConfigError(
             "[switching]: common_h is required when switching over several topologies",
             doc.path,
         )
-    try:
+    with doc._section_errors("switching"):
         sequence = TopologySequence(
             topologies=topologies, schedule=tuple(schedule), common_H=common_H
         )
-    except InfeasibleTopology:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"[switching]: {exc}", doc.path) from None
 
-    mode = reader.choice("gains", "mode", ("explicit", "synthesize"))
-    gains = None
-    margins = None
-    if mode == "explicit":
-        try:
+    mode = doc.choice("gains", "mode", ("explicit", "synthesize"))
+    gains = margins = None
+    with doc._section_errors("gains"):
+        if mode == "explicit":
             gains = ObserverGains(
-                alpha=reader.scalar("gains", "alpha"),
-                beta=reader.scalar("gains", "beta"),
-                sigma=reader.scalar("gains", "sigma"),
-                provenance="user",
+                alpha=doc.scalar("gains", "alpha"),
+                beta=doc.scalar("gains", "beta"),
+                sigma=doc.scalar("gains", "sigma"),
             )
-        except ConfigError:
-            raise
-        except Exception as exc:
-            raise ConfigError(f"[gains]: {exc}", doc.path) from None
-    else:
-        try:
+        else:
             margins = GainMargins(
-                alpha=reader.scalar("gains", "alpha_margin"),
-                beta_factor=reader.scalar("gains", "beta_factor", default=1.0),
-                sigma_factor=reader.scalar("gains", "sigma_factor", default=1.0),
+                alpha=doc.scalar("gains", "alpha_margin"),
+                beta_factor=doc.scalar("gains", "beta_factor", GainMargins.beta_factor),
+                sigma_factor=doc.scalar("gains", "sigma_factor", GainMargins.sigma_factor),
             )
-        except ConfigError:
-            raise
-        except Exception as exc:
-            raise ConfigError(f"[gains]: {exc}", doc.path) from None
 
-    rows = []
-    for i in range(1, N + 1):
-        key = f"row_{i}"
-        if doc.get("initial_estimates", key) is None:
-            raise ConfigError(
-                f"missing key '{key}' in section [initial_estimates]", doc.path
-            )
-        rows.append(reader.vector("initial_estimates", key, order))
-    estimates = np.vstack(rows)
-
+    estimates = np.vstack(
+        [doc.vector("initial_estimates", f"row_{i}", order) for i in range(1, N + 1)]
+    )
     output = OutputOptions(
         directory=doc.get("output", "directory", "out"),
-        write_csv=reader.flag("output", "csv", True),
+        write_csv=doc.choice("output", "csv", ("on", "off"), "on") == "on",
     )
 
     return Experiment(

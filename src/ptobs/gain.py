@@ -36,10 +36,13 @@ class ScalingWindow:
     exponent: float
 
     def __post_init__(self):
-        if not self.duration > 0.0:
-            raise DimensionMismatch(f"window duration must be positive, got {self.duration}")
-        if not self.exponent > 2.0:
-            raise DimensionMismatch(f"exponent must exceed 2, got {self.exponent}")
+        # Written as "not ..." so a NaN setting fails the check too.
+        if not 0.0 < self.duration < np.inf:
+            raise DimensionMismatch(
+                f"window duration must be finite and positive, got {self.duration}"
+            )
+        if not 2.0 < self.exponent < np.inf:
+            raise DimensionMismatch(f"exponent must be finite and exceed 2, got {self.exponent}")
 
     @property
     def end(self) -> float:
@@ -51,7 +54,8 @@ class CascadeSchedule:
     """Per-stage prescribed windows for an order-n cascade.
 
     stage_durations[k-1] is the window length of stage k; stage n opens at t0
-    and stage 1 closes at t_star.
+    and stage 1 closes at t_star.  t0 must be finite; each stage's window
+    checks its own duration and the exponent.
     """
 
     t0: float
@@ -62,10 +66,8 @@ class CascadeSchedule:
         durations = tuple(float(d) for d in self.stage_durations)
         if not durations:
             raise DimensionMismatch("at least one stage duration is required")
-        if any(d <= 0.0 for d in durations):
-            raise DimensionMismatch("all stage durations must be positive")
-        if not self.exponent > 2.0:
-            raise DimensionMismatch(f"exponent must exceed 2, got {self.exponent}")
+        if not -np.inf < self.t0 < np.inf:
+            raise DimensionMismatch(f"t0 must be finite, got {self.t0}")
         object.__setattr__(self, "stage_durations", durations)
         # Boundaries accumulated once, in wall-clock order (stage n first), so
         # a window's end and the next window's start are the same float.

@@ -253,6 +253,8 @@ class TopologySequence:
         if not sched:
             raise DimensionMismatch("schedule must contain at least one entry")
         times = [t for t, _ in sched]
+        if not np.all(np.isfinite(times)):
+            raise DimensionMismatch("switch times must be finite")
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise DimensionMismatch("switch times must be strictly increasing")
         for t, j in sched:
@@ -269,8 +271,8 @@ class TopologySequence:
             eta = _as_readonly(np.atleast_1d(self.common_H))
             if eta.shape != (topos[0].follower_count,):
                 raise DimensionMismatch("common_H length does not match follower count")
-            if np.any(eta <= 0.0):
-                raise DimensionMismatch("common_H entries must be positive")
+            if not np.all((0.0 < eta) & (eta < np.inf)):
+                raise DimensionMismatch("common_H entries must be finite and positive")
             object.__setattr__(self, "common_H", eta)
             object.__setattr__(self, "_analyses", tuple(mirror_with_H(t, eta) for t in topos))
             for j, analysis in enumerate(self._analyses, start=1):

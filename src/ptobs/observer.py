@@ -98,10 +98,10 @@ class GainMargins:
     sigma_factor: float = 1.0
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise DimensionMismatch("alpha margin must be positive")
-        if self.beta_factor < 1.0 or self.sigma_factor < 1.0:
-            raise DimensionMismatch("beta_factor and sigma_factor must be >= 1")
+        if not 0.0 < self.alpha < np.inf:
+            raise DimensionMismatch("alpha margin must be finite and positive")
+        if not (1.0 <= self.beta_factor < np.inf and 1.0 <= self.sigma_factor < np.inf):
+            raise DimensionMismatch("beta_factor and sigma_factor must be finite and >= 1")
 
 
 # ---------------------------------------------------------------------------

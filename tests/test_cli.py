@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -104,16 +105,29 @@ def test_commands_compute_each_mirror_once(tmp_path, monkeypatch, command):
     assert len(calls) == 2
 
 
-def test_malformed_adjacency_exits_1(tmp_path, capsys):
+def _bundled_keys():
+    # (key, 0-based line) of every key in the bundled config, read without
+    # the library's parser; the id is section.key.
+    params, section = [], None
+    for index, line in enumerate(BUNDLED_CONFIG.read_text().splitlines()):
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif "=" in line and not line.startswith("#"):
+            key = line.split("=")[0].strip()
+            if f"{section}.{key}" != "output.directory":
+                params.append(pytest.param(key, index, id=f"{section}.{key}"))
+    return params
+
+
+@pytest.mark.parametrize("key, index", _bundled_keys())
+def test_malformed_adjacency_exits_1(tmp_path, capsys, key, index):
+    # A junk value for any key is reported at that key's line.
+    lines = BUNDLED_CONFIG.read_text().splitlines()
+    lines[index] = f"{key} = zz"
     cfg = tmp_path / "bad.cfg"
-    text = BUNDLED_CONFIG.read_text().replace(
-        "adjacency_row_2 = 1 0 0", "adjacency_row_2 = 1 zz 0", 1
-    )
-    cfg.write_text(text)
+    cfg.write_text("\n".join(lines) + "\n")
     assert main(["analyze", "--config", str(cfg)]) == 1
-    err = capsys.readouterr().err
-    lineno = text.splitlines().index("adjacency_row_2 = 1 zz 0") + 1
-    assert f"bad.cfg:{lineno}" in err
+    assert f"bad.cfg:{index + 1}:" in capsys.readouterr().err
 
 
 def test_missing_config_exits_1(capsys):
@@ -393,12 +407,22 @@ def test_run_nan_leader_input_exits_1(tmp_path, capsys):
         ("sim.sign_smoothing=nan", "[sim]"),
         ("gains.beta=nan", "[gains]"),
         ("gains.alpha=inf", "[gains]"),
+        ("cascade.exponent=inf", "[cascade]"),
+        ("cascade.stage_durations=0.2 inf 0.2", "[cascade]"),
+        ("switching.schedule=0.0:1 nan:2 0.5:1", "[switching]"),
+        ("switching.period=nan", "[switching]"),
+        ("switching.period=inf", "[switching]"),
+        ("switching.common_h=1 inf 1", "[switching]"),
     ],
 )
 def test_run_non_finite_setting_exits_1(tmp_path, capsys, override, section):
-    code = main(["run", "--config", CFG, "--quiet", "--out", str(tmp_path), "--set", override])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", "--config", CFG, "--quiet", "--out", str(tmp_path), "--set", override])
     assert code == 1
-    assert section in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert section in err and "finite" in err
+    assert [str(w.message) for w in caught] == []
     assert not (tmp_path / "trace.csv").exists()
 
 

@@ -87,6 +87,26 @@ def test_malformed_adjacency_row_points_at_line():
     assert "exp.cfg" in str(info.value)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0"])
+def test_bad_period_reports_line(value):
+    text = BUNDLED_CONFIG.read_text().replace("period = 0.1", f"period = {value}")
+    with pytest.raises(ConfigError, match="finite and positive") as info:
+        build_experiment(parse_config(text, "exp.cfg"))
+    assert info.value.line == text.splitlines().index(f"period = {value}") + 1
+
+
+@pytest.mark.parametrize("key", ["alpha_margin", "beta_factor", "sigma_factor"])
+def test_non_finite_margin_rejected(key):
+    text = MINIMAL.replace(
+        "mode = explicit\nalpha = 1.0\nbeta = 0.0\nsigma = 0.0",
+        "mode = synthesize\nalpha_margin = 1.0",
+    )
+    doc = parse_config(text, "m.cfg")
+    apply_overrides(doc, [f"gains.{key}=nan"])
+    with pytest.raises(ConfigError, match=r"\[gains\].*finite"):
+        build_experiment(doc)
+
+
 def test_wrong_vector_length_reports_line():
     bad = MINIMAL.replace("initial_state = 0", "initial_state = 0 1")
     with pytest.raises(ConfigError) as info:

@@ -129,3 +129,10 @@ def test_cascade_validation():
         ptobs.CascadeSchedule(t0=0.0, stage_durations=(0.2,), exponent=1.5)
     with pytest.raises(DimensionMismatch):
         ptobs.CascadeSchedule(t0=0.0, stage_durations=(), exponent=2.01)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DimensionMismatch, match="finite"):
+            ptobs.CascadeSchedule(t0=bad, stage_durations=(0.2,), exponent=2.01)
+        with pytest.raises(DimensionMismatch, match="finite"):
+            ptobs.CascadeSchedule(t0=0.0, stage_durations=(0.2, bad), exponent=2.01)
+        with pytest.raises(DimensionMismatch, match="finite"):
+            ptobs.CascadeSchedule(t0=0.0, stage_durations=(0.2,), exponent=bad)

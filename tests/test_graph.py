@@ -194,6 +194,13 @@ def test_sequence_validation(digraph1, digraph2):
         ptobs.TopologySequence(
             topologies=(digraph1,), schedule=((0.1, 1), (0.1, 1))
         )
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DimensionMismatch, match="finite"):
+            ptobs.TopologySequence(topologies=(digraph1,), schedule=((0.0, 1), (bad, 1)))
+        with pytest.raises(DimensionMismatch, match="finite"):
+            ptobs.TopologySequence(
+                topologies=(digraph1,), schedule=((0.0, 1),), common_H=[1.0, bad, 1.0]
+            )
     # an H that makes digraph 2's mirror indefinite must be rejected up front
     with pytest.raises(InfeasibleTopology):
         ptobs.TopologySequence(
