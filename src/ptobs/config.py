@@ -63,12 +63,13 @@ class ConfigDocument:
     """Parsed config text: ordered sections of key -> (value, line).
 
     The typed accessors (scalar, integer, choice, vector) report a value that
-    does not convert at its line; _section_errors reports what a model rejects
-    under the section it was read from.
+    does not convert at its line, or as the --set override it came from (line
+    None); _section_errors reports what a model rejects under the section it
+    was read from.
     """
 
     path: str = "<config>"
-    sections: dict[str, dict[str, tuple[str, int]]] = field(default_factory=dict)
+    sections: dict[str, dict[str, tuple[str, int | None]]] = field(default_factory=dict)
 
     def get(self, section: str, key: str, default: str | None = None) -> str | None:
         entry = self.sections.get(section, {}).get(key)
@@ -86,11 +87,13 @@ class ConfigDocument:
             raise ConfigError(f"missing key '{key}' in section [{section}]", self.path)
         return value
 
-    def set(self, section: str, key: str, value: str, line: int = 0):
+    def set(self, section: str, key: str, value: str, line: int | None = None):
         self.sections.setdefault(section, {})[key] = (value, line)
 
     def _fail(self, section: str, key: str, message: str):
-        raise ConfigError(f"[{section}] {key}: {message}", self.path, self.line_of(section, key))
+        line = self.line_of(section, key)
+        where = self.path if line is not None else f"--set {section}.{key}"
+        raise ConfigError(f"[{section}] {key}: {message}", where, line)
 
     def _convert(self, section: str, key: str, convert, expected: str, default):
         raw = self.get(section, key)
@@ -194,7 +197,7 @@ def apply_overrides(doc: ConfigDocument, pairs: list[str]):
         section, dot, key = target.strip().rpartition(".")
         if not dot or not section or not key:
             raise ConfigError(f"override '{pair}' must name a section.key path", doc.path)
-        doc.set(section, key.strip(), value.strip(), line=0)
+        doc.set(section, key.strip(), value.strip())
 
 
 def _parse_leader_input(doc: ConfigDocument):

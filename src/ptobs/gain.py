@@ -87,10 +87,6 @@ class CascadeSchedule:
         return len(self.stage_durations)
 
     @property
-    def total_duration(self) -> float:
-        return sum(self.stage_durations)
-
-    @property
     def t_star(self) -> float:
         """Instant by which every stage has closed its window."""
         return self._bounds[-1]

@@ -97,7 +97,7 @@ class GraphAnalysis:
     mirror: np.ndarray
     lambda_min: float
     weight_source: str
-    max_weight: float = field(default=0.0)
+    max_weight: float = field(init=False)  # max(rho), set from rho
 
     def __post_init__(self):
         object.__setattr__(self, "sub_laplacian", _as_readonly(self.sub_laplacian))
@@ -213,8 +213,8 @@ def mirror_with_H(topo: DirectedTopology, eta: np.ndarray) -> GraphAnalysis:
         raise DimensionMismatch(
             f"eta length {eta.shape[0]} does not match {topo.follower_count} followers"
         )
-    if np.any(eta <= 0.0):
-        raise DimensionMismatch("all entries of eta must be positive")
+    if not np.all((0.0 < eta) & (eta < np.inf)):  # "not" so NaN fails too
+        raise DimensionMismatch("all entries of eta must be finite and positive")
     L0 = sub_laplacian(topo)
     mirror = _mirror_of(L0, eta)
     lam = min_eig_symmetric(mirror)
@@ -235,7 +235,8 @@ class TopologySequence:
     and strictly increasing times; entries that do not change the active index
     are dropped, so a p = 1 sequence behaves exactly like a static topology.
     common_H, when given, supplies the diagonal weights eta shared by every
-    topology; each mirror matrix is then checked for positive definiteness.
+    topology (checked by mirror_with_H); each mirror matrix is then checked
+    for positive definiteness.
     """
 
     topologies: tuple[DirectedTopology, ...]
@@ -268,13 +269,9 @@ class TopologySequence:
         object.__setattr__(self, "schedule", tuple(deduped))
         object.__setattr__(self, "_switch_times", tuple(t for t, _ in deduped))
         if self.common_H is not None:
-            eta = _as_readonly(np.atleast_1d(self.common_H))
-            if eta.shape != (topos[0].follower_count,):
-                raise DimensionMismatch("common_H length does not match follower count")
-            if not np.all((0.0 < eta) & (eta < np.inf)):
-                raise DimensionMismatch("common_H entries must be finite and positive")
-            object.__setattr__(self, "common_H", eta)
-            object.__setattr__(self, "_analyses", tuple(mirror_with_H(t, eta) for t in topos))
+            analyses = tuple(mirror_with_H(t, self.common_H) for t in topos)
+            object.__setattr__(self, "_analyses", analyses)
+            object.__setattr__(self, "common_H", _as_readonly(np.atleast_1d(self.common_H)))
             for j, analysis in enumerate(self._analyses, start=1):
                 if analysis.lambda_min <= 0.0:
                     raise InfeasibleTopology(

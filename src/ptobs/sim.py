@@ -1,15 +1,16 @@
 """Event-aligned fixed-step integration of the coupled leader/observer system.
 
-Every stage-window boundary, topology switch time and t_end lands exactly on
-a step boundary: dt is shortened locally before each event, so no step
-straddles a switch, and a step uses the topology active at its start
-(switching is right-continuous).  One step plan per run numbers the grid
-points; the loop steps one stacked state in place in the observer kernel's
-work area, allocated once per run, with each block's stage gains from one
-vector expression and every per-step operation written through out=.  It
-checks divergence once per step and copies [x0; estimates] only at record
-points.  Errors, psi, V and the decay envelope come from those snapshots
-after the loop.  Bit-identical to stepping leader_rhs and dpto_rhs.
+Every stage-window boundary, topology switch and t_end lands exactly on a
+step boundary (dt is shortened locally before each event), so no step
+straddles a switch; a switch within the merge tolerance of another event
+takes effect at that event.  One step plan, built before the loop as
+whole-run arrays (O(steps) memory, about 17 bytes a step), holds the grid
+points, the right-continuous topology at each and the record points; steps
+and recorded diagnostics take their topology from it.  The loop steps one
+stacked state in place in the observer kernel's work area, each block's
+stage gains from one vector expression, and writes [x0; estimates] into one
+preallocated snapshot array at record points, from which errors, psi, V and
+the decay envelope follow.  Bit-identical to stepping leader_rhs, dpto_rhs.
 """
 
 from __future__ import annotations
@@ -78,11 +79,12 @@ class SimResult:
     """Recorded trajectory and diagnostics of one run.
 
     estimate_errors[s, i, k-1] is follower i's stage-k global error at
-    times[s]; local_errors holds the matching psi vectors under the topology
-    active at the sample instant.  decay_bound is the theoretical envelope of
-    the currently active stage.  convergence_times[k-1] is the earliest
-    recorded time after which stage k's worst-follower error stays inside the
-    tolerance band until t_end (None if that never happens).
+    times[s]; local_errors holds the matching psi vectors under the step
+    plan's topology at that point (the one the next step runs under).
+    decay_bound is the theoretical envelope of the currently active stage.
+    convergence_times[k-1] is the earliest recorded time after which stage
+    k's worst-follower error stays inside the tolerance band until t_end
+    (None if that never happens).
     """
 
     times: np.ndarray
@@ -140,20 +142,32 @@ def detect_convergence(
     return out
 
 
-def _event_grid(cfg: SimConfig, sched: CascadeSchedule, topos: TopologySequence) -> list[float]:
+def _event_grid(cfg: SimConfig, sched: CascadeSchedule, topos: TopologySequence):
+    # Sorted events in [t0, t_end] and the 0-based topology active from each.
     # A candidate within max(1e-12, 4 ulp(t)) of an accepted event is dropped
-    # (past |t| ~ 2e3 one ulp of t exceeds 1e-12); stage boundaries go first
-    # so their exact floats win over near-duplicates.  Accepted events stay
-    # sorted: only the insertion point's neighbours can clash.
+    # (past |t| ~ 2e3 one ulp of t exceeds 1e-12): boundaries go first so their
+    # exact floats win, and a dropped switch takes effect at the nearest event
+    # (the earlier on a tie).  Only the insertion point's neighbours can clash.
     events: list[float] = []
-    for t in (*sched.boundaries(), cfg.t0, cfg.t_end, *(s for s, _ in topos.schedule)):
+
+    def accept(t: float) -> float | None:  # the event t becomes or merges into
+        if not cfg.t0 <= t <= cfg.t_end:
+            return None
         i = bisect.bisect_left(events, t)
         tol = max(_EVENT_MERGE_TOL, 4.0 * math.ulp(t))
-        if cfg.t0 <= t <= cfg.t_end and all(
-            abs(t - e) > tol for e in events[max(i - 1, 0) : i + 1]
-        ):
-            events.insert(i, t)
-    return events
+        near = [e for e in events[max(i - 1, 0) : i + 1] if abs(t - e) <= tol]
+        if near:
+            return min(near, key=lambda e: abs(t - e))
+        events.insert(i, t)
+        return t
+
+    for t in (*sched.boundaries(), cfg.t0, cfg.t_end):
+        accept(t)
+    switched = {accept(t): j - 1 for t, j in topos.schedule}  # later switches win
+    active = [topos.schedule[0][1] - 1]
+    for e in events:
+        active.append(switched.get(e, active[-1]))
+    return events, active[1:]
 
 
 def _segment_steps(e1: float, e2: float, dt: float) -> int:
@@ -162,6 +176,23 @@ def _segment_steps(e1: float, e2: float, dt: float) -> int:
     if m >= 1 and abs(e1 + m * dt - e2) <= 1e-9 * dt:
         return m
     return int(np.floor(span / dt)) + 1
+
+
+def _step_plan(cfg: SimConfig, sched: CascadeSchedule, topos: TopologySequence):
+    """Grid points, the 0-based topology at each, and which are recorded.
+
+    Step P runs grid[P] -> grid[P + 1] under topo[P]; segment s's points are
+    events[s] + j * dt, j < _segment_steps.  Events and every record_stride-th
+    point are recorded, unless their time is the one recorded just before."""
+    events, active = _event_grid(cfg, sched, topos)
+    steps = [_segment_steps(e1, e2, cfg.dt) for e1, e2 in zip(events[:-1], events[1:])]
+    seg = np.repeat(np.arange(len(events)), [*steps, 1])  # the last event starts no step
+    P = np.arange(seg.size)
+    offset = P - np.cumsum([0, *steps])[seg]
+    grid = np.array(events)[seg] + offset * cfg.dt
+    rec = (P % cfg.record_stride == 0) | (offset == 0)
+    rec[rec] = np.diff(grid[rec], prepend=np.nan) != 0  # not a repeat of the time before
+    return grid, np.array(active)[seg], rec
 
 
 def run(
@@ -183,17 +214,11 @@ def run(
     """
     n = leader.order
     if sched.order != n:
-        raise DimensionMismatch(
-            f"schedule order {sched.order} does not match leader order {n}"
-        )
+        raise DimensionMismatch(f"schedule order {sched.order} does not match leader order {n}")
     if sched.t0 != cfg.t0 or topos.schedule[0][0] != cfg.t0:
-        raise DimensionMismatch(
-            "cascade schedule and switching schedule must start at the sim t0"
-        )
+        raise DimensionMismatch("cascade schedule and switching schedule must start at the sim t0")
     if topos.topology_count > 1 and topos.common_H is None:
-        raise DimensionMismatch(
-            "switching over several topologies requires common_H weights"
-        )
+        raise DimensionMismatch("switching over several topologies requires common_H weights")
     N = topos.topologies[0].follower_count
     E = np.array(initial_estimates, dtype=float)
     if E.shape != (N, n):
@@ -204,28 +229,17 @@ def run(
     analyses = topos.analyses()
     worst = min(analyses, key=lambda a: a.lambda_min)  # envelope uses the worst topology
     stage_starts = {k: sched.stage_start(k) for k in range(1, n + 1)}
-    stage_ends = {k: sched.window(k).end for k in range(1, n + 1)}
+    event_log = [
+        (t, f"stage {k} window {what}")
+        for k in range(1, n + 1)
+        for t, what in ((stage_starts[k], "opens"), (sched.window(k).end, "closes"))
+        if cfg.t0 <= t <= cfg.t_end
+    ]
+    event_log += [(t, f"switch to topology {j}") for t, j in topos.schedule[1:] if t <= cfg.t_end]
+    event_log.sort(key=lambda item: item[0])  # stable: stage entries first at a shared time
 
-    event_log: list[tuple[float, str]] = []
-    for k in range(1, n + 1):
-        if cfg.t0 <= stage_starts[k] <= cfg.t_end:
-            event_log.append((stage_starts[k], f"stage {k} window opens"))
-        if cfg.t0 <= stage_ends[k] <= cfg.t_end:
-            event_log.append((stage_ends[k], f"stage {k} window closes"))
-    for t, j in topos.schedule:
-        if cfg.t0 < t <= cfg.t_end:
-            event_log.append((t, f"switch to topology {j}"))
-    event_log.sort(key=lambda item: item[0])
-
-    # Step plan: segment s runs events[s] -> events[s + 1] in steps[s] steps;
-    # its grid points are events[s] + j * dt for j < steps[s], and its last
-    # point is the next segment's first.  first[s] numbers segment s's first
-    # point in the run; the run's last point, first[-1], starts no step.
-    events = _event_grid(cfg, sched, topos)
-    steps = [_segment_steps(e1, e2, cfg.dt) for e1, e2 in zip(events[:-1], events[1:])]
-    first = np.cumsum([0, *steps])
-    origin = np.array(events)
-    seg_L0 = [analyses[topos.active_index(e1) - 1].sub_laplacian for e1 in events[:-1]]
+    grid, topo, rec = _step_plan(cfg, sched, topos)
+    L0s = [a.sub_laplacian for a in analyses]
 
     def gain_rows(times: np.ndarray) -> np.ndarray:
         # An (N, n) gain matrix per time makes the kernel's g * psi same-shape.
@@ -241,28 +255,21 @@ def run(
     Z[:N], Z[N:] = leader.initial_state, E
     if rk4:
         X1, X2, X3 = X[1:]
-        K1, K2, K3 = K[4], K[5], K[3]
-        K_weighted, K_doubled, K_mid = K[:4], K[1:3], K[4:]
+        K1, K2, K_weighted, K_doubled, K_mid = K[4], K[5], K[:4], K[1:3], K[4:]
     T, A = np.empty_like(Z), np.empty_like(Z)  # step increment; |Z|
     # 0-d arrays: a ufunc converts a Python float argument on every call.
     half, full, sixth, two = np.empty(()), np.empty(()), np.empty(()), np.array(2.0)
-    rec_t, rec_Z = [cfg.t0], [Z[N - 1 :].copy()]  # snapshots are [x0; estimates]
-    block = max(1, _GAIN_BLOCK // N)
-    for P0 in range(0, first[-1], block):
-        P = np.arange(P0, min(P0 + block, first[-1]) + 1)
-        seg = np.searchsorted(first, P, side="right") - 1
-        offset = P - first[seg]
-        grid = origin[seg] + offset * cfg.dt  # step P runs grid[P] -> grid[P + 1]
-        g_at = gain_rows(grid)
+    snaps = np.empty((np.count_nonzero(rec), N + 1, n))  # [x0; estimates] per recorded point
+    snaps[0] = Z[N - 1 :]
+    rows = iter(snaps[1:])  # the rows the loop fills, in order
+    block = max(1, _GAIN_BLOCK // N)  # steps whose gain rows are computed at once
+    for P0 in range(0, grid.size - 1, block):
+        P = slice(P0, min(P0 + block, grid.size - 1) + 1)  # the block's steps and end point
+        g_at = gain_rows(grid[P])
         if rk4:
-            g_mid = gain_rows(grid[:-1] + 0.5 * np.diff(grid))
-        # L0 switches at segment starts; segment ends and every stride-th point record.
-        opens = np.where(offset == 0, seg, -1).tolist()
-        keep = ((P % cfg.record_stride == 0) | (offset == 0)).tolist()
-        ts = grid.tolist()
-        for i, (t, tn) in enumerate(zip(ts, ts[1:])):
-            if opens[i] >= 0:
-                L0 = seg_L0[opens[i]]
+            g_mid = gain_rows(grid[P][:-1] + 0.5 * np.diff(grid[P]))
+        ts, keep = grid[P].tolist(), rec[P].tolist()
+        for i, (t, tn, L0) in enumerate(zip(ts, ts[1:], [L0s[j] for j in topo[P].tolist()])):
             h = tn - t
             half[()], full[()], sixth[()] = 0.5 * h, h, h / 6.0
             rhs(L0, g_at[i], 0, t)
@@ -287,25 +294,19 @@ def run(
             peak = np.maximum.reduce(np.abs(Z, out=A), axis=None)
             if not (math.isfinite(peak) and peak <= cfg.divergence_threshold):
                 raise Diverged(tn if np.isfinite(K[stage_rows, N:]).all() else t)
-            if keep[i + 1] and rec_t[-1] != tn:
-                rec_t.append(tn)
-                rec_Z.append(Z[N - 1 :].copy())
+            if keep[i + 1]:
+                next(rows)[...] = Z[N - 1 :]
 
-    # Diagnostics from the stacked snapshots, under each sample's active topology.
-    times = np.array(rec_t)
-    snaps = np.array(rec_Z)
+    # Diagnostics from the snapshots, under the plan's topology at each recorded point.
+    times, active = grid[rec], topo[rec]
     errors = snaps[:, 1:] - snaps[:, :1]
-    active = np.array([topos.active_index(t) - 1 for t in rec_t])
     psi = np.empty_like(errors)
     for j, analysis in enumerate(analyses):
         psi[active == j] = np.matmul(analysis.sub_laplacian, errors[active == j])
     V = _weighted_energy(np.array([a.rho for a in analyses])[active], psi)
     # Each stage's envelope starts from V at the sample exactly at its window start.
-    baselines = {
-        k: float(V[rec_t.index(start), k - 1])
-        for k, start in stage_starts.items()
-        if start in rec_t
-    }
+    rec_t = times.tolist()
+    baselines = {k: float(V[rec_t.index(t), k - 1]) for k, t in stage_starts.items() if t in rec_t}
     budget = np.full(times.shape, np.inf)
     for s, t in enumerate(rec_t):
         # stage 1 opens last, so the first opened window in 1..n is the active one
@@ -320,8 +321,6 @@ def run(
         local_errors=psi,
         lyapunov=V,
         decay_bound=budget,
-        convergence_times=tuple(
-            detect_convergence(times, errors, cfg.convergence_tolerance)
-        ),
+        convergence_times=tuple(detect_convergence(times, errors, cfg.convergence_tolerance)),
         event_log=tuple(event_log),
     )

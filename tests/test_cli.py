@@ -130,6 +130,21 @@ def test_malformed_adjacency_exits_1(tmp_path, capsys, key, index):
     assert f"bad.cfg:{index + 1}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ("switching.period=-1", "[switching] period: must be finite and positive"),
+        ("sim.dt=abc", "[sim] dt: expected a number, got 'abc'"),
+    ],
+)
+def test_bad_override_names_the_override(capsys, override, message):
+    # A value from --set has no file line: the error names the override.
+    assert main(["analyze", "--config", CFG, "--set", override]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --set {override.split('=')[0]}: {message}\n"
+    assert ":0" not in err
+
+
 def test_missing_config_exits_1(capsys):
     assert main(["analyze", "--config", "/no/such/file.cfg"]) == 1
 

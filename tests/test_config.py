@@ -168,8 +168,7 @@ def test_switching_requires_common_h():
 
 
 def test_switching_infeasible_H_raises_infeasible():
-    text = str(BUNDLED_CONFIG)
-    doc = parse_config(open(text).read(), text)
+    doc = parse_config(BUNDLED_CONFIG.read_text(), str(BUNDLED_CONFIG))
     apply_overrides(doc, ["switching.common_h=1 100 1"])
     with pytest.raises(InfeasibleTopology):
         build_experiment(doc)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -96,8 +98,12 @@ def test_mirror_with_H_digraph1(digraph1):
 
 
 def test_mirror_with_H_rejects_zero_eta(digraph1):
-    with pytest.raises(DimensionMismatch):
-        ptobs.mirror_with_H(digraph1, [3.0, 0.0, 4.0])
+    # Non-finite and non-positive entries alike, before any numpy warning.
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionMismatch, match="finite and positive"):
+                ptobs.mirror_with_H(digraph1, [3.0, bad, 4.0])
     with pytest.raises(DimensionMismatch):
         ptobs.mirror_with_H(digraph1, [3.0, 5.0])
 

@@ -1,5 +1,6 @@
 """Property tests: the event grid and the switch lookup against their plain scans,
-the event grid far from t = 0, and sim.run's step grid against a per-segment one."""
+the event grid far from t = 0, the step plan's topologies and record points, and
+sim.run's step grid against a per-segment one."""
 
 import dataclasses
 import math
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import ptobs
 import ptobs.sim
-from ptobs.sim import _EVENT_MERGE_TOL, _event_grid, _segment_steps
+from ptobs.sim import _EVENT_MERGE_TOL, _event_grid, _segment_steps, _step_plan
 
 _TOPO = ptobs.DirectedTopology(adjacency=[[0.0]], pinning=[1.0])
 
@@ -22,20 +23,29 @@ _NEAR = st.sampled_from([0.0, 5e-13, -5e-13, 1e-12, -1e-12, 1.5e-12, -1.5e-12, 3
 
 def _scan_event_grid(cfg, sched, topos):
     # The quadratic scan the sorted merge replaced: each candidate is compared
-    # against every event accepted so far.
-    events = []
+    # against every event accepted so far.  Also returns the schedule with
+    # each in-range switch moved to the event it became or merged into: the
+    # nearest accepted event within the tolerance, the earlier one on a tie.
+    events, moved = [], []
 
     def add(t):
-        if cfg.t0 <= t <= cfg.t_end and all(abs(t - e) > _EVENT_MERGE_TOL for e in events):
-            events.append(t)
+        if not cfg.t0 <= t <= cfg.t_end:
+            return None
+        near = [e for e in events if abs(t - e) <= _EVENT_MERGE_TOL]
+        if near:
+            return min(near, key=lambda e: (abs(t - e), e))
+        events.append(t)
+        return t
 
     for b in sched.boundaries():
         add(b)
     add(cfg.t0)
     add(cfg.t_end)
-    for t, _ in topos.schedule:
-        add(t)
-    return sorted(events)
+    for t, j in topos.schedule:
+        e = add(t)
+        if e is not None:
+            moved.append((e, j))
+    return sorted(events), moved
 
 
 def _scan_active_index(schedule, t):
@@ -80,7 +90,25 @@ def _schedules(draw):
 @given(_schedules())
 def test_event_grid_equals_quadratic_scan(case):
     cfg, sched, seq = case
-    assert _event_grid(cfg, sched, seq) == _scan_event_grid(cfg, sched, seq)
+    events, active = _event_grid(cfg, sched, seq)
+    expected, moved = _scan_event_grid(cfg, sched, seq)
+    assert events == expected
+    assert [j + 1 for j in active] == [_scan_active_index(moved, e) for e in expected]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_schedules())
+def test_step_plan_topology_and_records(case):
+    cfg, sched, seq = case
+    grid, topo, rec = _step_plan(cfg, sched, seq)
+    events, moved = _scan_event_grid(cfg, sched, seq)
+    # Every point (so every step's start and every sample) runs under the
+    # schedule's topology once each switch is moved to the event it merged into.
+    for t, j in zip(grid.tolist(), topo.tolist()):
+        assert j + 1 == _scan_active_index(moved, t)
+    times = grid[rec]
+    assert np.all(np.diff(times) > 0.0)
+    assert set(events) <= set(times.tolist())
 
 
 @settings(max_examples=200, deadline=None)
@@ -132,7 +160,7 @@ def _far_schedules(draw):
 @given(_far_schedules())
 def test_event_grid_far_from_zero(case):
     cfg, sched, seq = case
-    events = _event_grid(cfg, sched, seq)
+    events, _ = _event_grid(cfg, sched, seq)
     tol = 4 * math.ulp(cfg.t0)
     # Every stage boundary in range is hit exactly; every switch is merged
     # into an event at most 4 ulps away.
@@ -147,6 +175,22 @@ def test_event_grid_far_from_zero(case):
         grid = e1 + np.arange(_segment_steps(e1, e2, cfg.dt) + 1) * cfg.dt
         grid[-1] = e2
         assert np.all(np.diff(grid) > 0.0)
+    # The step plan records strictly increasing times, every event among them.
+    grid, _, rec = _step_plan(cfg, sched, seq)
+    assert np.all(np.diff(grid[rec]) > 0.0)
+    assert set(events) <= set(grid[rec].tolist())
+
+
+def test_step_plan_records_a_repeated_time_once():
+    # dt below one ulp of t: most grid points repeat the one before, and a
+    # repeated time is recorded only once.
+    t0 = 1e5
+    cfg = ptobs.SimConfig(t0=t0, t_end=t0 + 1e-10, dt=1e-12, record_stride=1)
+    sched = ptobs.CascadeSchedule(t0=t0, stage_durations=(5e-11,), exponent=2.01)
+    grid, _, rec = _step_plan(cfg, sched, ptobs.TopologySequence.static(_TOPO, t0))
+    assert np.any(np.diff(grid) == 0.0)
+    assert np.all(np.diff(grid[rec]) > 0.0)
+    assert np.array_equal(np.unique(grid), grid[rec])
 
 
 @st.composite
@@ -188,7 +232,7 @@ def test_step_grid_equals_per_segment_grid(case):
     topos, _, _, sched, _, cfg = args
     res = ptobs.run(*args)
     # The grid the per-segment loop built: e1 + arange(m + 1) * dt, last point e2.
-    events = _event_grid(cfg, sched, topos)
+    events, _ = _event_grid(cfg, sched, topos)
     expected = [events[0]]
     for e1, e2 in zip(events[:-1], events[1:]):
         grid = e1 + np.arange(_segment_steps(e1, e2, cfg.dt) + 1) * cfg.dt

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,30 @@ def test_event_alignment(digraph1, digraph2, sine_leader, cascade):
         assert np.min(np.abs(grid - t)) <= 1e-12
     assert cfg.t_end in set(grid.tolist())
     assert np.all(np.diff(res.times) > 0)
+
+
+@pytest.mark.parametrize("offset", [5e-13, -5e-13])
+def test_switch_merged_into_boundary_takes_effect_there(digraph1, digraph2, cascade, offset):
+    # A switch within the merge tolerance of the stage boundary 0.2 takes
+    # effect at 0.2, for the steps and for the recorded psi and V alike.
+    leader = _zero_leader(3, x0=np.array([1.0, 0.0, 0.0]))
+    gains = ptobs.ObserverGains(alpha=1.05, beta=5.692, sigma=0.125)
+    cfg = ptobs.SimConfig(t0=0.0, t_end=1.0, dt=1e-3, record_stride=1)
+
+    def run(switch):
+        seq = ptobs.TopologySequence(
+            topologies=(digraph1, digraph2), schedule=((0.0, 1), (switch, 2)), common_H=ETA
+        )
+        return ptobs.run(seq, leader, gains, cascade, np.full((3, 3), 0.5), cfg)
+
+    exact, near = run(0.2), run(0.2 + offset)
+    for field in dataclasses.fields(exact):
+        if field.name != "event_log":
+            a, b = getattr(exact, field.name), getattr(near, field.name)
+            assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, field.name
+    after = near.times >= 0.2  # psi from t = 0.2 on is digraph 2's
+    L0 = ptobs.sub_laplacian(digraph2)
+    assert np.array_equal(near.local_errors[after], np.matmul(L0, near.estimate_errors[after]))
 
 
 def test_switching_degenerate_p1_bit_identical(digraph1, sine_leader, cascade):
