@@ -30,7 +30,7 @@ from .errors import (
     NoSpanningTree,
     ToolkitError,
 )
-from .graph import build_analysis, has_spanning_tree, mirror_with_H  # noqa: F401  (perfbench wraps it)
+from .graph import build_analysis, has_spanning_tree, mirror_with_H  # noqa: F401  (only perfbench wraps them)
 from .observer import (
     GainMargins,
     beta_lower_bound,
@@ -80,23 +80,17 @@ def _resolve_gains(exp: Experiment):
 def cmd_analyze(args) -> int:
     exp = load_experiment(_require_config(args), args.set or [])
     p = _Printer(args.quiet)
-    eta = exp.sequence.common_H
-    analyses = []
-    feasible = True
-    for j, topo in enumerate(exp.sequence.topologies, start=1):
+    try:
+        analyses = exp.sequence.analyses()
+    except NoSpanningTree:
+        # Only a sequence without common_H gets this far, and a config gives
+        # such a sequence one topology.
+        p.info("topology 1:")
+        p.info("  leader-rooted spanning tree: NO")
+        raise
+    for j, analysis in enumerate(analyses, start=1):
         p.info(f"topology {j}:")
-        if eta is None:
-            try:
-                analysis = build_analysis(topo)  # runs the reachability check itself
-            except NoSpanningTree:
-                analysis = None
-        else:
-            analysis = exp.sequence.analyses()[j - 1] if has_spanning_tree(topo) else None
-        p.info(f"  leader-rooted spanning tree: {'yes' if analysis is not None else 'NO'}")
-        if analysis is None:
-            feasible = False
-            continue
-        analyses.append(analysis)
+        p.info("  leader-rooted spanning tree: yes")
         label = "rho" if analysis.weight_source == "rho_from_L0" else "eta"
         p.info(f"  weights ({label}): {_vec(analysis.rho)}")
         p.info(f"  lambda_min(M): {analysis.lambda_min:.9g}")
@@ -105,12 +99,6 @@ def cmd_analyze(args) -> int:
             f"  beta bound (this topology alone): "
             f"{analysis.max_weight / analysis.lambda_min:.9g}"
         )
-        if analysis.lambda_min <= 0.0:
-            feasible = False
-    if not feasible:
-        print("error: no leader-rooted spanning tree or indefinite mirror matrix",
-              file=sys.stderr)
-        return 2
     p.info(f"combined beta lower bound: {beta_lower_bound(analyses):.9g}")
     p.info(f"sigma lower bound (leader input bound): {exp.leader.input_bound:.9g}")
     return 0

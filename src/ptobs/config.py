@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleTopology
+from .errors import ConfigError, InfeasibleTopology, NoSpanningTree
 from .gain import CascadeSchedule
 from .graph import DirectedTopology, TopologySequence
 from .observer import GainMargins, LeaderModel, ObserverGains, input_by_name
@@ -132,10 +132,11 @@ class ConfigDocument:
 
     @contextmanager
     def _section_errors(self, section: str):
-        """Report a model's validation error as a config error of `section`."""
+        """Report a model's validation error as a config error of `section`;
+        the feasibility verdict (InfeasibleTopology, NoSpanningTree) passes."""
         try:
             yield
-        except (ConfigError, InfeasibleTopology):
+        except (ConfigError, InfeasibleTopology, NoSpanningTree):
             raise
         except Exception as exc:
             raise ConfigError(f"[{section}]: {exc}", self.path) from None

@@ -20,7 +20,6 @@ and they are validated (not assumed) here.
 from __future__ import annotations
 
 import bisect
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,19 +120,19 @@ def sub_laplacian(topo: DirectedTopology) -> np.ndarray:
 def has_spanning_tree(topo: DirectedTopology) -> bool:
     """True iff every follower is reachable from the leader.
 
-    Breadth-first search over the directed edges leader -> i (pinning) and
-    j -> i (adjacency), counting weights above EDGE_EPS as edges.
+    Depth-first search over the directed edges leader -> i (pinning) and
+    j -> i (adjacency), counting weights above EDGE_EPS as edges.  Plain
+    Python lists: on a few followers numpy's per-call overhead would dominate.
     """
-    n = topo.follower_count
-    seen = topo.pinning > EDGE_EPS
-    queue = deque(np.flatnonzero(seen))
-    while queue:
-        j = queue.popleft()
-        for i in np.flatnonzero(topo.adjacency[:, j] > EDGE_EPS):
-            if not seen[i]:
+    seen = (topo.pinning > EDGE_EPS).tolist()
+    edges_from = (topo.adjacency.T > EDGE_EPS).tolist()  # edges_from[j][i]: edge j -> i
+    stack = [i for i, pinned in enumerate(seen) if pinned]
+    while stack:
+        for i, edge in enumerate(edges_from[stack.pop()]):
+            if edge and not seen[i]:
                 seen[i] = True
-                queue.append(i)
-    return bool(seen.all())
+                stack.append(i)
+    return all(seen)
 
 
 def min_eig_symmetric(M: np.ndarray) -> float:
@@ -164,10 +163,33 @@ def min_eig_symmetric(M: np.ndarray) -> float:
     return float(lam + (v @ residual) / (v @ v))
 
 
-def _mirror_of(L0: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    P = np.diag(weights)
-    M = 0.5 * (P @ L0 + L0.T @ P)
-    return 0.5 * (M + M.T)  # kill rounding asymmetry; eigensolver wants exact symmetry
+def _analysis(topo: DirectedTopology, eta: np.ndarray | None) -> GraphAnalysis:
+    # Reachability, L0, the weights (rho when eta is None), the mirror and its
+    # lambda_min.  diag(w) L0 and L0^T diag(w) are exact transposes, so the
+    # mirror is exactly symmetric without a symmetrization pass.
+    if not has_spanning_tree(topo):
+        raise NoSpanningTree("no leader-rooted spanning tree: some follower is unreachable")
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported, not warned
+        L0 = sub_laplacian(topo)
+        if not np.isfinite(L0).all():
+            raise DimensionMismatch("follower Laplacian overflows: the edge weights are too large")
+        weights = eta
+        if eta is None:
+            sigma_min = np.linalg.svd(L0, compute_uv=False)[-1]
+            tol = _SINGULAR_RTOL * np.linalg.norm(L0.T, np.inf)
+            if sigma_min <= tol:
+                raise SingularLaplacian(
+                    f"follower Laplacian is numerically singular although the "
+                    f"reachability check passed (smallest singular value {sigma_min:.3e} "
+                    f"below tolerance {tol:.3e})"
+                )
+            weights = np.linalg.solve(L0.T, np.ones(topo.follower_count))
+        P = np.diag(weights)
+        mirror = 0.5 * (P @ L0 + L0.T @ P)
+    if not np.isfinite(mirror).all():
+        raise DimensionMismatch("mirror matrix overflows: the weights are too large")
+    source = "rho_from_L0" if eta is None else "user_H"
+    return GraphAnalysis(L0, weights, mirror, min_eig_symmetric(mirror), source)
 
 
 def build_analysis(topo: DirectedTopology) -> GraphAnalysis:
@@ -176,37 +198,18 @@ def build_analysis(topo: DirectedTopology) -> GraphAnalysis:
     rho solves L0^T rho = 1_N.  Raises NoSpanningTree when some follower is
     unreachable from the leader; SingularLaplacian when L0 is numerically
     singular (smallest singular value at most 1e-12 ||L0^T||_inf) even though
-    reachability passed (both facts are reported).
+    reachability passed (both facts are reported); DimensionMismatch when L0
+    or the mirror overflows.  TopologySequence judges lambda_min.
     """
-    if not has_spanning_tree(topo):
-        raise NoSpanningTree(
-            "no leader-rooted spanning tree: some follower is unreachable"
-        )
-    L0 = sub_laplacian(topo)
-    sigma_min = np.linalg.svd(L0, compute_uv=False)[-1]
-    tol = _SINGULAR_RTOL * np.linalg.norm(L0.T, np.inf)
-    if sigma_min <= tol:
-        raise SingularLaplacian(
-            f"follower Laplacian is numerically singular although the "
-            f"reachability check passed (smallest singular value {sigma_min:.3e} "
-            f"below tolerance {tol:.3e})"
-        )
-    rho = np.linalg.solve(L0.T, np.ones(topo.follower_count))
-    mirror = _mirror_of(L0, rho)
-    lam = min_eig_symmetric(mirror)
-    return GraphAnalysis(
-        sub_laplacian=L0,
-        rho=rho,
-        mirror=mirror,
-        lambda_min=lam,
-        weight_source="rho_from_L0",
-    )
+    return _analysis(topo, None)
 
 
 def mirror_with_H(topo: DirectedTopology, eta: np.ndarray) -> GraphAnalysis:
     """Mirror matrix for user-chosen diagonal weights H = diag(eta).
 
     The rho field of the result carries eta and weight_source is "user_H".
+    Raises DimensionMismatch when eta is not N finite positive entries or the
+    mirror overflows, and NoSpanningTree as build_analysis does.
     """
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
     if eta.shape != (topo.follower_count,):
@@ -215,16 +218,7 @@ def mirror_with_H(topo: DirectedTopology, eta: np.ndarray) -> GraphAnalysis:
         )
     if not np.all((0.0 < eta) & (eta < np.inf)):  # "not" so NaN fails too
         raise DimensionMismatch("all entries of eta must be finite and positive")
-    L0 = sub_laplacian(topo)
-    mirror = _mirror_of(L0, eta)
-    lam = min_eig_symmetric(mirror)
-    return GraphAnalysis(
-        sub_laplacian=L0,
-        rho=eta,
-        mirror=mirror,
-        lambda_min=lam,
-        weight_source="user_H",
-    )
+    return _analysis(topo, eta)
 
 
 @dataclass(frozen=True)
@@ -235,8 +229,8 @@ class TopologySequence:
     and strictly increasing times; entries that do not change the active index
     are dropped, so a p = 1 sequence behaves exactly like a static topology.
     common_H, when given, supplies the diagonal weights eta shared by every
-    topology (checked by mirror_with_H); each mirror matrix is then checked
-    for positive definiteness.
+    topology, and the feasibility verdict (see analyses) is reached at
+    construction; without it, on the first analyses call.
     """
 
     topologies: tuple[DirectedTopology, ...]
@@ -269,15 +263,8 @@ class TopologySequence:
         object.__setattr__(self, "schedule", tuple(deduped))
         object.__setattr__(self, "_switch_times", tuple(t for t, _ in deduped))
         if self.common_H is not None:
-            analyses = tuple(mirror_with_H(t, self.common_H) for t in topos)
-            object.__setattr__(self, "_analyses", analyses)
             object.__setattr__(self, "common_H", _as_readonly(np.atleast_1d(self.common_H)))
-            for j, analysis in enumerate(self._analyses, start=1):
-                if analysis.lambda_min <= 0.0:
-                    raise InfeasibleTopology(
-                        f"mirror of topology {j} is not positive definite with the "
-                        f"given H (lambda_min = {analysis.lambda_min:.6g})"
-                    )
+            self.analyses()
 
     @classmethod
     def static(cls, topo: DirectedTopology, t0: float) -> "TopologySequence":
@@ -293,10 +280,22 @@ class TopologySequence:
         return self.schedule[max(i - 1, 0)][1]
 
     def analyses(self) -> tuple[GraphAnalysis, ...]:
-        """One GraphAnalysis per topology, computed once: at construction with the
-        common_H weights, else by build_analysis on the first call."""
+        """One GraphAnalysis per topology: mirror_with_H with common_H, else
+        build_analysis.  This is the feasibility verdict: NoSpanningTree or
+        InfeasibleTopology (lambda_min not positive) names the first topology
+        that fails.  Computed once; a failed call caches nothing."""
         if not hasattr(self, "_analyses"):
-            object.__setattr__(
-                self, "_analyses", tuple(build_analysis(t) for t in self.topologies)
-            )
+            H, analyses = self.common_H, []
+            for j, topo in enumerate(self.topologies, start=1):
+                try:
+                    a = build_analysis(topo) if H is None else mirror_with_H(topo, H)
+                except NoSpanningTree as exc:
+                    raise NoSpanningTree(f"topology {j}: {exc}") from None
+                if not a.lambda_min > 0.0:  # "not" so NaN fails too
+                    raise InfeasibleTopology(
+                        f"topology {j}: mirror matrix is not positive definite "
+                        f"(lambda_min = {a.lambda_min:.6g})"
+                    )
+                analyses.append(a)
+            object.__setattr__(self, "_analyses", tuple(analyses))
         return self._analyses

@@ -268,16 +268,9 @@ def synthesize_gains(
     A single analysis reduces the beta formula to the time-invariant bound.
     Raises InfeasibleTopology when some lambda_min is not positive.
     """
-    if not analyses:
-        raise DimensionMismatch("at least one graph analysis is required")
     if f0_bound < 0.0:
         raise DimensionMismatch("f0 bound must be nonnegative")
-    lam_min = min(a.lambda_min for a in analyses)
-    if lam_min <= 0.0:
-        raise InfeasibleTopology(
-            f"cannot synthesize gains: min lambda_min = {lam_min:.6g} <= 0"
-        )
-    max_weight = max(a.max_weight for a in analyses)
+    max_weight, lam_min = _bound_terms(analyses)
     return ObserverGains(
         alpha=margins.alpha,
         beta=margins.beta_factor * max_weight / lam_min,
@@ -286,14 +279,20 @@ def synthesize_gains(
     )
 
 
+def _bound_terms(analyses: Sequence[GraphAnalysis]) -> tuple[float, float]:
+    # (max weight, min lambda_min) over the analyses: the beta bound's terms.
+    if not analyses:
+        raise DimensionMismatch("at least one graph analysis is required")
+    lam_min = float(np.min([a.lambda_min for a in analyses]))  # NaN if any is NaN
+    if not lam_min > 0.0:  # "not" so NaN fails too
+        raise InfeasibleTopology(f"no beta bound: min lambda_min = {lam_min:.6g} is not positive")
+    return max(a.max_weight for a in analyses), lam_min
+
+
 def beta_lower_bound(analyses: Sequence[GraphAnalysis]) -> float:
     """The topology-dependent lower bound on beta (unit-factor synthesis)."""
-    lam_min = min(a.lambda_min for a in analyses)
-    if lam_min <= 0.0:
-        raise InfeasibleTopology(
-            f"beta bound undefined: min lambda_min = {lam_min:.6g} <= 0"
-        )
-    return max(a.max_weight for a in analyses) / lam_min
+    max_weight, lam_min = _bound_terms(analyses)
+    return max_weight / lam_min
 
 
 def gain_condition_warnings(

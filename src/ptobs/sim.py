@@ -185,8 +185,14 @@ def _step_plan(cfg: SimConfig, sched: CascadeSchedule, topos: TopologySequence):
     events[s] + j * dt, j < _segment_steps.  Events and every record_stride-th
     point are recorded, unless their time is the one recorded just before."""
     events, active = _event_grid(cfg, sched, topos)
-    steps = [_segment_steps(e1, e2, cfg.dt) for e1, e2 in zip(events[:-1], events[1:])]
-    seg = np.repeat(np.arange(len(events)), [*steps, 1])  # the last event starts no step
+    try:
+        steps = [_segment_steps(e1, e2, cfg.dt) for e1, e2 in zip(events[:-1], events[1:])]
+        seg = np.repeat(np.arange(len(events)), [*steps, 1])  # the last event starts no step
+    except OverflowError:  # a step count numpy cannot index
+        raise DimensionMismatch(
+            f"dt = {cfg.dt:g} needs about {(cfg.t_end - cfg.t0) / cfg.dt:.3g} steps, "
+            f"too many for a step plan"
+        ) from None
     P = np.arange(seg.size)
     offset = P - np.cumsum([0, *steps])[seg]
     grid = np.array(events)[seg] + offset * cfg.dt

@@ -1,4 +1,5 @@
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,17 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))  # for oracles.py
 
 import ptobs
+
+# hypothesis imports libcst to write a failing example's patch, and that import
+# raises a DeprecationWarning (mypy_extensions.TypedDict); under an "error"
+# warnings filter it turns a reported failure into an INTERNALERROR.  Importing
+# it here once, with the warning silenced, makes the later import a no-op.
+try:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        import libcst  # noqa: F401
+except ImportError:
+    pass
 
 REPO = Path(__file__).resolve().parent.parent
 BUNDLED_CONFIG = REPO / "configs" / "triple_integrator_switching.cfg"

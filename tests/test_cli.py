@@ -89,8 +89,8 @@ def test_analyze_checks_reachability_once_per_topology(tmp_path, monkeypatch, ca
     ids=["run", "analyze", "synthesize"],
 )
 def test_commands_compute_each_mirror_once(tmp_path, monkeypatch, command):
-    # Two topologies with common_H: the construction-time positive-definiteness
-    # check computes both analyses, and every later use reuses them.
+    # Two topologies with common_H: the construction-time verdict computes
+    # both analyses, and every later use reuses them.
     original = ptobs.graph.mirror_with_H
     calls = []
 
@@ -103,6 +103,35 @@ def test_commands_compute_each_mirror_once(tmp_path, monkeypatch, command):
     argv = [command[0], "--config", CFG, "--quiet", "--out", str(tmp_path), *command[1:]]
     assert main(argv) == 0
     assert len(calls) == 2
+
+
+def _unreachable_topology_2(tmp_path):
+    # The bundled config with topology 2 an unpinned triangle and H = I: its
+    # mirror's lambda_min is ~1e-31 > 0, but no follower is reachable.
+    text = BUNDLED_CONFIG.read_text()
+    tree = "adjacency_row_1 = 0 0 0\nadjacency_row_2 = 1 0 0\nadjacency_row_3 = 1 0 0\npinning = 1 0 0"
+    triangle = "adjacency_row_1 = 0 1 1\nadjacency_row_2 = 1 0 1\nadjacency_row_3 = 1 1 0\npinning = 0 0 0"
+    assert tree in text and "common_h = 3 5 4" in text
+    cfg = tmp_path / "unreachable.cfg"
+    cfg.write_text(text.replace(tree, triangle).replace("common_h = 3 5 4", "common_h = 1 1 1"))
+    return str(cfg)
+
+
+@pytest.mark.parametrize("command", ["analyze", "synthesize", "run"])
+def test_unreachable_topology_exits_2_in_every_command(tmp_path, capsys, command):
+    argv = [command, "--config", _unreachable_topology_2(tmp_path), "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "error: topology 2: no leader-rooted spanning tree" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "synthesize", "run"])
+def test_overflowing_common_h_exits_1_in_every_command(tmp_path, capsys, command):
+    # The mirror overflows to inf; no numpy warning (warnings fail tests).
+    argv = [command, "--config", CFG, "--out", str(tmp_path),
+            "--set", "switching.common_h=1e308 1e308 1e308"]
+    assert main(argv) == 1
+    assert "[switching]: mirror matrix overflows" in capsys.readouterr().err
 
 
 def _bundled_keys():
@@ -407,6 +436,13 @@ def test_run_nan_leader_input_exits_1(tmp_path, capsys):
     ])
     assert code == 1
     assert "exceeds declared bound" in capsys.readouterr().err
+
+
+def test_run_unbuildable_step_plan_exits_1(tmp_path, capsys):
+    # 2e300 steps: numpy cannot index the plan, so nothing is allocated.
+    code = main(["run", "--config", CFG, "--quiet", "--out", str(tmp_path), "--set", "sim.dt=1e-300"])
+    assert code == 1
+    assert "error: dt = 1e-300 needs about 2e+300 steps" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

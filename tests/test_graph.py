@@ -85,9 +85,29 @@ def test_spanning_tree_digraph2(digraph2):
 def test_mirror_with_H_matches_rho_case(digraph1):
     a = ptobs.build_analysis(digraph1)
     h = ptobs.mirror_with_H(digraph1, a.rho)
-    assert np.allclose(h.mirror, a.mirror, atol=1e-14)
-    assert h.lambda_min == pytest.approx(a.lambda_min, abs=1e-12)
+    assert np.array_equal(h.mirror, a.mirror)  # one builder: the same floats
+    assert h.lambda_min == a.lambda_min
     assert h.weight_source == "user_H"
+
+
+def test_mirror_with_H_requires_reachability():
+    # An unpinned triangle's mirror has lambda_min ~ 1e-31 > 0, which alone
+    # would pass as feasible; the reachability check rejects it first.
+    triangle = ptobs.DirectedTopology(
+        adjacency=[[0, 1, 1], [1, 0, 1], [1, 1, 0]], pinning=[0, 0, 0]
+    )
+    with pytest.raises(NoSpanningTree):
+        ptobs.mirror_with_H(triangle, [1.0, 1.0, 1.0])
+
+
+def test_overflowing_weights_raise_dimension_mismatch(digraph1):
+    # Finite weights whose L0 row sum or mirror overflows, reported before
+    # LAPACK sees an inf and without a numpy warning (warnings fail tests).
+    huge = ptobs.DirectedTopology(adjacency=[[0, 1e308], [1e308, 0]], pinning=[1e308, 0])
+    with pytest.raises(DimensionMismatch, match="overflows"):
+        ptobs.build_analysis(huge)
+    with pytest.raises(DimensionMismatch, match="overflows"):
+        ptobs.mirror_with_H(digraph1, [1e308, 1e308, 1e308])
 
 
 def test_mirror_with_H_digraph1(digraph1):
@@ -237,7 +257,7 @@ def test_sequence_analyses_computed_once(digraph1, digraph2, monkeypatch):
     seq = ptobs.TopologySequence(
         topologies=(digraph1, digraph2), schedule=((0.0, 1), (0.1, 2)), common_H=ETA
     )
-    assert len(calls) == 2  # the positive-definiteness check
+    assert len(calls) == 2  # the construction-time verdict
     assert seq.analyses() is seq.analyses()
     assert len(calls) == 2
     static = ptobs.TopologySequence.static(digraph1, 0.0)
@@ -253,3 +273,19 @@ def test_unreachable_static_sequence_raises_on_every_analyses_call():
     for _ in range(2):
         with pytest.raises(NoSpanningTree):
             seq.analyses()
+
+
+def test_sequence_verdict_names_the_topology(digraph1, monkeypatch):
+    triangle = ptobs.DirectedTopology(
+        adjacency=[[0, 1, 1], [1, 0, 1], [1, 1, 0]], pinning=[0, 0, 0]
+    )
+    with pytest.raises(NoSpanningTree, match="topology 2"):
+        ptobs.TopologySequence(
+            topologies=(digraph1, triangle), schedule=((0.0, 1), (0.1, 2)), common_H=ETA
+        )
+    # A NaN lambda_min is not positive: the check fails it too.
+    monkeypatch.setattr(ptobs.graph, "min_eig_symmetric", lambda M: float("nan"))
+    with pytest.raises(InfeasibleTopology, match="topology 1.*nan"):
+        ptobs.TopologySequence(topologies=(digraph1,), schedule=((0.0, 1),), common_H=ETA)
+    with pytest.raises(InfeasibleTopology, match="topology 1"):
+        ptobs.TopologySequence.static(digraph1, 0.0).analyses()

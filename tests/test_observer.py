@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,16 @@ def test_synthesize_rejects_indefinite():
     )
     with pytest.raises(InfeasibleTopology):
         ptobs.synthesize_gains([fake], 0.1, ptobs.GainMargins(alpha=1.0))
+
+
+def test_gain_bound_rejects_nan_lambda_min(digraph1):
+    # NaN behind a positive lambda_min: min() over Python floats would skip it.
+    nan = dataclasses.replace(ptobs.build_analysis(digraph1), lambda_min=float("nan"))
+    analyses = [ptobs.build_analysis(digraph1), nan]
+    with pytest.raises(InfeasibleTopology, match="not positive"):
+        ptobs.synthesize_gains(analyses, 0.1, ptobs.GainMargins(alpha=1.0))
+    with pytest.raises(InfeasibleTopology, match="not positive"):
+        ptobs.beta_lower_bound(analyses)
 
 
 def test_margin_validation():

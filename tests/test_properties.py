@@ -1,6 +1,7 @@
 """Property tests: the event grid and the switch lookup against their plain scans,
-the event grid far from t = 0, the step plan's topologies and record points, and
-sim.run's step grid against a per-segment one."""
+the event grid far from t = 0, the step plan's topologies and record points,
+sim.run's step grid against a per-segment one, and the exact symmetry of the
+mirror matrix."""
 
 import dataclasses
 import math
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import ptobs
 import ptobs.sim
+from ptobs.errors import SingularLaplacian
 from ptobs.sim import _EVENT_MERGE_TOL, _event_grid, _segment_steps, _step_plan
 
 _TOPO = ptobs.DirectedTopology(adjacency=[[0.0]], pinning=[1.0])
@@ -245,3 +247,43 @@ def test_step_grid_equals_per_segment_grid(case):
     for field in dataclasses.fields(res):
         a, b = getattr(res, field.name), getattr(small, field.name)
         assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+_WEIGHT = st.floats(1e-2, 1e2)
+
+
+@st.composite
+def _reachable_digraphs(draw):
+    # A random tree rooted at the leader (follower i hangs off the leader or
+    # an earlier follower), extra edges, then a random follower order.
+    n = draw(st.integers(1, 12))
+    adjacency, pinning = np.zeros((n, n)), np.zeros(n)
+    for i in range(n):
+        parent = draw(st.integers(-1, i - 1))  # -1 = leader
+        if parent < 0:
+            pinning[i] = draw(_WEIGHT)
+        else:
+            adjacency[i, parent] = draw(_WEIGHT)
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), _WEIGHT)
+    for i, j, w in draw(st.lists(pair, max_size=2 * n)):
+        if i != j:
+            adjacency[i, j] = w
+    order = draw(st.permutations(range(n)))
+    topo = ptobs.DirectedTopology(adjacency=adjacency[np.ix_(order, order)], pinning=pinning[order])
+    eta = np.array(draw(st.lists(_WEIGHT, min_size=n, max_size=n)))
+    return topo, eta
+
+
+@settings(max_examples=200, deadline=None)
+@given(_reachable_digraphs())
+def test_mirror_is_exactly_symmetric(case):
+    # diag(w) L0 and L0^T diag(w) are exact transposes, so no symmetrization
+    # pass is needed: M equals its transpose bit for bit, for rho and for eta.
+    topo, eta = case
+    analyses = [ptobs.mirror_with_H(topo, eta)]
+    try:
+        analyses.append(ptobs.build_analysis(topo))
+    except SingularLaplacian:  # a badly conditioned draw has no rho to test
+        pass
+    for a in analyses:
+        assert np.array_equal(a.mirror, a.mirror.T)
