@@ -17,7 +17,6 @@ import numpy as np
 from .config import (
     Experiment,
     apply_overrides,
-    build_experiment,
     load_config,
     load_experiment,
     serialize_config,
@@ -46,69 +45,38 @@ def _vec(v: np.ndarray) -> str:
     return " ".join(f"{x:.6g}" for x in v)
 
 
-class _Printer:
-    def __init__(self, quiet: bool):
-        self.quiet = quiet
-
-    def info(self, msg: str = ""):
-        if not self.quiet:
-            print(msg)
-
-    @staticmethod
-    def warn(msg: str):
-        print(f"warning: {msg}", file=sys.stderr)
-
-
 def _out_dir(args, experiment: Experiment) -> Path:
     path = Path(args.out or os.environ.get("OUTPUT_DIR") or experiment.output.directory)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _require_config(args) -> str:
-    if not args.config:
-        raise ConfigError("no --config given", "<args>")
-    return args.config
-
-
-def _resolve_gains(exp: Experiment):
-    if exp.gains_mode == "explicit":
-        return exp.gains
-    return synthesize_gains(exp.sequence.analyses(), exp.leader.input_bound, exp.margins)
-
-
-def cmd_analyze(args) -> int:
-    exp = load_experiment(_require_config(args), args.set or [])
-    p = _Printer(args.quiet)
+def cmd_analyze(args, exp: Experiment, info) -> int:
     try:
         analyses = exp.sequence.analyses()
     except NoSpanningTree:
         # Only a sequence without common_H gets this far, and a config gives
         # such a sequence one topology.
-        p.info("topology 1:")
-        p.info("  leader-rooted spanning tree: NO")
+        info("topology 1:")
+        info("  leader-rooted spanning tree: NO")
         raise
     for j, analysis in enumerate(analyses, start=1):
-        p.info(f"topology {j}:")
-        p.info("  leader-rooted spanning tree: yes")
+        info(f"topology {j}:")
+        info("  leader-rooted spanning tree: yes")
         label = "rho" if analysis.weight_source == "rho_from_L0" else "eta"
-        p.info(f"  weights ({label}): {_vec(analysis.rho)}")
-        p.info(f"  lambda_min(M): {analysis.lambda_min:.9g}")
-        p.info(f"  max weight: {analysis.max_weight:.9g}")
-        p.info(
+        info(f"  weights ({label}): {_vec(analysis.rho)}")
+        info(f"  lambda_min(M): {analysis.lambda_min:.9g}")
+        info(f"  max weight: {analysis.max_weight:.9g}")
+        info(
             f"  beta bound (this topology alone): "
             f"{analysis.max_weight / analysis.lambda_min:.9g}"
         )
-    p.info(f"combined beta lower bound: {beta_lower_bound(analyses):.9g}")
-    p.info(f"sigma lower bound (leader input bound): {exp.leader.input_bound:.9g}")
+    info(f"combined beta lower bound: {beta_lower_bound(analyses):.9g}")
+    info(f"sigma lower bound (leader input bound): {exp.leader.input_bound:.9g}")
     return 0
 
 
-def cmd_synthesize(args) -> int:
-    doc = load_config(_require_config(args))
-    apply_overrides(doc, args.set or [])
-    exp = build_experiment(doc)
-    p = _Printer(args.quiet)
+def cmd_synthesize(args, exp: Experiment, info) -> int:
     flags = {
         "alpha": args.alpha_margin, "beta_factor": args.beta_factor, "sigma_factor": args.sigma_factor
     }
@@ -119,31 +87,32 @@ def cmd_synthesize(args) -> int:
     analyses = exp.sequence.analyses()
     gains = synthesize_gains(analyses, exp.leader.input_bound, margins)
     for j, a in enumerate(analyses, start=1):
-        p.info(f"topology {j}: lambda_min(M) = {a.lambda_min:.9g}, max weight = {a.max_weight:.9g}")
+        info(f"topology {j}: lambda_min(M) = {a.lambda_min:.9g}, max weight = {a.max_weight:.9g}")
     bound = beta_lower_bound(analyses)
-    p.info(f"alpha = {gains.alpha:.17g}")
-    p.info(f"beta  = {gains.beta:.17g}  (bound {bound:.17g} x factor {margins.beta_factor:g})")
-    p.info(
+    info(f"alpha = {gains.alpha:.17g}")
+    info(f"beta  = {gains.beta:.17g}  (bound {bound:.17g} x factor {margins.beta_factor:g})")
+    info(
         f"sigma = {gains.sigma:.17g}  (bound {exp.leader.input_bound:.17g} "
         f"x factor {margins.sigma_factor:g})"
     )
     if args.emit_config:
+        doc = load_config(args.config)
+        apply_overrides(doc, args.set or [])
         doc.sections["gains"] = {}
         doc.set("gains", "mode", "explicit")
         doc.set("gains", "alpha", f"{gains.alpha:.17g}")
         doc.set("gains", "beta", f"{gains.beta:.17g}")
         doc.set("gains", "sigma", f"{gains.sigma:.17g}")
         Path(args.emit_config).write_text(serialize_config(doc), encoding="utf-8")
-        p.info(f"explicit-gain config written to {args.emit_config}")
+        info(f"explicit-gain config written to {args.emit_config}")
     return 0
 
 
-def cmd_run(args) -> int:
-    exp = load_experiment(_require_config(args), args.set or [])
-    p = _Printer(args.quiet)
-    gains = _resolve_gains(exp)
-    for msg in gain_condition_warnings(gains, exp.sequence.analyses(), exp.leader.input_bound):
-        p.warn(msg)
+def cmd_run(args, exp: Experiment, info) -> int:
+    analyses = exp.sequence.analyses()
+    gains = exp.gains or synthesize_gains(analyses, exp.leader.input_bound, exp.margins)
+    for msg in gain_condition_warnings(gains, analyses, exp.leader.input_bound):
+        print(f"warning: {msg}", file=sys.stderr)
     result = run_sim(
         exp.sequence, exp.leader, gains, exp.sched, exp.initial_estimates, exp.sim
     )
@@ -151,27 +120,25 @@ def cmd_run(args) -> int:
     if exp.output.write_csv:
         trace_path = out / "trace.csv"
         write_trace(result, str(trace_path))
-        p.info(f"trace written to {trace_path}")
+        info(f"trace written to {trace_path}")
     t_star = exp.sched.t_star
     after = result.times >= t_star
-    p.info(f"convergence times (tolerance {exp.sim.convergence_tolerance:g}):")
+    info(f"convergence times (tolerance {exp.sim.convergence_tolerance:g}):")
     for k in range(1, exp.sched.order + 1):
         tau = result.convergence_times[k - 1]
-        p.info(f"  stage {k}: {'never' if tau is None else f'{tau:.6g} s'}")
+        info(f"  stage {k}: {'never' if tau is None else f'{tau:.6g} s'}")
     if np.any(after):
-        p.info(f"max |error| for t >= t* = {t_star:g} s:")
+        info(f"max |error| for t >= t* = {t_star:g} s:")
         for k in range(1, exp.sched.order + 1):
             worst = float(np.max(np.abs(result.estimate_errors[after, :, k - 1])))
-            p.info(f"  stage {k}: {worst:.6g}")
-    p.info("peak Lyapunov V_k:")
+            info(f"  stage {k}: {worst:.6g}")
+    info("peak Lyapunov V_k:")
     for k in range(1, exp.sched.order + 1):
-        p.info(f"  stage {k}: {float(np.max(result.lyapunov[:, k - 1])):.6g}")
+        info(f"  stage {k}: {float(np.max(result.lyapunov[:, k - 1])):.6g}")
     return 0
 
 
-def cmd_report(args) -> int:
-    exp = load_experiment(_require_config(args), args.set or [])
-    p = _Printer(args.quiet)
+def cmd_report(args, exp: Experiment, info) -> int:
     data = read_trace(args.trace)
     if data.order != exp.sched.order or data.follower_count != exp.sequence.topologies[0].follower_count:
         raise MalformedTrace(
@@ -189,7 +156,7 @@ def cmd_report(args) -> int:
         )
         path = out / f"stage_{k}_error.svg"
         path.write_text(svg, encoding="ascii")
-        p.info(f"wrote {path}")
+        info(f"wrote {path}")
     return 0
 
 
@@ -231,9 +198,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Load the experiment once, then run cmd_<name>(args, exp, info); map errors to exit codes."""
     args = _build_parser().parse_args(argv)
+    info = (lambda msg: None) if args.quiet else print
     try:
-        return args.func(args)
+        if not args.config:
+            raise ConfigError("no --config given", "<args>")
+        return args.func(args, load_experiment(args.config, args.set or []), info)
     except (NoSpanningTree, InfeasibleTopology) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

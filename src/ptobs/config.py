@@ -27,8 +27,9 @@ Sections and keys:
                         optional sign_smoothing
     [output]            directory, csv = on|off
 
-A value that does not convert, and a few range checks no model can place
-(order, followers, sign_smoothing, period), name the key's line.  Every other
+A value that does not convert, a key its section does not hold, and a few
+range checks no model can place (order, followers, sign_smoothing, period,
+non-finite initial estimates), name the key's line.  Every other
 check belongs to the model a section builds, and is reported under that
 section: non-finite or out-of-range values for the leader, the cascade (t0,
 stage durations, exponent), the switching signal (switch times, common_h),
@@ -54,7 +55,18 @@ _SECTION_RE = re.compile(r"^\[([A-Za-z0-9_.]+)\]$")
 _KEY_RE = re.compile(r"^[A-Za-z0-9_]+$")
 _INPUT_RE = re.compile(r"^([a-z_]+)\s*(?:\(\s*([^)]*)\s*\))?$")
 
-_KNOWN_SECTIONS = {"leader", "switching", "cascade", "gains", "initial_estimates", "sim", "output"}
+# The keys each section may hold, <i> running over the followers 1..N.  Keys of
+# both gain modes and both schedule forms are allowed, so an override can switch.
+_KEYS = {
+    "leader": ("order", "input", "input_bound", "initial_state"),
+    "topology.<j>": ("followers", "pinning", "adjacency_row_<i>"),
+    "switching": ("common_h", "schedule", "period", "cycle"),
+    "cascade": ("t0", "stage_durations", "exponent"),
+    "gains": ("mode", "alpha", "beta", "sigma", "alpha_margin", "beta_factor", "sigma_factor"),
+    "initial_estimates": ("row_<i>",),
+    "sim": ("dt", "t_end", "method", "guard", "tolerance", "record_stride", "sign_smoothing"),
+    "output": ("directory", "csv"),
+}
 _REQUIRED = object()  # default of a typed accessor whose key must be present
 
 
@@ -75,10 +87,6 @@ class ConfigDocument:
         entry = self.sections.get(section, {}).get(key)
         return entry[0] if entry is not None else default
 
-    def line_of(self, section: str, key: str) -> int | None:
-        entry = self.sections.get(section, {}).get(key)
-        return entry[1] if entry is not None else None
-
     def require(self, section: str, key: str) -> str:
         if section not in self.sections:
             raise ConfigError(f"missing section [{section}]", self.path)
@@ -91,7 +99,7 @@ class ConfigDocument:
         self.sections.setdefault(section, {})[key] = (value, line)
 
     def _fail(self, section: str, key: str, message: str):
-        line = self.line_of(section, key)
+        line = self.sections[section][key][1]
         where = self.path if line is not None else f"--set {section}.{key}"
         raise ConfigError(f"[{section}] {key}: {message}", where, line)
 
@@ -247,7 +255,7 @@ def _topology_indices(doc: ConfigDocument) -> list[int]:
             if not suffix.isdigit() or int(suffix) < 1:
                 raise ConfigError(f"bad topology index in [{section}]", doc.path)
             out.append(int(suffix))
-        elif section not in _KNOWN_SECTIONS:
+        elif section not in _KEYS:
             raise ConfigError(f"unknown section [{section}]", doc.path)
     if not out:
         raise ConfigError("no [topology.<j>] section found", doc.path)
@@ -257,6 +265,17 @@ def _topology_indices(doc: ConfigDocument) -> list[int]:
             doc.path,
         )
     return sorted(out)
+
+
+def _check_keys(doc: ConfigDocument, N: int):
+    """Reject the first key, in file order, that its section does not hold."""
+    rows = [str(i) for i in range(1, N + 1)]
+    for section, entries in doc.sections.items():
+        keys = _KEYS["topology.<j>" if section.startswith("topology.") else section]
+        known = {k.replace("<i>", i) for k in keys if "<i>" in k for i in rows}.union(keys)
+        for key in entries:
+            if key not in known:
+                doc._fail(section, key, "unknown key")
 
 
 def _read_topology(doc: ConfigDocument, section: str) -> DirectedTopology:
@@ -324,6 +343,7 @@ def build_experiment(doc: ConfigDocument) -> Experiment:
                 f"[topology.{j}]: follower count {topo.follower_count} differs from {N}",
                 doc.path,
             )
+    _check_keys(doc, N)
 
     t0 = doc.scalar("cascade", "t0")
     with doc._section_errors("cascade"):
@@ -387,6 +407,9 @@ def build_experiment(doc: ConfigDocument) -> Experiment:
     estimates = np.vstack(
         [doc.vector("initial_estimates", f"row_{i}", order) for i in range(1, N + 1)]
     )
+    finite = np.isfinite(estimates).all(axis=1)
+    if not finite.all():
+        doc._fail("initial_estimates", f"row_{np.argmin(finite) + 1}", "values must be finite")
     output = OutputOptions(
         directory=doc.get("output", "directory", "out"),
         write_csv=doc.choice("output", "csv", ("on", "off"), "on") == "on",

@@ -149,13 +149,11 @@ def min_eig_symmetric(M: np.ndarray) -> float:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got {M.shape}")
-    if M.shape[0] > 1 and np.max(np.abs(M - M.T)) > _SYMMETRY_TOL:
+    if np.max(np.abs(M - M.T)) > _SYMMETRY_TOL:
         raise NotSymmetric(
             f"asymmetry {np.max(np.abs(M - M.T)):.3e} exceeds {_SYMMETRY_TOL:.0e}"
         )
     A = 0.5 * (M + M.T)
-    if A.shape[0] == 1:
-        return float(A[0, 0])
     w, V = np.linalg.eigh(A)
     lam = w[0]
     v = V[:, 0].astype(np.longdouble)
@@ -188,6 +186,8 @@ def _analysis(topo: DirectedTopology, eta: np.ndarray | None) -> GraphAnalysis:
         mirror = 0.5 * (P @ L0 + L0.T @ P)
     if not np.isfinite(mirror).all():
         raise DimensionMismatch("mirror matrix overflows: the weights are too large")
+    if np.any((mirror != 0.0) & (np.abs(mirror) < np.finfo(float).tiny)):  # subnormal
+        raise DimensionMismatch("mirror matrix underflows: the weights are too small")
     source = "rho_from_L0" if eta is None else "user_H"
     return GraphAnalysis(L0, weights, mirror, min_eig_symmetric(mirror), source)
 
@@ -199,7 +199,8 @@ def build_analysis(topo: DirectedTopology) -> GraphAnalysis:
     unreachable from the leader; SingularLaplacian when L0 is numerically
     singular (smallest singular value at most 1e-12 ||L0^T||_inf) even though
     reachability passed (both facts are reported); DimensionMismatch when L0
-    or the mirror overflows.  TopologySequence judges lambda_min.
+    overflows or the mirror over- or underflows.  TopologySequence judges
+    lambda_min.
     """
     return _analysis(topo, None)
 
@@ -209,7 +210,7 @@ def mirror_with_H(topo: DirectedTopology, eta: np.ndarray) -> GraphAnalysis:
 
     The rho field of the result carries eta and weight_source is "user_H".
     Raises DimensionMismatch when eta is not N finite positive entries or the
-    mirror overflows, and NoSpanningTree as build_analysis does.
+    mirror over- or underflows, and NoSpanningTree as build_analysis does.
     """
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
     if eta.shape != (topo.follower_count,):

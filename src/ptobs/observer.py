@@ -29,6 +29,7 @@ dpto_rhs afresh per call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -117,7 +118,7 @@ def _make_constant(c: float) -> InputFn:
 
 
 def _make_sine(amplitude: float, angular_frequency: float) -> InputFn:
-    return lambda x0, t: amplitude * np.sin(angular_frequency * t)
+    return lambda x0, t: amplitude * math.sin(angular_frequency * t)
 
 
 LEADER_INPUTS: dict[str, Callable[..., InputFn]] = {

@@ -35,9 +35,10 @@ _GAIN_BLOCK = 4096  # gain rows (steps x followers) one block computes; caps mem
 class SimConfig:
     """Fixed-step integration settings.
 
-    guard clamps the time-varying gain denominator and must cover at least
-    one step (guard >= dt).  record_stride keeps every m-th accepted step;
-    events are always recorded.
+    dt must exceed 2 ulp(t), twice the float spacing at the larger of |t0|
+    and |t_end|, so no step rounds to zero length.  guard clamps the time-varying gain denominator
+    and must cover at least one step (guard >= dt).  record_stride keeps
+    every m-th accepted step; events are always recorded.
     """
 
     t0: float
@@ -54,8 +55,11 @@ class SimConfig:
         # Written as "not ..." so a NaN setting fails the check too.
         if not -np.inf < self.t0 < self.t_end < np.inf:
             raise DimensionMismatch(f"need finite t0 < t_end, got {self.t0}, {self.t_end}")
-        if not 0.0 < self.dt < np.inf:
-            raise DimensionMismatch(f"dt must be finite and positive, got {self.dt}")
+        spacing = 2.0 * math.ulp(max(abs(self.t0), abs(self.t_end)))
+        if not spacing < self.dt < np.inf:
+            raise DimensionMismatch(
+                f"dt must be finite and above 2 ulp(t) = {spacing:.3g}, got {self.dt:g}"
+            )
         if self.method not in ("euler", "rk4"):
             raise DimensionMismatch(f"unknown method '{self.method}'")
         guard = 10.0 * self.dt if self.guard is None else float(self.guard)
@@ -183,21 +187,14 @@ def _step_plan(cfg: SimConfig, sched: CascadeSchedule, topos: TopologySequence):
 
     Step P runs grid[P] -> grid[P + 1] under topo[P]; segment s's points are
     events[s] + j * dt, j < _segment_steps.  Events and every record_stride-th
-    point are recorded, unless their time is the one recorded just before."""
+    point are recorded."""
     events, active = _event_grid(cfg, sched, topos)
-    try:
-        steps = [_segment_steps(e1, e2, cfg.dt) for e1, e2 in zip(events[:-1], events[1:])]
-        seg = np.repeat(np.arange(len(events)), [*steps, 1])  # the last event starts no step
-    except OverflowError:  # a step count numpy cannot index
-        raise DimensionMismatch(
-            f"dt = {cfg.dt:g} needs about {(cfg.t_end - cfg.t0) / cfg.dt:.3g} steps, "
-            f"too many for a step plan"
-        ) from None
+    steps = [_segment_steps(e1, e2, cfg.dt) for e1, e2 in zip(events[:-1], events[1:])]
+    seg = np.repeat(np.arange(len(events)), [*steps, 1])  # the last event starts no step
     P = np.arange(seg.size)
     offset = P - np.cumsum([0, *steps])[seg]
     grid = np.array(events)[seg] + offset * cfg.dt
     rec = (P % cfg.record_stride == 0) | (offset == 0)
-    rec[rec] = np.diff(grid[rec], prepend=np.nan) != 0  # not a repeat of the time before
     return grid, np.array(active)[seg], rec
 
 

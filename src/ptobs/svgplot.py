@@ -15,8 +15,6 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     span = hi - lo
-    if span <= 0:
-        return [lo]
     raw = span / target
     mag = 10.0 ** np.floor(np.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
@@ -32,36 +30,17 @@ def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     return ticks
 
 
-def _fmt_tick(v: float) -> str:
-    return f"{v:.6g}"
-
-
-class _Canvas:
-    def __init__(self):
-        self.parts: list[str] = []
-
-    def add(self, s: str):
-        self.parts.append(s)
-
-    def text(self, x, y, s, anchor="middle", size=13, rotate=None):
-        transform = f' transform="rotate(-90 {x:.1f} {y:.1f})"' if rotate else ""
-        self.add(
-            f'<text x="{x:.1f}" y="{y:.1f}" font-size="{size}" font-family="sans-serif" '
-            f'text-anchor="{anchor}"{transform}>{s}</text>'
-        )
-
-
 def render_error_plot(
     times: np.ndarray,
     errors: np.ndarray,
     stage_k: int,
-    window: tuple[float, float] | None,
+    window: tuple[float, float],
     title: str,
 ) -> str:
     """SVG of every follower's stage-k error vs time, window shaded.
 
     errors has shape (S, N); window is the (start, end) of the stage's
-    time-varying-gain interval, or None for no shading.
+    time-varying-gain interval.
     """
     S, N = errors.shape
     x_lo, x_hi = float(times[0]), float(times[-1])
@@ -84,42 +63,47 @@ def render_error_plot(
     def py(y):
         return _MT + (y_hi - y) / (y_hi - y_lo) * ph
 
-    c = _Canvas()
-    c.add(
+    parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
-        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">'
-    )
-    c.add(f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+    ]
 
-    if window is not None:
-        w0 = min(max(window[0], x_lo), x_hi)
-        w1 = min(max(window[1], x_lo), x_hi)
-        if w1 > w0:
-            c.add(
-                f'<rect x="{px(w0):.2f}" y="{_MT}" width="{px(w1) - px(w0):.2f}" '
-                f'height="{ph}" fill="#d0d0d0" fill-opacity="0.6"/>'
-            )
+    def text(x, y, s, anchor="middle", size=13, rotate=False):
+        transform = f' transform="rotate(-90 {x:.1f} {y:.1f})"' if rotate else ""
+        parts.append(
+            f'<text x="{x:.1f}" y="{y:.1f}" font-size="{size}" font-family="sans-serif" '
+            f'text-anchor="{anchor}"{transform}>{s}</text>'
+        )
+
+    w0 = min(max(window[0], x_lo), x_hi)
+    w1 = min(max(window[1], x_lo), x_hi)
+    if w1 > w0:
+        parts.append(
+            f'<rect x="{px(w0):.2f}" y="{_MT}" width="{px(w1) - px(w0):.2f}" '
+            f'height="{ph}" fill="#d0d0d0" fill-opacity="0.6"/>'
+        )
 
     for xv in _ticks(x_lo, x_hi):
         xp = px(xv)
-        c.add(
+        parts.append(
             f'<line x1="{xp:.2f}" y1="{_MT + ph}" x2="{xp:.2f}" y2="{_MT + ph + 5}" '
             f'stroke="black" stroke-width="1"/>'
         )
-        c.text(xp, _MT + ph + 20, _fmt_tick(xv))
+        text(xp, _MT + ph + 20, f"{xv:.6g}")
     for yv in _ticks(y_lo, y_hi):
         yp = py(yv)
-        c.add(
+        parts.append(
             f'<line x1="{_ML - 5}" y1="{yp:.2f}" x2="{_ML}" y2="{yp:.2f}" '
             f'stroke="black" stroke-width="1"/>'
         )
-        c.text(_ML - 9, yp + 4, _fmt_tick(yv), anchor="end", size=12)
-        c.add(
+        text(_ML - 9, yp + 4, f"{yv:.6g}", anchor="end", size=12)
+        parts.append(
             f'<line x1="{_ML}" y1="{yp:.2f}" x2="{_ML + pw}" y2="{yp:.2f}" '
             f'stroke="#eeeeee" stroke-width="1"/>'
         )
 
-    c.add(
+    parts.append(
         f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" fill="none" '
         f'stroke="black" stroke-width="1"/>'
     )
@@ -129,20 +113,20 @@ def render_error_plot(
     for i in range(N):
         color = _PALETTE[i % len(_PALETTE)]
         if S == 1:
-            c.add(f'<circle cx="{xs[0]:.2f}" cy="{ys[0, i]:.2f}" r="3" fill="{color}"/>')
+            parts.append(f'<circle cx="{xs[0]:.2f}" cy="{ys[0, i]:.2f}" r="3" fill="{color}"/>')
         else:
             pts = " ".join(map("{:.2f},{:.2f}".format, xs, ys[:, i].tolist()))
-            c.add(
+            parts.append(
                 f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
             )
-        c.text(_ML + pw - 8, _MT + 18 + 16 * i, f"follower {i + 1}", anchor="end", size=12)
-        c.add(
+        text(_ML + pw - 8, _MT + 18 + 16 * i, f"follower {i + 1}", anchor="end", size=12)
+        parts.append(
             f'<line x1="{_ML + pw - 70}" y1="{_MT + 14 + 16 * i}" x2="{_ML + pw - 50}" '
             f'y2="{_MT + 14 + 16 * i}" stroke="{color}" stroke-width="2"/>'
         )
 
-    c.text(_ML + pw / 2, _MT - 14, title, size=15)
-    c.text(_ML + pw / 2, _HEIGHT - 14, "time [s]")
-    c.text(18, _MT + ph / 2, f"stage {stage_k} estimation error [state units]", rotate=True)
-    c.add("</svg>")
-    return "\n".join(c.parts) + "\n"
+    text(_ML + pw / 2, _MT - 14, title, size=15)
+    text(_ML + pw / 2, _HEIGHT - 14, "time [s]")
+    text(18, _MT + ph / 2, f"stage {stage_k} estimation error [state units]", rotate=True)
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

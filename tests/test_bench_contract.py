@@ -1,0 +1,35 @@
+"""perfbench/tracing.py wraps ptobs names by attribute: each must resolve.
+
+The file is read, not imported, so a refactor that drops a wrapped name
+fails here rather than in the traced benchmark run.
+"""
+
+import ast
+import importlib
+
+from conftest import REPO
+
+
+def test_every_traced_target_resolves():
+    tree = ast.parse((REPO / "perfbench" / "tracing.py").read_text())
+    # Owners are module paths (ptobs.sim) or names imported from ptobs modules.
+    imported = {
+        alias.asname or alias.name: (node.module, alias.name)
+        for node in tree.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    targets = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]
+    )
+    missing = []
+    for owner_expr, attr, _ in (entry.elts for entry in targets.elts):
+        owner = ast.unparse(owner_expr)
+        if owner in imported:
+            module, name = imported[owner]
+            obj = getattr(importlib.import_module(module), name)
+        else:
+            obj = importlib.import_module(owner)
+        if not callable(getattr(obj, attr.value, None)):
+            missing.append(f"{owner}.{attr.value}")
+    assert len(targets.elts) > 10 and missing == []

@@ -134,6 +134,38 @@ def test_overflowing_common_h_exits_1_in_every_command(tmp_path, capsys, command
     assert "[switching]: mirror matrix overflows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "synthesize", "run"])
+def test_underflowing_common_h_exits_1_in_every_command(tmp_path, capsys, command):
+    # Subnormal mirror entries keep a few significant bits: no bound is given.
+    argv = [command, "--config", CFG, "--out", str(tmp_path),
+            "--set", "switching.common_h=1e-320 1e-320 1e-320"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 1
+    assert "[switching]: mirror matrix underflows: the weights are too small" in capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("command", ["analyze", "synthesize", "run"])
+@pytest.mark.parametrize(
+    "override",
+    [
+        "sim.tolerence=0.5",
+        "gains.beta_facter=3",
+        "topology.1.adjacency_row_4=9 9 9",
+        "initial_estimates.row_4=1 2 3",
+        "output.svg=on",
+    ],
+)
+def test_unknown_key_exits_1_in_every_command(tmp_path, capsys, command, override):
+    key = override.split("=")[0]
+    section, _, name = key.rpartition(".")
+    argv = [command, "--config", CFG, "--out", str(tmp_path), "--set", override]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: --set {key}: [{section}] {name}: unknown key\n"
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def _bundled_keys():
     # (key, 0-based line) of every key in the bundled config, read without
     # the library's parser; the id is section.key.
@@ -172,6 +204,13 @@ def test_bad_override_names_the_override(capsys, override, message):
     err = capsys.readouterr().err
     assert err == f"error: --set {override.split('=')[0]}: {message}\n"
     assert ":0" not in err
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["synthesize"], ["run"], ["report", "t.csv"]])
+def test_no_config_flag_exits_1(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: <args>: no --config given\n")
 
 
 def test_missing_config_exits_1(capsys):
@@ -405,6 +444,31 @@ def test_error_plot_points_equal_per_point_mapping(static_run):
         assert points == _polyline_points_per_point(times, errors)
 
 
+def test_run_golden_output(tmp_path, capsys):
+    # t_end = 0.8 passes t* = 0.6, so every block of the summary is printed.
+    assert main(["run", "--config", CFG, "--out", str(tmp_path), "--set", "sim.t_end=0.8"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "warning: beta = 5.692 is below the topology bound 10.4048; "
+        "prescribed-time convergence is not guaranteed\n"
+    )
+    assert captured.out == f"""\
+trace written to {tmp_path / "trace.csv"}
+convergence times (tolerance 0.01):
+  stage 1: 0.518 s
+  stage 2: 0.325 s
+  stage 3: 0.124 s
+max |error| for t >= t* = 0.6 s:
+  stage 1: 7.64845e-07
+  stage 2: 4.89171e-06
+  stage 3: 3.29734e-05
+peak Lyapunov V_k:
+  stage 1: 1.44
+  stage 2: 1.005
+  stage 3: 0.495
+"""
+
+
 def test_run_with_synthesize_mode_gains(tmp_path, capsys):
     code = main([
         "run", "--config", CFG, "--out", str(tmp_path),
@@ -439,10 +503,12 @@ def test_run_nan_leader_input_exits_1(tmp_path, capsys):
 
 
 def test_run_unbuildable_step_plan_exits_1(tmp_path, capsys):
-    # 2e300 steps: numpy cannot index the plan, so nothing is allocated.
+    # 2e300 steps, each rounding to zero length: rejected before any plan is built.
     code = main(["run", "--config", CFG, "--quiet", "--out", str(tmp_path), "--set", "sim.dt=1e-300"])
     assert code == 1
-    assert "error: dt = 1e-300 needs about 2e+300 steps" in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith(
+        "[sim]: dt must be finite and above 2 ulp(t) = 8.88e-16, got 1e-300\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -464,6 +530,7 @@ def test_run_unbuildable_step_plan_exits_1(tmp_path, capsys):
         ("switching.period=nan", "[switching]"),
         ("switching.period=inf", "[switching]"),
         ("switching.common_h=1 inf 1", "[switching]"),
+        ("initial_estimates.row_1=nan 0 0", "[initial_estimates]"),
     ],
 )
 def test_run_non_finite_setting_exits_1(tmp_path, capsys, override, section):
@@ -498,6 +565,17 @@ def test_report_header_only_trace_exits_1(tmp_path, capsys):
     trace.write_text(",".join(header_columns(3, 3)) + "\n")
     assert main(["report", "--config", CFG, "--out", str(tmp_path), str(trace)]) == 1
     assert "malformed trace" in capsys.readouterr().err
+
+
+def test_report_trace_of_other_dimensions_exits_1(tmp_path, capsys):
+    trace = tmp_path / "n2.csv"
+    cols = header_columns(2, 3)
+    trace.write_text(",".join(cols) + "\n" + ",".join(["0"] * len(cols)) + "\n")
+    assert main(["report", "--config", CFG, "--out", str(tmp_path), str(trace)]) == 1
+    assert capsys.readouterr().err == (
+        "error: malformed trace: trace dimensions (N=2, n=3) do not match the config\n"
+    )
+    assert not list(tmp_path.glob("*.svg"))
 
 
 def test_report_single_sample_trace(tmp_path):

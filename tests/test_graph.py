@@ -110,6 +110,19 @@ def test_overflowing_weights_raise_dimension_mismatch(digraph1):
         ptobs.mirror_with_H(digraph1, [1e308, 1e308, 1e308])
 
 
+def test_underflowing_mirror_raises_and_tiny_weights_keep_the_bound(digraph1, digraph2):
+    # The bound max(eta) / lambda_min is scale-invariant in H: the bundled
+    # weights scaled by 2^-k keep it bit for bit while every mirror entry is
+    # normal, and a subnormal entry is reported rather than computed with.
+    for k in (0, 500, 1000, 1022):
+        seq = ptobs.TopologySequence(
+            topologies=(digraph1, digraph2), schedule=((0.0, 1), (0.1, 2)), common_H=ETA * 2.0**-k
+        )
+        assert ptobs.beta_lower_bound(seq.analyses()) == 10.404782557797311
+    with pytest.raises(DimensionMismatch, match="mirror matrix underflows"):
+        ptobs.mirror_with_H(digraph1, [1e-320, 1e-320, 1e-320])
+
+
 def test_mirror_with_H_digraph1(digraph1):
     h = ptobs.mirror_with_H(digraph1, ETA)
     assert np.max(np.abs(h.mirror - h.mirror.T)) <= 1e-12
@@ -130,6 +143,11 @@ def test_mirror_with_H_rejects_zero_eta(digraph1):
 
 def test_min_eig_identity():
     assert ptobs.min_eig_symmetric(np.eye(3)) == pytest.approx(1.0)
+
+
+def test_min_eig_one_by_one_is_the_entry():
+    for x in (1.0, 0.1, -3.7, 1e-300, 1e300, 5e-324, 0.0):
+        assert ptobs.min_eig_symmetric(np.array([[x]])) == x
 
 
 def test_min_eig_diagonal():

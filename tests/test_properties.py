@@ -8,12 +8,13 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ptobs
 import ptobs.sim
-from ptobs.errors import SingularLaplacian
+from ptobs.errors import DimensionMismatch, SingularLaplacian
 from ptobs.sim import _EVENT_MERGE_TOL, _event_grid, _segment_steps, _step_plan
 
 _TOPO = ptobs.DirectedTopology(adjacency=[[0.0]], pinning=[1.0])
@@ -177,22 +178,25 @@ def test_event_grid_far_from_zero(case):
         grid = e1 + np.arange(_segment_steps(e1, e2, cfg.dt) + 1) * cfg.dt
         grid[-1] = e2
         assert np.all(np.diff(grid) > 0.0)
-    # The step plan records strictly increasing times, every event among them.
+    # The whole step plan strictly increases and records every event.
     grid, _, rec = _step_plan(cfg, sched, seq)
+    assert np.all(np.diff(grid) > 0.0)
     assert np.all(np.diff(grid[rec]) > 0.0)
     assert set(events) <= set(grid[rec].tolist())
 
 
-def test_step_plan_records_a_repeated_time_once():
-    # dt below one ulp of t: most grid points repeat the one before, and a
-    # repeated time is recorded only once.
+def test_sim_config_rejects_dt_within_the_float_spacing_of_t():
+    # At t = 1e5 one ulp is 1.5e-11: a dt of 1e-12 would plan zero-length
+    # steps, so it is rejected, as is any dt up to twice that spacing.
     t0 = 1e5
-    cfg = ptobs.SimConfig(t0=t0, t_end=t0 + 1e-10, dt=1e-12, record_stride=1)
-    sched = ptobs.CascadeSchedule(t0=t0, stage_durations=(5e-11,), exponent=2.01)
-    grid, _, rec = _step_plan(cfg, sched, ptobs.TopologySequence.static(_TOPO, t0))
-    assert np.any(np.diff(grid) == 0.0)
-    assert np.all(np.diff(grid[rec]) > 0.0)
-    assert np.array_equal(np.unique(grid), grid[rec])
+    bound = 2.0 * math.ulp(t0 + 1e-10)
+    for dt in (1e-12, math.ulp(t0), bound):
+        with pytest.raises(DimensionMismatch, match=r"above 2 ulp\(t\)"):
+            ptobs.SimConfig(t0=t0, t_end=t0 + 1e-10, dt=dt)
+    ptobs.SimConfig(t0=t0, t_end=t0 + 1e-10, dt=float(np.nextafter(bound, np.inf)))
+    # The spacing is taken at the larger |t|, so a negative t0 counts too.
+    with pytest.raises(DimensionMismatch):
+        ptobs.SimConfig(t0=-1e5, t_end=0.0, dt=1e-12)
 
 
 @st.composite
