@@ -41,10 +41,6 @@ from .svgplot import render_error_plot
 from .trace import read_trace, write_trace
 
 
-def _vec(v: np.ndarray) -> str:
-    return " ".join(f"{x:.6g}" for x in v)
-
-
 def _out_dir(args, experiment: Experiment) -> Path:
     path = Path(args.out or os.environ.get("OUTPUT_DIR") or experiment.output.directory)
     path.mkdir(parents=True, exist_ok=True)
@@ -64,7 +60,7 @@ def cmd_analyze(args, exp: Experiment, info) -> int:
         info(f"topology {j}:")
         info("  leader-rooted spanning tree: yes")
         label = "rho" if analysis.weight_source == "rho_from_L0" else "eta"
-        info(f"  weights ({label}): {_vec(analysis.rho)}")
+        info(f"  weights ({label}): " + " ".join(f"{x:.6g}" for x in analysis.rho))
         info(f"  lambda_min(M): {analysis.lambda_min:.9g}")
         info(f"  max weight: {analysis.max_weight:.9g}")
         info(
@@ -144,6 +140,8 @@ def cmd_report(args, exp: Experiment, info) -> int:
         raise MalformedTrace(
             f"trace dimensions (N={data.follower_count}, n={data.order}) do not match the config"
         )
+    if not (np.isfinite(data.times).all() and np.isfinite(data.estimate_errors).all()):
+        raise MalformedTrace("times and estimate errors must be finite to plot")
     out = _out_dir(args, exp)
     for k in range(1, data.order + 1):
         w = exp.sched.window(k)

@@ -128,26 +128,29 @@ class ConfigDocument:
 
         return self._convert(section, key, member, f"one of {options}", default)
 
-    def vector(self, section: str, key: str, length: int | None = None) -> np.ndarray:
+    def vector(self, section: str, key: str, length: int) -> np.ndarray:
         raw = self.require(section, key)
         try:
             vals = np.array([float(tok) for tok in raw.split()])
         except ValueError:
             self._fail(section, key, f"expected whitespace-separated numbers, got '{raw}'")
-        if length is not None and vals.shape != (length,):
+        if vals.shape != (length,):
             self._fail(section, key, f"expected {length} values, got {vals.shape[0]}")
         return vals
 
     @contextmanager
     def _section_errors(self, section: str):
-        """Report a model's validation error as a config error of `section`;
-        the feasibility verdict (InfeasibleTopology, NoSpanningTree) passes."""
+        """Report a model's validation error as a config error of `section`,
+        located at the file and every --set override of that section; the
+        feasibility verdict (InfeasibleTopology, NoSpanningTree) passes."""
         try:
             yield
         except (ConfigError, InfeasibleTopology, NoSpanningTree):
             raise
         except Exception as exc:
-            raise ConfigError(f"[{section}]: {exc}", self.path) from None
+            entries = self.sections.get(section, {})
+            overrides = [f"--set {section}.{key}" for key, (_, line) in entries.items() if line is None]
+            raise ConfigError(f"[{section}]: {exc}", ", ".join([self.path, *overrides])) from None
 
 
 def parse_config(text: str, path: str = "<config>") -> ConfigDocument:

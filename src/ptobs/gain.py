@@ -69,15 +69,14 @@ class CascadeSchedule:
         if not -np.inf < self.t0 < np.inf:
             raise DimensionMismatch(f"t0 must be finite, got {self.t0}")
         object.__setattr__(self, "stage_durations", durations)
-        # Boundaries accumulated once, in wall-clock order (stage n first), so
-        # a window's end and the next window's start are the same float.
-        bounds = [float(self.t0)]
-        for k in range(len(durations), 0, -1):
-            bounds.append(bounds[-1] + durations[k - 1])
-        object.__setattr__(self, "_bounds", tuple(bounds))
+        # Starts accumulated once, in wall-clock order (stage n first), so a
+        # window's end (start + duration) and the next window's start are one float.
         n = len(durations)
+        starts = [float(self.t0)]
+        for k in range(n, 1, -1):
+            starts.append(starts[-1] + durations[k - 1])
         windows = tuple(
-            ScalingWindow(start=bounds[n - k], duration=durations[k - 1], exponent=self.exponent)
+            ScalingWindow(start=starts[n - k], duration=durations[k - 1], exponent=self.exponent)
             for k in range(1, n + 1)
         )
         object.__setattr__(self, "_windows", windows)
@@ -89,31 +88,25 @@ class CascadeSchedule:
     @property
     def t_star(self) -> float:
         """Instant by which every stage has closed its window."""
-        return self._bounds[-1]
+        return self._windows[0].end
 
     def stage_start(self, stage_k: int) -> float:
         """Window start t_{n-k} of stage k: later stages open earlier."""
-        self._check_stage(stage_k)
-        return self._bounds[self.order - stage_k]
+        return self.window(stage_k).start
 
     def window(self, stage_k: int) -> ScalingWindow:
-        self._check_stage(stage_k)
+        if not 1 <= stage_k <= self.order:
+            raise DimensionMismatch(f"stage {stage_k} out of range [1, {self.order}]")
         return self._windows[stage_k - 1]
 
     def boundaries(self) -> list[float]:
         """All window boundaries t0 < ... < t_star, ascending."""
-        return list(self._bounds)
-
-    def _check_stage(self, stage_k: int):
-        if not 1 <= stage_k <= self.order:
-            raise DimensionMismatch(f"stage {stage_k} out of range [1, {self.order}]")
+        return [w.start for w in reversed(self._windows)] + [self.t_star]
 
 
 def varsigma(w: ScalingWindow, t: float) -> float:
     """Scaling function value at t: (T/(start+T-t))^h on the window, else 1."""
-    if w.start <= t < w.end:
-        return (w.duration / (w.end - t)) ** w.exponent
-    return 1.0
+    return varsigma_clamped(w, t, 0.0)
 
 
 def varsigma_clamped(w: ScalingWindow, t: float, guard: float) -> float:

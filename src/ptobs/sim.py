@@ -79,24 +79,40 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class SimResult:
-    """Recorded trajectory and diagnostics of one run.
+class TraceData:
+    """The recorded samples of one run: what a trace CSV holds.
 
     estimate_errors[s, i, k-1] is follower i's stage-k global error at
     times[s]; local_errors holds the matching psi vectors under the step
     plan's topology at that point (the one the next step runs under).
     decay_bound is the theoretical envelope of the currently active stage.
+    """
+
+    times: np.ndarray            # (S,)
+    leader_states: np.ndarray    # (S, n)
+    estimate_errors: np.ndarray  # (S, N, n)
+    local_errors: np.ndarray     # (S, N, n)
+    lyapunov: np.ndarray         # (S, n)
+    decay_bound: np.ndarray      # (S,)
+
+    @property
+    def follower_count(self) -> int:
+        return self.estimate_errors.shape[1]
+
+    @property
+    def order(self) -> int:
+        return self.estimate_errors.shape[2]
+
+
+@dataclass(frozen=True)
+class SimResult(TraceData):
+    """Recorded trajectory and diagnostics of one run.
+
     convergence_times[k-1] is the earliest recorded time after which stage
     k's worst-follower error stays inside the tolerance band until t_end
     (None if that never happens).
     """
 
-    times: np.ndarray
-    leader_states: np.ndarray
-    estimate_errors: np.ndarray
-    local_errors: np.ndarray
-    lyapunov: np.ndarray
-    decay_bound: np.ndarray
     convergence_times: tuple[float | None, ...]
     event_log: tuple[tuple[float, str], ...]
 

@@ -13,9 +13,9 @@ _ML, _MR, _MT, _MB = 70, 20, 40, 55
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     span = hi - lo
-    raw = span / target
+    raw = span / 5
     mag = 10.0 ** np.floor(np.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:

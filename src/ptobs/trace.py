@@ -8,12 +8,12 @@ separator is a comma, newline is LF, no locale formatting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from .errors import MalformedTrace
-from .sim import SimResult
+from .sim import TraceData
 
 
 # Rows formatted per write: bounds the copy of the result the writer holds.
@@ -30,7 +30,7 @@ def header_columns(N: int, n: int) -> list[str]:
     return cols
 
 
-def write_trace(result: SimResult, path: str):
+def write_trace(result: TraceData, path: str):
     S, N, n = result.estimate_errors.shape
     cols = header_columns(N, n)
     row = ",".join(["{:.17g}"] * len(cols)) + "\n"
@@ -42,26 +42,6 @@ def write_trace(result: SimResult, path: str):
             m = min(_CHUNK_ROWS, S - a)
             block = np.hstack([x[a : a + m].reshape(m, -1) for x in arrays])
             fh.write("".join(row.format(*values) for values in block.tolist()))
-
-
-@dataclass(frozen=True)
-class TraceData:
-    """Arrays read back from a trace CSV."""
-
-    times: np.ndarray          # (S,)
-    leader_states: np.ndarray  # (S, n)
-    estimate_errors: np.ndarray  # (S, N, n)
-    local_errors: np.ndarray     # (S, N, n)
-    lyapunov: np.ndarray         # (S, n)
-    decay_bound: np.ndarray      # (S,)
-
-    @property
-    def follower_count(self) -> int:
-        return self.estimate_errors.shape[1]
-
-    @property
-    def order(self) -> int:
-        return self.estimate_errors.shape[2]
 
 
 def read_trace(path: str) -> TraceData:
@@ -108,14 +88,6 @@ def read_trace(path: str) -> TraceData:
             except ValueError:
                 raise MalformedTrace(f"line {lineno}: non-numeric field") from None
         data = np.array(rows)
-    S = data.shape[0]
-    times, leader, xt, psi, V, budget = np.split(data, np.cumsum([1, n, N * n, N * n, n]), axis=1)
-    return TraceData(
-        times=times[:, 0],
-        leader_states=leader,
-        estimate_errors=xt.reshape(S, N, n),
-        local_errors=psi.reshape(S, N, n),
-        lyapunov=V,
-        decay_bound=budget[:, 0],
-    )
-
+    shapes = [(), (n,), (N, n), (N, n), (n,), ()]  # per sample, in TraceData field order
+    parts = np.split(data, np.cumsum([math.prod(s) for s in shapes[:-1]]), axis=1)
+    return TraceData(*(p.reshape(len(data), *s) for p, s in zip(parts, shapes)))

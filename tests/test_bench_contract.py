@@ -33,3 +33,24 @@ def test_every_traced_target_resolves():
         if not callable(getattr(obj, attr.value, None)):
             missing.append(f"{owner}.{attr.value}")
     assert len(targets.elts) > 10 and missing == []
+
+
+def test_every_unused_import_is_a_traced_target():
+    # A `# noqa: F401` import in src/ptobs exists only for perfbench to wrap:
+    # once its TARGETS entry goes, the import should go too.
+    tree = ast.parse((REPO / "perfbench" / "tracing.py").read_text())
+    targets = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]
+    )
+    wrapped = {(ast.unparse(owner), attr.value) for owner, attr, _ in (e.elts for e in targets.elts)}
+    kept = []
+    for path in sorted((REPO / "src" / "ptobs").glob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if "# noqa: F401" in "\n".join(lines[node.lineno - 1 : node.end_lineno]):
+                kept += [(f"ptobs.{path.stem}", alias.asname or alias.name) for alias in node.names]
+    assert [entry for entry in kept if entry not in wrapped] == []

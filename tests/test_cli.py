@@ -612,3 +612,64 @@ def test_output_dir_env_fallback(tmp_path, monkeypatch, capsys):
     ])
     assert code == 0
     assert (tmp_path / "envout" / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "synthesize", "run"])
+def test_model_error_from_override_names_it(tmp_path, capsys, command):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(BUNDLED_CONFIG.read_text())
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path),
+            "--set", "switching.common_h=1e-320 1e-320 1e-320"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg}, --set switching.common_h: "
+        "[switching]: mirror matrix underflows: the weights are too small\n"
+    )
+
+
+def test_model_error_lists_every_override_of_its_section(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(BUNDLED_CONFIG.read_text())
+    argv = ["run", "--config", str(cfg), "--out", str(tmp_path),
+            "--set", "gains.sigma=0.2", "--set", "sim.dt=1e-4", "--set", "gains.alpha=0"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg}, --set gains.alpha, --set gains.sigma: "
+        "[gains]: alpha must be finite and positive, got 0.0\n"
+    )
+
+
+@pytest.mark.parametrize("bad_row", ["nan-row", "inf-time"])
+def test_report_non_finite_trace_exits_1(tmp_path, capsys, bad_row):
+    cols = header_columns(3, 3)
+    row = ["0"] * len(cols)
+    bad = ["nan"] * len(cols) if bad_row == "nan-row" else ["inf"] + ["0"] * (len(cols) - 1)
+    trace = tmp_path / "t.csv"
+    trace.write_text("\n".join(",".join(r) for r in (cols, row, bad)) + "\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["report", "--config", CFG, "--out", str(out), str(trace)]) == 1
+    assert capsys.readouterr().err == (
+        "error: malformed trace: times and estimate errors must be finite to plot\n"
+    )
+    assert [str(w.message) for w in caught] == []
+    assert not list(tmp_path.rglob("*.svg"))
+
+
+@pytest.mark.parametrize("source", ["bundled-run", "one-row"])
+def test_trace_file_to_record_to_file_is_byte_identical(tmp_path, source):
+    # read_trace then write_trace reproduces the file it read, byte for byte.
+    p = tmp_path / "trace.csv"
+    if source == "bundled-run":
+        argv = ["run", "--config", CFG, "--out", str(tmp_path), "--quiet", "--set", "sim.t_end=0.8"]
+        assert main(argv) == 0
+    else:
+        cols = header_columns(3, 3)
+        special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308, 0.1]
+        values = np.random.default_rng(3).normal(size=len(cols))
+        values[: len(special)] = special
+        p.write_text(",".join(cols) + "\n" + ",".join(map("{:.17g}".format, values)) + "\n")
+    q = tmp_path / "copy.csv"
+    write_trace(read_trace(str(p)), str(q))
+    assert q.read_bytes() == p.read_bytes()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ptobs
 from ptobs.errors import DimensionMismatch
@@ -136,3 +138,39 @@ def test_cascade_validation():
             ptobs.CascadeSchedule(t0=0.0, stage_durations=(0.2, bad), exponent=2.01)
         with pytest.raises(DimensionMismatch, match="finite"):
             ptobs.CascadeSchedule(t0=0.0, stage_durations=(0.2,), exponent=bad)
+
+
+def _varsigma_closed_form(w, t):
+    # The unclamped closed form varsigma had before it called varsigma_clamped.
+    if w.start <= t < w.end:
+        return (w.duration / (w.end - t)) ** w.exponent
+    return 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(-10.0, 10.0), st.floats(1e-3, 10.0), st.floats(2.01, 10.0), st.floats(-1.0, 2.0)
+)
+def test_varsigma_equals_closed_form_bitwise(start, duration, exponent, u):
+    w = ScalingWindow(start=start, duration=duration, exponent=exponent)
+    t = start + u * duration
+    assert varsigma(w, t).hex() == _varsigma_closed_form(w, t).hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([0.0, 1.0, -0.3, 1e5]),
+    st.lists(st.one_of(st.just(1e-12), st.floats(1e-3, 10.0)), min_size=1, max_size=5),
+)
+def test_cascade_window_table_bitwise(t0, durations):
+    sched = ptobs.CascadeSchedule(t0=t0, stage_durations=tuple(durations), exponent=2.01)
+    sums = [t0]  # left to right: t0, t0 + d_n, (t0 + d_n) + d_{n-1}, ...
+    for d in reversed(durations):
+        sums.append(sums[-1] + d)
+    bounds = sched.boundaries()
+    assert [b.hex() for b in bounds] == [s.hex() for s in sums]
+    assert sched.t_star.hex() == bounds[-1].hex()
+    for k in range(1, len(durations) + 1):
+        assert sched.stage_start(k).hex() == sched.window(k).start.hex()
+        if k > 1:
+            assert sched.window(k).end.hex() == sched.stage_start(k - 1).hex()

@@ -7,8 +7,10 @@ import ptobs
 from ptobs.errors import DimensionMismatch, Diverged, InputBoundViolated
 from ptobs.observer import dpto_rhs, leader_rhs, local_errors
 from ptobs.observer import lyapunov_trace
+from ptobs.config import load_experiment
 from ptobs.sim import decay_budget, detect_convergence
-from conftest import ETA, INITIAL_ESTIMATES
+from ptobs.trace import TraceData
+from conftest import BUNDLED_CONFIG, ETA, INITIAL_ESTIMATES
 
 
 def _zero_leader(order, x0=None, bound=0.125):
@@ -463,3 +465,11 @@ def test_leader_model_rejects_non_finite(bound, x0):
             order=2, input_fn=ptobs.input_by_name("zero"), input_bound=bound,
             initial_state=[x0, 0.0],
         )
+
+
+def test_run_result_is_the_trace_record():
+    # sim.run returns the record read_trace reads and write_trace writes.
+    exp = load_experiment(str(BUNDLED_CONFIG), ["sim.t_end=0.05"])
+    res = ptobs.run(exp.sequence, exp.leader, exp.gains, exp.sched, exp.initial_estimates, exp.sim)
+    assert isinstance(res, TraceData)
+    assert (res.follower_count, res.order) == (3, 3)
