@@ -17,7 +17,8 @@ print(f"(exit {code})\n")
 
 print("== ptobs synthesize ==")
 Path(out).mkdir(parents=True, exist_ok=True)
-code = main(["synthesize", "--config", cfg, "--alpha-margin", "1.05",
+code = main(["synthesize", "--config", cfg,
+             "--set", "gains.mode=synthesize", "--set", "gains.alpha_margin=1.05",
              "--emit-config", f"{out}/synthesized.cfg"])
 print(f"(exit {code})\n")
 

@@ -7,7 +7,6 @@ Exit codes are a stable contract: 0 success, 1 config or input error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -63,23 +62,14 @@ def cmd_analyze(args, exp: Experiment, info) -> int:
         info(f"  weights ({label}): " + " ".join(f"{x:.6g}" for x in analysis.rho))
         info(f"  lambda_min(M): {analysis.lambda_min:.9g}")
         info(f"  max weight: {analysis.max_weight:.9g}")
-        info(
-            f"  beta bound (this topology alone): "
-            f"{analysis.max_weight / analysis.lambda_min:.9g}"
-        )
+        info(f"  beta bound (this topology alone): {beta_lower_bound([analysis]):.9g}")
     info(f"combined beta lower bound: {beta_lower_bound(analyses):.9g}")
     info(f"sigma lower bound (leader input bound): {exp.leader.input_bound:.9g}")
     return 0
 
 
 def cmd_synthesize(args, exp: Experiment, info) -> int:
-    flags = {
-        "alpha": args.alpha_margin, "beta_factor": args.beta_factor, "sigma_factor": args.sigma_factor
-    }
-    margins = dataclasses.replace(
-        exp.margins if exp.gains_mode == "synthesize" else GainMargins(alpha=1.0),
-        **{name: value for name, value in flags.items() if value is not None},
-    )
+    margins = exp.margins or GainMargins(alpha=1.0)
     analyses = exp.sequence.analyses()
     gains = synthesize_gains(analyses, exp.leader.input_bound, margins)
     for j, a in enumerate(analyses, start=1):
@@ -142,16 +132,18 @@ def cmd_report(args, exp: Experiment, info) -> int:
         )
     if not (np.isfinite(data.times).all() and np.isfinite(data.estimate_errors).all()):
         raise MalformedTrace("times and estimate errors must be finite to plot")
-    out = _out_dir(args, exp)
+    svgs = []  # every stage renders before any file is written
     for k in range(1, data.order + 1):
         w = exp.sched.window(k)
-        svg = render_error_plot(
+        svgs.append(render_error_plot(
             data.times,
             data.estimate_errors[:, :, k - 1],
             stage_k=k,
             window=(w.start, w.end),
             title=f"Follower estimation error, stage {k}",
-        )
+        ))
+    out = _out_dir(args, exp)
+    for k, svg in enumerate(svgs, start=1):
         path = out / f"stage_{k}_error.svg"
         path.write_text(svg, encoding="ascii")
         info(f"wrote {path}")
@@ -180,9 +172,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("synthesize", parents=[common], help="compute gains from the topology bounds")
-    sp.add_argument("--alpha-margin", type=float, help="constant gain alpha (> 0)")
-    sp.add_argument("--beta-factor", type=float, help="multiplier >= 1 on the beta bound")
-    sp.add_argument("--sigma-factor", type=float, help="multiplier >= 1 on the sigma bound")
     sp.add_argument("--emit-config", metavar="PATH", help="write a config copy with explicit gains")
     sp.set_defaults(func=cmd_synthesize)
 

@@ -87,14 +87,6 @@ class ConfigDocument:
         entry = self.sections.get(section, {}).get(key)
         return entry[0] if entry is not None else default
 
-    def require(self, section: str, key: str) -> str:
-        if section not in self.sections:
-            raise ConfigError(f"missing section [{section}]", self.path)
-        value = self.get(section, key)
-        if value is None:
-            raise ConfigError(f"missing key '{key}' in section [{section}]", self.path)
-        return value
-
     def set(self, section: str, key: str, value: str, line: int | None = None):
         self.sections.setdefault(section, {})[key] = (value, line)
 
@@ -103,12 +95,13 @@ class ConfigDocument:
         where = self.path if line is not None else f"--set {section}.{key}"
         raise ConfigError(f"[{section}] {key}: {message}", where, line)
 
-    def _convert(self, section: str, key: str, convert, expected: str, default):
+    def _convert(self, section: str, key: str, convert, expected: str, default=_REQUIRED):
         raw = self.get(section, key)
-        if raw is None:
-            if default is _REQUIRED:
-                raise ConfigError(f"missing key '{key}' in section [{section}]", self.path)
+        if raw is None and default is not _REQUIRED:
             return default
+        if raw is None:
+            what = f"key '{key}' in section" if section in self.sections else "section"
+            raise ConfigError(f"missing {what} [{section}]", self.path)
         try:
             return convert(raw)
         except ValueError:
@@ -129,11 +122,10 @@ class ConfigDocument:
         return self._convert(section, key, member, f"one of {options}", default)
 
     def vector(self, section: str, key: str, length: int) -> np.ndarray:
-        raw = self.require(section, key)
-        try:
-            vals = np.array([float(tok) for tok in raw.split()])
-        except ValueError:
-            self._fail(section, key, f"expected whitespace-separated numbers, got '{raw}'")
+        vals = self._convert(
+            section, key, lambda raw: np.array([float(tok) for tok in raw.split()]),
+            "whitespace-separated numbers",
+        )
         if vals.shape != (length,):
             self._fail(section, key, f"expected {length} values, got {vals.shape[0]}")
         return vals
@@ -213,7 +205,7 @@ def apply_overrides(doc: ConfigDocument, pairs: list[str]):
 
 
 def _parse_leader_input(doc: ConfigDocument):
-    raw = doc.require("leader", "input")
+    raw = doc._convert("leader", "input", str, "text")
     m = _INPUT_RE.match(raw)
     if not m:
         doc._fail("leader", "input", f"cannot parse input spec '{raw}'")
@@ -242,12 +234,15 @@ class Experiment:
     leader: LeaderModel
     sequence: TopologySequence
     sched: CascadeSchedule
-    gains_mode: str  # "explicit" | "synthesize"
-    gains: ObserverGains | None
+    gains: ObserverGains | None  # None: synthesize from margins
     margins: GainMargins | None
     initial_estimates: np.ndarray
     sim: SimConfig
     output: OutputOptions
+
+    @property
+    def gains_mode(self) -> str:
+        return "synthesize" if self.gains is None else "explicit"
 
 
 def _topology_indices(doc: ConfigDocument) -> list[int]:
@@ -422,7 +417,6 @@ def build_experiment(doc: ConfigDocument) -> Experiment:
         leader=leader,
         sequence=sequence,
         sched=sched,
-        gains_mode=mode,
         gains=gains,
         margins=margins,
         initial_estimates=estimates,

@@ -81,7 +81,6 @@ class ObserverGains:
     alpha: float
     beta: float
     sigma: float
-    provenance: str = "user"
 
     def __post_init__(self):
         if not 0.0 < self.alpha < np.inf:
@@ -276,7 +275,6 @@ def synthesize_gains(
         alpha=margins.alpha,
         beta=margins.beta_factor * max_weight / lam_min,
         sigma=margins.sigma_factor * f0_bound,
-        provenance="synthesized",
     )
 
 

@@ -206,12 +206,16 @@ def _step_plan(cfg: SimConfig, sched: CascadeSchedule, topos: TopologySequence):
     point are recorded."""
     events, active = _event_grid(cfg, sched, topos)
     steps = [_segment_steps(e1, e2, cfg.dt) for e1, e2 in zip(events[:-1], events[1:])]
-    seg = np.repeat(np.arange(len(events)), [*steps, 1])  # the last event starts no step
-    P = np.arange(seg.size)
-    offset = P - np.cumsum([0, *steps])[seg]
-    grid = np.array(events)[seg] + offset * cfg.dt
-    rec = (P % cfg.record_stride == 0) | (offset == 0)
-    return grid, np.array(active)[seg], rec
+    try:
+        seg = np.repeat(np.arange(len(events)), [*steps, 1])  # the last event starts no step
+        P = np.arange(seg.size)
+        offset = P - np.cumsum([0, *steps])[seg]
+        grid = np.array(events)[seg] + offset * cfg.dt
+        rec = (P % cfg.record_stride == 0) | (offset == 0)
+        return grid, np.array(active)[seg], rec
+    except MemoryError:
+        msg = f"dt = {cfg.dt:g} plans {sum(steps):g} steps, too many to hold in memory"
+        raise DimensionMismatch(msg) from None
 
 
 def run(

@@ -8,9 +8,17 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DimensionMismatch
+
 _WIDTH, _HEIGHT = 720, 440
 _ML, _MR, _MT, _MB = 70, 20, 40, 55
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+
+
+def _resolved(lo: float, hi: float) -> bool:
+    # Finite, and a fifth of it (the least tick step) moves its larger end, so _ticks ends.
+    big = max(abs(lo), abs(hi))
+    return bool(np.isfinite(hi - lo)) and big + (hi - lo) / 5 > big
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
@@ -40,19 +48,22 @@ def render_error_plot(
     """SVG of every follower's stage-k error vs time, window shaded.
 
     errors has shape (S, N); window is the (start, end) of the stage's
-    time-varying-gain interval.
+    time-varying-gain interval.  Raises DimensionMismatch on non-finite input
+    and on padded ranges that are not finite or too narrow for their magnitude.
     """
     S, N = errors.shape
     x_lo, x_hi = float(times[0]), float(times[-1])
-    if x_hi <= x_lo:
+    if not _resolved(x_lo, x_hi):
         x_hi = x_lo + 1.0
     y_lo = float(np.min(errors))
     y_hi = float(np.max(errors))
-    if y_hi <= y_lo:
+    if not _resolved(y_lo, y_hi):
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
     pad = 0.05 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad
+    if not (np.isfinite(times).all() and _resolved(x_lo, x_hi) and _resolved(y_lo, y_hi)):
+        raise DimensionMismatch("times and errors must be finite, over ranges that ticks can resolve")
 
     pw = _WIDTH - _ML - _MR
     ph = _HEIGHT - _MT - _MB

@@ -7,7 +7,8 @@ fails here rather than in the traced benchmark run.
 import ast
 import importlib
 
-from conftest import REPO
+from ptobs.config import load_experiment
+from conftest import BUNDLED_CONFIG, REPO
 
 
 def test_every_traced_target_resolves():
@@ -54,3 +55,18 @@ def test_every_unused_import_is_a_traced_target():
             if "# noqa: F401" in "\n".join(lines[node.lineno - 1 : node.end_lineno]):
                 kept += [(f"ptobs.{path.stem}", alias.asname or alias.name) for alias in node.names]
     assert [entry for entry in kept if entry not in wrapped] == []
+
+
+def test_every_experiment_field_perfbench_reads_resolves():
+    # perfbench/workloads.py reads Experiment fields by name; each must resolve
+    # in both gain modes, so a rename fails here rather than in the benchmark.
+    tree = ast.parse((REPO / "perfbench" / "workloads.py").read_text())
+    names = {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "exp"
+    }
+    synthesize = ["gains.mode=synthesize", "gains.alpha_margin=1.05"]
+    experiments = [load_experiment(str(BUNDLED_CONFIG), overrides) for overrides in ([], synthesize)]
+    assert [exp.gains_mode for exp in experiments] == ["explicit", "synthesize"]
+    missing = [name for name in sorted(names) for exp in experiments if not hasattr(exp, name)]
+    assert "gains_mode" in names and missing == []

@@ -7,7 +7,9 @@ import pytest
 
 import ptobs
 from ptobs.cli import main
-from ptobs.errors import MalformedTrace
+from ptobs import svgplot
+from ptobs.config import load_config
+from ptobs.errors import DimensionMismatch, MalformedTrace
 from ptobs.svgplot import render_error_plot
 from ptobs.trace import header_columns, read_trace, write_trace
 from conftest import BUNDLED_CONFIG, INITIAL_ESTIMATES
@@ -233,10 +235,39 @@ def test_synthesize_scalar_case(tmp_path, capsys):
     cfg.write_text(NO_PINNING.replace("pinning = 0 0", "pinning = 1 0").replace(
         "input_bound = 0.0", "input_bound = 0.125"
     ))
-    assert main(["synthesize", "--config", str(cfg), "--alpha-margin", "1.0"]) == 0
+    assert main([
+        "synthesize", "--config", str(cfg),
+        "--set", "gains.mode=synthesize", "--set", "gains.alpha_margin=1.0",
+    ]) == 0
     out = capsys.readouterr().out
     assert "alpha = 1" in out
     assert "sigma = 0.125" in out
+
+
+def test_synthesize_margins_from_set_gains(tmp_path, capsys):
+    # Literals from the former flag form, --alpha-margin 1.05 --beta-factor 1.5.
+    emitted = tmp_path / "explicit.cfg"
+    assert main([
+        "synthesize", "--config", CFG, "--emit-config", str(emitted),
+        "--set", "gains.mode=synthesize", "--set", "gains.alpha_margin=1.05",
+        "--set", "gains.beta_factor=1.5",
+    ]) == 0
+    assert capsys.readouterr().out == f"""\
+topology 1: lambda_min(M) = 0.922398032, max weight = 5
+topology 2: lambda_min(M) = 0.480548245, max weight = 5
+alpha = 1.05
+beta  = 15.607173836695967  (bound 10.404782557797311 x factor 1.5)
+sigma = 0.125  (bound 0.125 x factor 1)
+explicit-gain config written to {emitted}
+"""
+    text = emitted.read_text()
+    assert "\n[gains]\nmode = explicit\nalpha = 1.05\nbeta = 15.607173836695967\nsigma = 0.125\n\n" in text
+    bundled, written = load_config(CFG).sections, load_config(str(emitted)).sections
+    assert list(written) == list(bundled)
+    for section in bundled.keys() - {"gains"}:
+        assert {k: v for k, (v, _) in written[section].items()} == {
+            k: v for k, (v, _) in bundled[section].items()
+        }
 
 
 def test_synthesize_infeasible_H_exits_2(capsys):
@@ -655,6 +686,50 @@ def test_report_non_finite_trace_exits_1(tmp_path, capsys, bad_row):
     )
     assert [str(w.message) for w in caught] == []
     assert not list(tmp_path.rglob("*.svg"))
+
+
+def test_report_trace_too_wide_to_plot_exits_1(tmp_path, capsys):
+    # Finite errors of -1e308 and 1e308: the padded plot range overflows.
+    cols = header_columns(3, 3)
+    rows = [cols] + [[str(t)] + [v] * (len(cols) - 1) for t, v in ((0, "-1e308"), (1, "1e308"))]
+    trace = tmp_path / "t.csv"
+    trace.write_text("\n".join(",".join(r) for r in rows) + "\n")
+    assert main(["report", "--config", CFG, "--out", str(tmp_path / "out"), str(trace)]) == 1
+    assert capsys.readouterr().err == (
+        "error: times and errors must be finite, over ranges that ticks can resolve\n"
+    )
+    assert not list(tmp_path.rglob("*.svg"))
+
+
+@pytest.mark.parametrize(
+    "times, errors",
+    [([0.0, 1.0], [[0.0], [np.nan]]), ([0.0, np.inf], [[0.0], [1.0]]),
+     ([-1e308, 1e308], [[0.0], [1.0]]), ([0.0, 1.0], [[-1e308], [1e308]])],
+    ids=["nan-error", "inf-time", "huge-times", "huge-errors"],
+)
+def test_error_plot_rejects_what_it_cannot_plot(times, errors):
+    with pytest.raises(DimensionMismatch, match="must be finite, over ranges that ticks can resolve"):
+        render_error_plot(np.array(times), np.array(errors), 1, (0.0, 1.0), "t")
+
+
+def test_error_plot_widens_unresolvable_ranges():
+    u = np.nextafter(1.0, 2.0)
+    # One ulp: the tick loop's `v += step` never moved v and ran without end.
+    assert not svgplot._resolved(1.0, u)
+    for times, errors in (([1.0, u], [[0.0], [1.0]]), ([0.0, 1.0], [[1.0], [u]]),
+                          ([0.0, 1.0], [[0.0], [5e-324]])):  # a fifth of the span underflows
+        svg = render_error_plot(np.array(times), np.array(errors), 1, (0.0, 1.0), "t")
+        assert "nan" not in svg and "inf" not in svg and svg.count("<polyline") == 1
+
+
+def test_run_step_plan_too_large_for_memory_exits_1(tmp_path, capsys):
+    # 2e12 planned steps: the plan's TiB-sized arrays fail to allocate at once.
+    argv = ["run", "--config", CFG, "--out", str(tmp_path), "--set", "sim.dt=1e-12"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: dt = 1e-12 plans 2e+12 steps, too many to hold in memory"
+    )
+    assert not (tmp_path / "trace.csv").exists()
 
 
 @pytest.mark.parametrize("source", ["bundled-run", "one-row"])

@@ -37,6 +37,8 @@ _FOLLOWERS_2 = BUNDLED.replace(
 _CONFIG_CASES = [
     ("missing-section", _drop_section(BUNDLED, "initial_estimates"), (),
      "exp.cfg: missing section [initial_estimates]"),
+    *[(f"absent-{name}", _drop_section(BUNDLED, name), (), f"exp.cfg: missing section [{name}]")
+      for name in ("leader", "cascade", "sim", "gains")],
     ("missing-vector-key", BUNDLED.replace("pinning = 1 0 0\n", "", 1), (),
      "exp.cfg: missing key 'pinning' in section [topology.1]"),
     ("missing-scalar-key", BUNDLED.replace("dt = 1e-4\n", ""), (),
