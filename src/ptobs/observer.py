@@ -188,7 +188,8 @@ def _stacked_kernel(N: int, n: int, sigma: float, smoothing: float | None,
     same-shape subtraction.  rhs(L0, g, s, t) writes the derivative of X[s] at
     t into K[out_rows[s]], with g the stage gains alpha + beta r_k(t) as (n,)
     or one row per follower.  It allocates nothing and checks no shapes; with
-    no leader it leaves the leader input unset.
+    no leader it leaves the leader input unset.  psi is a BLAS dot, the same
+    dgemm as L0 @ D (tests/test_observer.py checks the two agree bit for bit).
     """
     X = np.zeros((len(out_rows), 2 * N, n))
     K = np.zeros((max(out_rows) + 1, 2 * N, n))
@@ -201,11 +202,13 @@ def _stacked_kernel(N: int, n: int, sigma: float, smoothing: float | None,
     # second entry, flat output up to its last, both top columns.
     views = [(Xs[N:], Xs[:N], Xs[N - 1], Xs.reshape(-1)[1:], Ks.reshape(-1)[:-1], Ks[N:, -1], Ks[:N, -1])
              for Xs, Ks in zip(X, [K[r] for r in out_rows])]
+    if leader is not None:
+        input_fn, bound = leader.input_fn, leader.input_bound + _BOUND_SLACK
 
     def rhs(L0: np.ndarray, g: np.ndarray, s: int, t: float):
         F, L, x0, X_shift, K_flat, K_top, K_input = views[s]
         np.subtract(F, L, out=D)
-        np.matmul(L0, D, out=psi)
+        np.dot(L0, D, out=psi)
         np.multiply(psi, g, out=gp)
         np.subtract(X_shift, gp_flat, out=K_flat)
         # Top column -sigma sign(psi_n) - g_n psi_n: hard sign (sign(0) = 0) or
@@ -218,8 +221,9 @@ def _stacked_kernel(N: int, n: int, sigma: float, smoothing: float | None,
             np.divide(psi_top, sign, out=sign)
         np.multiply(neg_sigma, sign, out=K_top)
         np.subtract(K_top, gp_top, out=K_top)
-        if leader is not None:
-            K_input[:] = _leader_input(leader, x0, t)
+        if leader is not None:  # _leader_input inline; called again only to raise
+            f0 = float(input_fn(x0, t))
+            K_input.fill(f0 if abs(f0) <= bound else _leader_input(leader, x0, t))
 
     return X, K, rhs
 

@@ -10,7 +10,10 @@ and recorded diagnostics take their topology from it.  The loop steps one
 stacked state in place in the observer kernel's work area, each block's
 stage gains from one vector expression, and writes [x0; estimates] into one
 preallocated snapshot array at record points, from which errors, psi, V and
-the decay envelope follow.  Bit-identical to stepping leader_rhs, dpto_rhs.
+the decay envelope follow.  Each step's divergence check is one BLAS sum of
+squares against threshold squared; the exact max |Z| test runs only when that
+fails, so both stop a run at the same step.  Bit-identical to stepping
+leader_rhs, dpto_rhs.
 """
 
 from __future__ import annotations
@@ -279,7 +282,10 @@ def run(
     if rk4:
         X1, X2, X3 = X[1:]
         K1, K2, K_weighted, K_doubled, K_mid = K[4], K[5], K[:4], K[1:3], K[4:]
-    T, A = np.empty_like(Z), np.empty_like(Z)  # step increment; |Z|
+    T, A, Zf = np.empty_like(Z), np.empty_like(Z), Z.reshape(-1)  # step increment; |Z|; Z flat
+    # Divergence pre-check sum(z^2) < thr^2: rounding is monotone, so |z| > thr
+    # gives fl(z^2) >= fl(thr^2) and a sum at least that; NaN and inf fail it too.
+    thr2 = cfg.divergence_threshold * cfg.divergence_threshold
     # 0-d arrays: a ufunc converts a Python float argument on every call.
     half, full, sixth, two = np.empty(()), np.empty(()), np.empty(()), np.array(2.0)
     snaps = np.empty((np.count_nonzero(rec), N + 1, n))  # [x0; estimates] per recorded point
@@ -314,9 +320,10 @@ def run(
                 np.multiply(K0, full, out=T)
             np.add(Z, T, out=Z)
             # One check per step: a non-finite stage derivative shows up in Z.
-            peak = np.maximum.reduce(np.abs(Z, out=A), axis=None)
-            if not (math.isfinite(peak) and peak <= cfg.divergence_threshold):
-                raise Diverged(tn if np.isfinite(K[stage_rows, N:]).all() else t)
+            if not np.vdot(Zf, Zf) < thr2:  # exact max |Z| test only past the pre-check
+                peak = np.maximum.reduce(np.abs(Z, out=A), axis=None)
+                if not (math.isfinite(peak) and peak <= cfg.divergence_threshold):
+                    raise Diverged(tn if np.isfinite(K[stage_rows, N:]).all() else t)
             if keep[i + 1]:
                 next(rows)[...] = Z[N - 1 :]
 

@@ -13,6 +13,9 @@ from .errors import DimensionMismatch
 _WIDTH, _HEIGHT = 720, 440
 _ML, _MR, _MT, _MB = 70, 20, 40, 55
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+# A range too narrow to tick widens by max(1, _WIDEN * magnitude): by 1 below
+# magnitude 1e9, by enough to resolve where adding 1 would not (past 2**53).
+_WIDEN = 1e-9
 
 
 def _resolved(lo: float, hi: float) -> bool:
@@ -53,12 +56,13 @@ def render_error_plot(
     """
     S, N = errors.shape
     x_lo, x_hi = float(times[0]), float(times[-1])
-    if not _resolved(x_lo, x_hi):
-        x_hi = x_lo + 1.0
+    if not _resolved(x_lo, x_hi):  # max: a span that overflowed stays unresolved
+        x_hi = max(x_hi, x_lo + max(1.0, _WIDEN * abs(x_lo)))
     y_lo = float(np.min(errors))
     y_hi = float(np.max(errors))
     if not _resolved(y_lo, y_hi):
-        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+        w = max(1.0, _WIDEN * max(abs(y_lo), abs(y_hi)))
+        y_lo, y_hi = y_lo - w, y_hi + w
     pad = 0.05 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad

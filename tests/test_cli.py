@@ -722,6 +722,27 @@ def test_error_plot_widens_unresolvable_ranges():
         assert "nan" not in svg and "inf" not in svg and svg.count("<polyline") == 1
 
 
+@pytest.mark.parametrize("times, errors", [([0.0, 1.0], [[1e17], [1e17]]),
+                                           ([1e17, 1e17], [[0.0], [1.0]]),
+                                           ([-1.7e308, -1.7e308], [[1.7e308], [1.7e308]])],
+                         ids=["flat-errors", "flat-times", "flat-both-near-max"])
+def test_error_plot_widens_flat_ranges_past_2_53(times, errors):
+    # Past 2**53 adding 1 does not move a float: a flat range widens relative
+    # to its magnitude there, so constant errors or times of 1e17 still plot.
+    svg = render_error_plot(np.array(times), np.array(errors), 1, (0.0, 1.0), "t")
+    assert "nan" not in svg and "inf" not in svg
+    [points] = re.findall(r'<polyline points="([^"]*)"', svg)
+    for x, y in (map(float, p.split(",")) for p in points.split()):
+        assert 70.0 <= x <= 700.0 and 40.0 <= y <= 385.0  # inside the frame
+
+
+def test_error_plot_widens_small_flat_ranges_by_one():
+    # Below magnitude 1e9 the widening stays 1, so existing plots keep their bytes.
+    svg = render_error_plot(np.array([0.0, 1.0]), np.full((2, 1), 0.5), 1, (0.0, 1.0), "t")
+    labels = re.findall(r'text-anchor="end">([^<]*)</text>', svg)
+    assert labels[:5] == ["-0.5", "0", "0.5", "1", "1.5"]
+
+
 def test_run_step_plan_too_large_for_memory_exits_1(tmp_path, capsys):
     # 2e12 planned steps: the plan's TiB-sized arrays fail to allocate at once.
     argv = ["run", "--config", CFG, "--out", str(tmp_path), "--set", "sim.dt=1e-12"]

@@ -80,6 +80,24 @@ def test_psi_matches_componentwise_definition():
         assert np.max(np.abs(psi - componentwise_psi(topo, estimates, x0))) < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("N", [1, 2, 3, 5, 40, 120])
+def test_kernel_dot_equals_matmul_bit_for_bit(N, n):
+    # The integrator's kernel computes psi as np.dot(L0, D, out=psi), while
+    # local_errors and the recorded psi use L0 @ D.  The exact-replay test in
+    # test_sim.py replays through the kernel too, so only this test sees the
+    # two products disagree on the BLAS this runs on.
+    rng = np.random.default_rng(100 * N + n)
+    out = np.empty((N, n))
+    for _ in range(20):
+        A = np.where(rng.random((N, N)) < 0.5, rng.uniform(0.2, 2.0, (N, N)), 0.0)
+        np.fill_diagonal(A, 0.0)
+        L0 = np.diag(A.sum(axis=1) + rng.uniform(0.0, 2.0, N)) - A
+        D = rng.normal(size=(N, n)) * 10.0 ** rng.integers(-6, 7, size=(N, n))
+        np.dot(L0, D, out=out)
+        assert np.array_equal(out, L0 @ D)
+
+
 def test_dpto_rhs_tracks_once_converged(digraph1, cascade):
     a = ptobs.build_analysis(digraph1)
     gains = ptobs.ObserverGains(alpha=1.05, beta=5.692, sigma=0.125)

@@ -290,6 +290,48 @@ def test_divergence_by_overflow_reports_step_time(digraph1, cascade, method, whe
     assert info.value.time == pytest.approx(when, abs=1e-12)
 
 
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("scale", [1.0, 1e154, 1e-160, 1e-170])
+def test_divergence_threshold_boundary_is_exact(digraph1, cascade, method, scale):
+    # The loop pre-checks sum(z^2) < thr^2 and runs the exact max |Z| test only
+    # when that fails, so a run must stop exactly where the exact test says.  A
+    # zero leader without input keeps x0 = 0, so the recorded errors are the
+    # estimates and each step's max |Z| is known exactly.  At the scales
+    # 1e154, 1e-160 and 1e-170 the squares overflow, turn subnormal and
+    # underflow to 0; so do the squares of the thresholds 1e200, 1e-160, 1e-170.
+    leader = _zero_leader(3, x0=np.zeros(3), bound=0.0)
+    gains = ptobs.ObserverGains(alpha=1.05, beta=5.692, sigma=0.0)
+    seq = ptobs.TopologySequence.static(digraph1, 0.0)
+
+    def run(threshold):
+        cfg = ptobs.SimConfig(
+            t0=0.0, t_end=0.3, dt=1e-3, method=method, guard=1e-2, record_stride=1,
+            divergence_threshold=threshold,
+        )
+        with np.errstate(over="ignore"):  # at scale 1e154 the recorded V overflows
+            return ptobs.run(seq, leader, gains, cascade, INITIAL_ESTIMATES * scale, cfg)
+
+    ref = run(np.inf)
+    assert not ref.leader_states.any()
+    peaks = np.max(np.abs(ref.estimate_errors), axis=(1, 2))
+    peak, first = peaks.max(), int(np.argmax(peaks))
+    assert first > 0  # the initial state is not checked; the peak comes later
+
+    assert np.array_equal(run(peak).estimate_errors, ref.estimate_errors)
+    with pytest.raises(Diverged) as info:
+        run(np.nextafter(peak, 0.0))
+    assert info.value.time == ref.times[first]
+
+    for threshold in (1e200, 1e-160, 1e-170):
+        over = np.flatnonzero(peaks[1:] > threshold)  # the exact test, step by step
+        if over.size == 0:
+            assert np.array_equal(run(threshold).estimate_errors, ref.estimate_errors)
+        else:
+            with pytest.raises(Diverged) as info:
+                run(threshold)
+            assert info.value.time == ref.times[over[0] + 1]
+
+
 def _public_rhs_replay(res, seq, leader, gains, sched, estimates, cfg):
     """Step a plain loop over res.times with the public leader_rhs and dpto_rhs."""
     analyses = seq.analyses()
