@@ -47,14 +47,7 @@ def _out_dir(args, experiment: Experiment) -> Path:
 
 
 def cmd_analyze(args, exp: Experiment, info) -> int:
-    try:
-        analyses = exp.sequence.analyses()
-    except NoSpanningTree:
-        # Only a sequence without common_H gets this far, and a config gives
-        # such a sequence one topology.
-        info("topology 1:")
-        info("  leader-rooted spanning tree: NO")
-        raise
+    analyses = exp.sequence.analyses()
     for j, analysis in enumerate(analyses, start=1):
         info(f"topology {j}:")
         info("  leader-rooted spanning tree: yes")

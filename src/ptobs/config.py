@@ -18,7 +18,7 @@ Sections and keys:
                         input_bound, initial_state
     [topology.<j>]      followers, adjacency_row_<i> (i = 1..N), pinning
     [switching]         optional; common_h, and either
-                        schedule = t:j t:j ...  or  period = <s> + cycle = j j ...
+                        schedule = t:j t:j ...  or  period = <s> (>= dt) + cycle = j j ...
     [cascade]           t0, stage_durations, exponent
     [gains]             mode = explicit (alpha, beta, sigma)
                         or mode = synthesize (alpha_margin, beta_factor, sigma_factor)
@@ -133,8 +133,8 @@ class ConfigDocument:
     @contextmanager
     def _section_errors(self, section: str):
         """Report a model's validation error as a config error of `section`,
-        located at the file and every --set override of that section; the
-        feasibility verdict (InfeasibleTopology, NoSpanningTree) passes."""
+        located at the file and every --set override of that section.  The
+        feasibility verdict (InfeasibleTopology, NoSpanningTree) passes as is."""
         try:
             yield
         except (ConfigError, InfeasibleTopology, NoSpanningTree):
@@ -286,7 +286,7 @@ def _read_topology(doc: ConfigDocument, section: str) -> DirectedTopology:
         return DirectedTopology(adjacency=np.vstack(rows), pinning=pinning)
 
 
-def _read_schedule(doc: ConfigDocument, t0: float, t_end: float) -> list[tuple[float, int]]:
+def _read_schedule(doc: ConfigDocument, sim: SimConfig) -> list[tuple[float, int]]:
     raw = doc.get("switching", "schedule")
     if raw is not None:
         pairs = []
@@ -305,6 +305,8 @@ def _read_schedule(doc: ConfigDocument, t0: float, t_end: float) -> list[tuple[f
     period = doc.scalar("switching", "period")
     if not 0.0 < period < np.inf:
         doc._fail("switching", "period", "must be finite and positive")
+    if period < sim.dt:  # it would only add grid points, and its schedule can fill memory
+        doc._fail("switching", "period", f"must be at least sim.dt = {sim.dt:g}, got {period:g}")
     try:
         indices = [int(tok) for tok in cycle.split()]
     except ValueError:
@@ -312,10 +314,10 @@ def _read_schedule(doc: ConfigDocument, t0: float, t_end: float) -> list[tuple[f
     if not indices:
         doc._fail("switching", "cycle", "must list at least one topology index")
     pairs = []
-    t = t0
-    while t < t_end:
+    t = sim.t0
+    while t < sim.t_end:
         pairs.append((t, indices[len(pairs) % len(indices)]))
-        t = t0 + len(pairs) * period
+        t = sim.t0 + len(pairs) * period
     return pairs
 
 
@@ -371,17 +373,12 @@ def build_experiment(doc: ConfigDocument) -> Experiment:
     if "switching" in doc.sections:
         if doc.get("switching", "common_h") is not None:
             common_H = doc.vector("switching", "common_h", N)
-        schedule = _read_schedule(doc, t0, sim_cfg.t_end)
+        schedule = _read_schedule(doc, sim_cfg)
         if not schedule or schedule[0][0] != t0:
             raise ConfigError("[switching]: schedule must start at the cascade t0", doc.path)
     elif len(topologies) > 1:
         raise ConfigError("several topologies defined but no [switching] section", doc.path)
-    if len(topologies) > 1 and common_H is None:
-        raise ConfigError(
-            "[switching]: common_h is required when switching over several topologies",
-            doc.path,
-        )
-    with doc._section_errors("switching"):
+    with doc._section_errors("switching" if "switching" in doc.sections else "topology.1"):
         sequence = TopologySequence(
             topologies=topologies, schedule=tuple(schedule), common_H=common_H
         )

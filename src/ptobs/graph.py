@@ -229,9 +229,10 @@ class TopologySequence:
     schedule holds (switch_time, topology_index) pairs with 1-based indices
     and strictly increasing times; entries that do not change the active index
     are dropped, so a p = 1 sequence behaves exactly like a static topology.
-    common_H, when given, supplies the diagonal weights eta shared by every
-    topology, and the feasibility verdict (see analyses) is reached at
-    construction; without it, on the first analyses call.
+    common_H supplies the diagonal weights eta shared by every topology and is
+    required when p > 1.  Construction reaches the feasibility verdict (see
+    analyses): NoSpanningTree or InfeasibleTopology (lambda_min not positive)
+    names the first topology that fails.
     """
 
     topologies: tuple[DirectedTopology, ...]
@@ -245,6 +246,8 @@ class TopologySequence:
         counts = {t.follower_count for t in topos}
         if len(counts) != 1:
             raise DimensionMismatch(f"follower counts differ across topologies: {counts}")
+        if self.common_H is None and len(topos) > 1:
+            raise DimensionMismatch("common_h is required when switching over several topologies")
         sched = [(float(t), int(j)) for t, j in self.schedule]
         if not sched:
             raise DimensionMismatch("schedule must contain at least one entry")
@@ -265,7 +268,19 @@ class TopologySequence:
         object.__setattr__(self, "_switch_times", tuple(t for t, _ in deduped))
         if self.common_H is not None:
             object.__setattr__(self, "common_H", _as_readonly(np.atleast_1d(self.common_H)))
-            self.analyses()
+        H, analyses = self.common_H, []
+        for j, topo in enumerate(topos, start=1):
+            try:
+                a = build_analysis(topo) if H is None else mirror_with_H(topo, H)
+            except NoSpanningTree as exc:
+                raise NoSpanningTree(f"topology {j}: {exc}") from None
+            if not a.lambda_min > 0.0:  # "not" so NaN fails too
+                raise InfeasibleTopology(
+                    f"topology {j}: mirror matrix is not positive definite "
+                    f"(lambda_min = {a.lambda_min:.6g})"
+                )
+            analyses.append(a)
+        object.__setattr__(self, "_analyses", tuple(analyses))
 
     @classmethod
     def static(cls, topo: DirectedTopology, t0: float) -> "TopologySequence":
@@ -281,22 +296,6 @@ class TopologySequence:
         return self.schedule[max(i - 1, 0)][1]
 
     def analyses(self) -> tuple[GraphAnalysis, ...]:
-        """One GraphAnalysis per topology: mirror_with_H with common_H, else
-        build_analysis.  This is the feasibility verdict: NoSpanningTree or
-        InfeasibleTopology (lambda_min not positive) names the first topology
-        that fails.  Computed once; a failed call caches nothing."""
-        if not hasattr(self, "_analyses"):
-            H, analyses = self.common_H, []
-            for j, topo in enumerate(self.topologies, start=1):
-                try:
-                    a = build_analysis(topo) if H is None else mirror_with_H(topo, H)
-                except NoSpanningTree as exc:
-                    raise NoSpanningTree(f"topology {j}: {exc}") from None
-                if not a.lambda_min > 0.0:  # "not" so NaN fails too
-                    raise InfeasibleTopology(
-                        f"topology {j}: mirror matrix is not positive definite "
-                        f"(lambda_min = {a.lambda_min:.6g})"
-                    )
-                analyses.append(a)
-            object.__setattr__(self, "_analyses", tuple(analyses))
+        """One GraphAnalysis per topology, computed at construction:
+        mirror_with_H with common_H, else build_analysis."""
         return self._analyses

@@ -235,16 +235,12 @@ def run(
     or turns non-finite, and propagates InputBoundViolated from the leader.
     The time Diverged reports is the step's start when a stage derivative was
     non-finite, else the step's end.
-    Under switching (p > 1) the sequence must carry common_H so the Lyapunov
-    weights are well defined across switches.
     """
     n = leader.order
     if sched.order != n:
         raise DimensionMismatch(f"schedule order {sched.order} does not match leader order {n}")
     if sched.t0 != cfg.t0 or topos.schedule[0][0] != cfg.t0:
         raise DimensionMismatch("cascade schedule and switching schedule must start at the sim t0")
-    if topos.topology_count > 1 and topos.common_H is None:
-        raise DimensionMismatch("switching over several topologies requires common_H weights")
     N = topos.topologies[0].follower_count
     E = np.array(initial_estimates, dtype=float)
     if E.shape != (N, n):
@@ -261,10 +257,13 @@ def run(
         for t, what in ((stage_starts[k], "opens"), (sched.window(k).end, "closes"))
         if cfg.t0 <= t <= cfg.t_end
     ]
-    event_log += [(t, f"switch to topology {j}") for t, j in topos.schedule[1:] if t <= cfg.t_end]
+    grid, topo, rec = _step_plan(cfg, sched, topos)
+    # A switch is logged where the plan's topology changes, so a merged switch
+    # is logged at the event it merged into and a cancelled one not at all.
+    switched = np.flatnonzero(np.diff(topo, prepend=topos.schedule[0][1] - 1)).tolist()
+    event_log += [(float(grid[P]), f"switch to topology {topo[P] + 1}") for P in switched]
     event_log.sort(key=lambda item: item[0])  # stable: stage entries first at a shared time
 
-    grid, topo, rec = _step_plan(cfg, sched, topos)
     L0s = [a.sub_laplacian for a in analyses]
 
     def gain_rows(times: np.ndarray) -> np.ndarray:
@@ -292,40 +291,42 @@ def run(
     snaps[0] = Z[N - 1 :]
     rows = iter(snaps[1:])  # the rows the loop fills, in order
     block = max(1, _GAIN_BLOCK // N)  # steps whose gain rows are computed at once
-    for P0 in range(0, grid.size - 1, block):
-        P = slice(P0, min(P0 + block, grid.size - 1) + 1)  # the block's steps and end point
-        g_at = gain_rows(grid[P])
-        if rk4:
-            g_mid = gain_rows(grid[P][:-1] + 0.5 * np.diff(grid[P]))
-        ts, keep = grid[P].tolist(), rec[P].tolist()
-        for i, (t, tn, L0) in enumerate(zip(ts, ts[1:], [L0s[j] for j in topo[P].tolist()])):
-            h = tn - t
-            half[()], full[()], sixth[()] = 0.5 * h, h, h / 6.0
-            rhs(L0, g_at[i], 0, t)
-            if rk4:  # stage inputs Z + (h/2) k1, Z + (h/2) k2, Z + h k3
-                np.multiply(K0, half, out=X1)
-                np.add(Z, X1, out=X1)
-                gm, tm = g_mid[i], t + 0.5 * h
-                rhs(L0, gm, 1, tm)
-                np.multiply(K1, half, out=X2)
-                np.add(Z, X2, out=X2)
-                rhs(L0, gm, 2, tm)
-                np.multiply(K2, full, out=X3)
-                np.add(Z, X3, out=X3)
-                rhs(L0, g_at[i + 1], 3, tn)
-                np.multiply(K_mid, two, out=K_doubled)
-                np.add.reduce(K_weighted, axis=0, out=T)
-                np.multiply(T, sixth, out=T)
-            else:
-                np.multiply(K0, full, out=T)
-            np.add(Z, T, out=Z)
-            # One check per step: a non-finite stage derivative shows up in Z.
-            if not np.vdot(Zf, Zf) < thr2:  # exact max |Z| test only past the pre-check
-                peak = np.maximum.reduce(np.abs(Z, out=A), axis=None)
-                if not (math.isfinite(peak) and peak <= cfg.divergence_threshold):
-                    raise Diverged(tn if np.isfinite(K[stage_rows, N:]).all() else t)
-            if keep[i + 1]:
-                next(rows)[...] = Z[N - 1 :]
+    # Every overflow or NaN in a step leaves Z non-finite, and Diverged reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for P0 in range(0, grid.size - 1, block):
+            P = slice(P0, min(P0 + block, grid.size - 1) + 1)  # the block's steps and end point
+            g_at = gain_rows(grid[P])
+            if rk4:
+                g_mid = gain_rows(grid[P][:-1] + 0.5 * np.diff(grid[P]))
+            ts, keep = grid[P].tolist(), rec[P].tolist()
+            for i, (t, tn, L0) in enumerate(zip(ts, ts[1:], [L0s[j] for j in topo[P].tolist()])):
+                h = tn - t
+                half[()], full[()], sixth[()] = 0.5 * h, h, h / 6.0
+                rhs(L0, g_at[i], 0, t)
+                if rk4:  # stage inputs Z + (h/2) k1, Z + (h/2) k2, Z + h k3
+                    np.multiply(K0, half, out=X1)
+                    np.add(Z, X1, out=X1)
+                    gm, tm = g_mid[i], t + 0.5 * h
+                    rhs(L0, gm, 1, tm)
+                    np.multiply(K1, half, out=X2)
+                    np.add(Z, X2, out=X2)
+                    rhs(L0, gm, 2, tm)
+                    np.multiply(K2, full, out=X3)
+                    np.add(Z, X3, out=X3)
+                    rhs(L0, g_at[i + 1], 3, tn)
+                    np.multiply(K_mid, two, out=K_doubled)
+                    np.add.reduce(K_weighted, axis=0, out=T)
+                    np.multiply(T, sixth, out=T)
+                else:
+                    np.multiply(K0, full, out=T)
+                np.add(Z, T, out=Z)
+                # One check per step: a non-finite stage derivative shows up in Z.
+                if not np.vdot(Zf, Zf) < thr2:  # exact max |Z| test only past the pre-check
+                    peak = np.maximum.reduce(np.abs(Z, out=A), axis=None)
+                    if not (math.isfinite(peak) and peak <= cfg.divergence_threshold):
+                        raise Diverged(tn if np.isfinite(K[stage_rows, N:]).all() else t)
+                if keep[i + 1]:
+                    next(rows)[...] = Z[N - 1 :]
 
     # Diagnostics from the snapshots, under the plan's topology at each recorded point.
     times, active = grid[rec], topo[rec]

@@ -65,8 +65,78 @@ def test_analyze_no_pinning_exits_2(tmp_path, capsys):
     cfg.write_text(NO_PINNING)
     assert main(["analyze", "--config", str(cfg)]) == 2
     captured = capsys.readouterr()
-    assert "leader-rooted spanning tree: NO" in captured.out
     assert "no leader-rooted spanning tree" in captured.err
+
+
+def _static_trace(tmp_path):
+    # A trace of NO_PINNING with follower 1 pinned, to report with broken configs.
+    cfg = tmp_path / "pinned.cfg"
+    cfg.write_text(NO_PINNING.replace("pinning = 0 0", "pinning = 1 0"))
+    assert main(["run", "--config", str(cfg), "--quiet", "--out", str(tmp_path / "run")]) == 0
+    return str(tmp_path / "run" / "trace.csv")
+
+
+def test_report_unreachable_static_config_exits_2(tmp_path, capsys):
+    trace = _static_trace(tmp_path)
+    cfg = tmp_path / "nopin.cfg"
+    cfg.write_text(NO_PINNING)
+    capsys.readouterr()
+    assert main(["report", "--config", str(cfg), "--out", str(tmp_path / "plots"), trace]) == 2
+    assert capsys.readouterr().err == (
+        "error: topology 1: no leader-rooted spanning tree: some follower is unreachable\n"
+    )
+    assert not list((tmp_path / "plots").glob("*.svg"))
+
+
+@pytest.mark.parametrize("command", ["analyze", "synthesize", "run", "report"])
+def test_overflowing_static_laplacian_is_located_at_its_topology(tmp_path, capsys, command):
+    trace = _static_trace(tmp_path)
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(NO_PINNING.replace("adjacency_row_1 = 0 1\nadjacency_row_2 = 1 0\npinning = 0 0",
+                                      "adjacency_row_1 = 0 1e308\nadjacency_row_2 = 1e308 0\n"
+                                      "pinning = 1e308 0"))
+    capsys.readouterr()
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "plots")]
+    assert main(argv + [trace] * (command == "report")) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: [topology.1]: follower Laplacian overflows: the edge weights are too large\n"
+    )
+    assert not list((tmp_path / "plots").glob("*"))
+
+
+def test_missing_common_h_lists_switching_overrides(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(BUNDLED_CONFIG.read_text().replace("common_h = 3 5 4\n", ""))
+    assert main(["analyze", "--config", str(cfg), "--set", "switching.period=0.2"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg}, --set switching.period: "
+        "[switching]: common_h is required when switching over several topologies\n"
+    )
+
+
+def test_switching_period_below_dt_exits_1(capsys):
+    # Below dt a period would only add grid points (and its schedule can fill
+    # memory); dt = 1e-4 in the bundled config.
+    argv = ["analyze", "--config", CFG, "--quiet"]
+    assert main(argv + ["--set", "switching.period=5e-5"]) == 1
+    assert capsys.readouterr().err == (
+        "error: --set switching.period: [switching] period: "
+        "must be at least sim.dt = 0.0001, got 5e-05\n"
+    )
+    assert main(argv + ["--set", "switching.period=1e-4"]) == 0
+
+
+def test_diverging_run_prints_no_numpy_warning(tmp_path, capsys):
+    argv = ["run", "--config", CFG, "--out", str(tmp_path), "--set", "gains.alpha=1e300"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 3
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == (
+        "warning: beta = 5.692 is below the topology bound 10.4048; "
+        "prescribed-time convergence is not guaranteed\n"
+        "error: simulation diverged at t = 0 s\n"
+    )
 
 
 def test_analyze_checks_reachability_once_per_topology(tmp_path, monkeypatch, capsys):

@@ -279,18 +279,25 @@ def test_sequence_analyses_computed_once(digraph1, digraph2, monkeypatch):
     assert seq.analyses() is seq.analyses()
     assert len(calls) == 2
     static = ptobs.TopologySequence.static(digraph1, 0.0)
-    assert len(calls) == 2  # without common_H nothing is computed before the first call
+    assert len(calls) == 3  # without common_H too, the verdict is reached at construction
     assert static.analyses() is static.analyses()
     assert len(calls) == 3
     assert not static.analyses()[0].rho.flags.writeable
 
 
+def test_sequence_of_several_topologies_requires_common_H(digraph1, digraph2, monkeypatch):
+    # Without one shared H the per-topology rho weightings certify nothing
+    # together, so construction refuses before analysing any topology.
+    monkeypatch.setattr(ptobs.graph, "build_analysis", lambda topo: pytest.fail("analysed"))
+    with pytest.raises(DimensionMismatch, match="^common_h is required when switching"):
+        ptobs.TopologySequence(topologies=(digraph1, digraph2), schedule=((0.0, 1),))
+
+
 def test_unreachable_static_sequence_raises_on_every_analyses_call():
     topo = ptobs.DirectedTopology(adjacency=np.zeros((2, 2)), pinning=[1.0, 0.0])
-    seq = ptobs.TopologySequence.static(topo, 0.0)  # construction does not analyse
-    for _ in range(2):
-        with pytest.raises(NoSpanningTree):
-            seq.analyses()
+    for _ in range(2):  # construction analyses, so every build raises
+        with pytest.raises(NoSpanningTree, match="topology 1"):
+            ptobs.TopologySequence.static(topo, 0.0)
 
 
 def test_sequence_verdict_names_the_topology(digraph1, monkeypatch):

@@ -84,7 +84,9 @@ def _schedules(draw):
     extra = [t + d for t, d in zip(raw, draw(st.lists(_NEAR, max_size=len(raw))))]
     times = sorted({t for t in raw + extra if t > t0})
     schedule = [(t0, 1)] + [(t, 1 + i % 2) for i, t in enumerate(times, start=1)]
-    seq = ptobs.TopologySequence(topologies=(_TOPO, _TOPO), schedule=tuple(schedule))
+    seq = ptobs.TopologySequence(
+        topologies=(_TOPO, _TOPO), schedule=tuple(schedule), common_H=[1.0]
+    )
     cfg = ptobs.SimConfig(t0=t0, t_end=t_end, dt=1e-3)
     return cfg, sched, seq
 
@@ -154,7 +156,9 @@ def _far_schedules(draw):
     raw = draw(st.lists(st.one_of(near_anchor, st.floats(t0, t0 + 5.0)), max_size=15))
     times = sorted({t for t in periodic + raw if t > t0})
     schedule = [(t0, 1)] + [(t, 1 + i % 2) for i, t in enumerate(times, start=1)]
-    seq = ptobs.TopologySequence(topologies=(_TOPO, _TOPO), schedule=tuple(schedule))
+    seq = ptobs.TopologySequence(
+        topologies=(_TOPO, _TOPO), schedule=tuple(schedule), common_H=[1.0]
+    )
     cfg = ptobs.SimConfig(t0=t0, t_end=t_end, dt=draw(st.sampled_from([1e-3, 1e-2])))
     return cfg, sched, seq
 

@@ -103,13 +103,29 @@ def test_switch_merged_into_boundary_takes_effect_there(digraph1, digraph2, casc
         return ptobs.run(seq, leader, gains, cascade, np.full((3, 3), 0.5), cfg)
 
     exact, near = run(0.2), run(0.2 + offset)
-    for field in dataclasses.fields(exact):
-        if field.name != "event_log":
-            a, b = getattr(exact, field.name), getattr(near, field.name)
-            assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, field.name
+    for field in dataclasses.fields(exact):  # the event log too: the switch is logged at 0.2
+        a, b = getattr(exact, field.name), getattr(near, field.name)
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, field.name
     after = near.times >= 0.2  # psi from t = 0.2 on is digraph 2's
     L0 = ptobs.sub_laplacian(digraph2)
     assert np.array_equal(near.local_errors[after], np.matmul(L0, near.estimate_errors[after]))
+
+
+def test_switch_cluster_that_cancels_out_logs_no_switch(digraph1, digraph2, cascade):
+    # The switch back to topology 1 merges into the switch at 0.3 and wins, so
+    # topology 1 runs throughout and the log names no switch.
+    leader = _zero_leader(3, x0=np.array([1.0, 0.0, 0.0]))
+    gains = ptobs.ObserverGains(alpha=1.05, beta=5.692, sigma=0.125)
+    cfg = ptobs.SimConfig(t0=0.0, t_end=1.0, dt=1e-3, record_stride=1)
+    seq = ptobs.TopologySequence(
+        topologies=(digraph1, digraph2),
+        schedule=((0.0, 1), (0.3, 2), (0.3 + 4e-13, 1)),
+        common_H=ETA,
+    )
+    res = ptobs.run(seq, leader, gains, cascade, np.full((3, 3), 0.5), cfg)
+    assert not [label for _, label in res.event_log if label.startswith("switch")]
+    L0 = ptobs.sub_laplacian(digraph1)
+    assert np.array_equal(res.local_errors, np.matmul(L0, res.estimate_errors))
 
 
 def test_switching_degenerate_p1_bit_identical(digraph1, sine_leader, cascade):
@@ -282,7 +298,7 @@ def test_divergence_by_overflow_reports_step_time(digraph1, cascade, method, whe
     cfg = ptobs.SimConfig(
         t0=0.0, t_end=0.2, dt=1e-3, method=method, guard=1e-2, divergence_threshold=np.inf
     )
-    with pytest.raises(Diverged) as info, np.errstate(over="ignore", invalid="ignore"):
+    with pytest.raises(Diverged) as info:  # and no numpy warning
         ptobs.run(
             ptobs.TopologySequence.static(digraph1, 0.0), leader, gains, cascade,
             INITIAL_ESTIMATES, cfg,
@@ -444,14 +460,9 @@ def test_sim_config_validation():
         ptobs.SimConfig(t0=0.0, t_end=1.0, dt=1e-3, method="rk45")
 
 
-def test_switching_requires_common_H(digraph1, digraph2, sine_leader, cascade):
-    seq = ptobs.TopologySequence(
-        topologies=(digraph1, digraph2), schedule=((0.0, 1), (0.1, 2))
-    )
-    gains = ptobs.ObserverGains(alpha=1.05, beta=5.692, sigma=0.125)
-    cfg = ptobs.SimConfig(t0=0.0, t_end=0.3, dt=1e-3, guard=1e-2)
-    with pytest.raises(DimensionMismatch):
-        ptobs.run(seq, sine_leader, gains, cascade, INITIAL_ESTIMATES, cfg)
+def test_switching_requires_common_H(digraph1, digraph2):
+    with pytest.raises(DimensionMismatch, match="common_h is required"):
+        ptobs.TopologySequence(topologies=(digraph1, digraph2), schedule=((0.0, 1), (0.1, 2)))
 
 
 def test_run_validates_estimates(digraph1, sine_leader, cascade):
