@@ -7,6 +7,7 @@ Exit codes are a stable contract: 0 success, 1 config or input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -79,10 +80,12 @@ def cmd_synthesize(args, exp: Experiment, info) -> int:
         apply_overrides(doc, args.set or [])
         doc.sections["gains"] = {}
         doc.set("gains", "mode", "explicit")
-        doc.set("gains", "alpha", f"{gains.alpha:.17g}")
-        doc.set("gains", "beta", f"{gains.beta:.17g}")
-        doc.set("gains", "sigma", f"{gains.sigma:.17g}")
-        Path(args.emit_config).write_text(serialize_config(doc), encoding="utf-8")
+        for key in ("alpha", "beta", "sigma"):
+            doc.set("gains", key, f"{getattr(gains, key):.17g}")
+        try:
+            Path(args.emit_config).write_text(serialize_config(doc), encoding="utf-8")
+        except OSError as exc:
+            raise ToolkitError(f"cannot write {args.emit_config}: {exc.strerror or exc}") from None
         info(f"explicit-gain config written to {args.emit_config}")
     return 0
 
@@ -143,6 +146,7 @@ def cmd_report(args, exp: Experiment, info) -> int:
     return 0
 
 
+@functools.cache  # parse_args copies --set lists, so one parser serves every call
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="experiment config file")

@@ -179,53 +179,57 @@ def local_errors(analysis: GraphAnalysis, estimates: np.ndarray, x0: np.ndarray)
     return analysis.sub_laplacian @ (estimates - np.asarray(x0, dtype=float)[None, :])
 
 
-def _stacked_kernel(N: int, n: int, sigma: float, smoothing: float | None,
-                    leader: LeaderModel | None, out_rows: tuple[int, ...] = (0,)):
-    """Work area (X, K) of the stacked observer and its right-hand side rhs.
+def _gain_row(g: np.ndarray, N: int, sigma: float) -> np.ndarray:
+    # [g per follower | -sigma per follower] for stage gains g, (n,) or (times, n).
+    return np.concatenate([np.tile(g, N), np.full((*g.shape[:-1], N), -sigma)], axis=-1)
+
+
+def _stacked_kernel(N: int, n: int, smoothing: float | None, leader: LeaderModel | None,
+                    out_rows: tuple[int, ...] = (0,)):
+    """Work area (X, K) of the stacked observer and one stage function per stage.
 
     A stage input X[s], (2N, n), stacks N copies of the leader state above the
     N estimates: the copies evolve identically and make estimates - x0 one
-    same-shape subtraction.  rhs(L0, g, s, t) writes the derivative of X[s] at
-    t into K[out_rows[s]], with g the stage gains alpha + beta r_k(t) as (n,)
-    or one row per follower.  It allocates nothing and checks no shapes; with
-    no leader it leaves the leader input unset.  psi is a BLAS dot, the same
-    dgemm as L0 @ D (tests/test_observer.py checks the two agree bit for bit).
+    same-shape subtraction.  stages[s](L0, g, t), bound once to its views,
+    writes the derivative of X[s] at t into K[out_rows[s]] in 7 numpy calls
+    (hard sign) with g a _gain_row of alpha + beta r_k(t): one multiply of
+    [psi | sign(psi_n)] by g gives g * psi and -sigma sign(psi_n).  It allocates
+    nothing, checks no shapes and, with no leader, leaves the leader input
+    unset.  psi is a BLAS dot, the same dgemm as L0 @ D (checked bit for bit).
     """
     X = np.zeros((len(out_rows), 2 * N, n))
     K = np.zeros((max(out_rows) + 1, 2 * N, n))
-    D, psi, sign, neg_sigma = np.empty((N, n)), np.empty((N, n)), np.empty(N), np.full(N, -sigma)
-    # g * psi below zero leader rows: K.flat[:-1] = X.flat[1:] - GP.flat[:-1]
-    # is then every shift term, exactly x0[1:] in leader rows.
-    GP = np.zeros((2 * N, n))
-    gp, gp_flat, gp_top, psi_top = GP[N:], GP.reshape(-1)[:-1], GP[N:, -1], psi[:, -1]
-    # Per stage: estimates, leader copies, one leader row, flat input from its
-    # second entry, flat output up to its last, both top columns.
-    views = [(Xs[N:], Xs[:N], Xs[N - 1], Xs.reshape(-1)[1:], Ks.reshape(-1)[:-1], Ks[N:, -1], Ks[:N, -1])
-             for Xs, Ks in zip(X, [K[r] for r in out_rows])]
-    if leader is not None:
-        input_fn, bound = leader.input_fn, leader.input_bound + _BOUND_SLACK
+    Nn, D, PS, G = N * n, np.empty((N, n)), np.empty(N * n + N), np.zeros(2 * N * n + N)
+    psi, sign = PS[:Nn].reshape(N, n), PS[Nn:]  # PS = [psi.flat | sign(psi_n)]
+    # G = [zero leader rows | g * psi | -sigma sign]: K.flat[:-1] = X.flat[1:] -
+    # G[:2Nn - 1] is then every shift term, exactly x0[1:] in leader rows.
+    GP, gp_flat, gp_top, sliding = G[Nn:], G[: 2 * Nn - 1], G[Nn + n - 1 : 2 * Nn : n], G[2 * Nn :]
+    psi_top, subtract, dot, multiply, sign_of = psi[:, -1], np.subtract, np.dot, np.multiply, np.sign
+    input_fn, bound = (leader.input_fn, leader.input_bound + _BOUND_SLACK) if leader else (None, 0.0)
 
-    def rhs(L0: np.ndarray, g: np.ndarray, s: int, t: float):
-        F, L, x0, X_shift, K_flat, K_top, K_input = views[s]
-        np.subtract(F, L, out=D)
-        np.dot(L0, D, out=psi)
-        np.multiply(psi, g, out=gp)
-        np.subtract(X_shift, gp_flat, out=K_flat)
-        # Top column -sigma sign(psi_n) - g_n psi_n: hard sign (sign(0) = 0) or
-        # the boundary layer psi / (|psi| + eps) for chattering studies.
-        if smoothing is None:
-            np.sign(psi_top, out=sign)
-        else:
-            np.abs(psi_top, out=sign)
-            np.add(sign, smoothing, out=sign)
-            np.divide(psi_top, sign, out=sign)
-        np.multiply(neg_sigma, sign, out=K_top)
-        np.subtract(K_top, gp_top, out=K_top)
-        if leader is not None:  # _leader_input inline; called again only to raise
-            f0 = float(input_fn(x0, t))
-            K_input.fill(f0 if abs(f0) <= bound else _leader_input(leader, x0, t))
+    def stage(Xs: np.ndarray, Ks: np.ndarray):  # estimates, leader copies and row, flat shift, tops
+        F, L, x0, X_shift = Xs[N:], Xs[:N], Xs[N - 1], Xs.reshape(-1)[1:]
+        K_flat, K_top, K_input = Ks.reshape(-1)[:-1], Ks[N:, -1], Ks[:N, -1]
 
-    return X, K, rhs
+        def rhs(L0: np.ndarray, g: np.ndarray, t: float):
+            subtract(F, L, out=D)
+            dot(L0, D, out=psi)
+            # Top column -sigma sign(psi_n) - g_n psi_n: hard sign (sign(0) =
+            # 0) or the boundary layer psi / (|psi| + eps) for chattering studies.
+            if smoothing is None:
+                sign_of(psi_top, out=sign)
+            else:  # |psi| + eps into sign, then psi divided by it
+                np.divide(psi_top, np.add(np.abs(psi_top, out=sign), smoothing, out=sign), out=sign)
+            multiply(PS, g, out=GP)
+            subtract(X_shift, gp_flat, out=K_flat)
+            subtract(sliding, gp_top, out=K_top)
+            if leader is not None:  # _leader_input inline; called again only to raise
+                f0 = float(input_fn(x0, t))
+                K_input.fill(f0 if abs(f0) <= bound else _leader_input(leader, x0, t))
+
+        return rhs
+
+    return X, K, [stage(Xs, K[r]) for Xs, r in zip(X, out_rows)]
 
 
 def dpto_rhs(
@@ -248,10 +252,10 @@ def dpto_rhs(
     if estimates.shape != (N, n) or x0.shape != (n,):
         raise DimensionMismatch(f"need estimates ({N}, {n}) and x0 ({n},)")
     rates = [stage_gain(sched, k, t, guard) for k in range(1, n + 1)]
-    g = gains.alpha + gains.beta * np.array(rates)
-    X, K, rhs = _stacked_kernel(N, n, gains.sigma, sign_smoothing, None)  # fresh: out owns K
+    g = _gain_row(gains.alpha + gains.beta * np.array(rates), N, gains.sigma)
+    X, K, (rhs,) = _stacked_kernel(N, n, sign_smoothing, None)  # fresh: out owns K
     X[0, :N], X[0, N:] = x0, estimates
-    rhs(analysis_at_t.sub_laplacian, g, 0, t)
+    rhs(analysis_at_t.sub_laplacian, g, t)
     out = K[0, N:]
     if not np.all(np.isfinite(out)):
         raise NonFinite(f"observer derivative is non-finite at t={t:.6g}")

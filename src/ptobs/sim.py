@@ -7,10 +7,10 @@ takes effect at that event.  One step plan, built before the loop as
 whole-run arrays (O(steps) memory, about 17 bytes a step), holds the grid
 points, the right-continuous topology at each and the record points; steps
 and recorded diagnostics take their topology from it.  The loop steps one
-stacked state in place in the observer kernel's work area, each block's
-stage gains from one vector expression, and writes [x0; estimates] into one
-preallocated snapshot array at record points, from which errors, psi, V and
-the decay envelope follow.  Each step's divergence check is one BLAS sum of
+stacked state in place through the observer kernel's stage functions (7
+numpy calls each), with each block's extended gain rows from one vector
+expression, and writes [x0; estimates] into one snapshot array at record
+points, from which errors, psi, V and the decay envelope follow.  Each step's divergence check is one BLAS sum of
 squares against threshold squared; the exact max |Z| test runs only when that
 fails, so both stop a run at the same step.  Bit-identical to stepping
 leader_rhs, dpto_rhs.
@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DimensionMismatch, Diverged
 from .gain import CascadeSchedule, stage_rates, varsigma_clamped
 from .graph import GraphAnalysis, TopologySequence
-from .observer import LeaderModel, ObserverGains, _stacked_kernel, _weighted_energy
+from .observer import LeaderModel, ObserverGains, _gain_row, _stacked_kernel, _weighted_energy
 from .observer import dpto_rhs, leader_rhs, local_errors  # noqa: F401  (public forms, wrapped by perfbench)
 
 _EVENT_MERGE_TOL = 1e-12  # absolute part of the event-merge tolerance
@@ -267,26 +267,27 @@ def run(
     L0s = [a.sub_laplacian for a in analyses]
 
     def gain_rows(times: np.ndarray) -> np.ndarray:
-        # An (N, n) gain matrix per time makes the kernel's g * psi same-shape.
-        g = gains.alpha + gains.beta * stage_rates(sched, times, cfg.guard)
-        return np.repeat(g[:, None], N, axis=1)
+        return _gain_row(gains.alpha + gains.beta * stage_rates(sched, times, cfg.guard), N, gains.sigma)
 
     # rk4 evaluates k1..k4 into K[0], K[4], K[5], K[3] and writes 2 k2, 2 k3
     # into K[1], K[2], so one reduce over K[:4] sums ((k1 + 2 k2) + 2 k3) + k4.
     rk4 = cfg.method == "rk4"
     stage_rows = (0, 4, 5, 3) if rk4 else (0,)
-    X, K, rhs = _stacked_kernel(N, n, gains.sigma, cfg.sign_smoothing, leader, stage_rows)
+    X, K, stages = _stacked_kernel(N, n, cfg.sign_smoothing, leader, stage_rows)
     Z, K0 = X[0], K[0]  # the state, N leader copies over the estimates; stage 1 reads it in place
     Z[:N], Z[N:] = leader.initial_state, E
+    rhs0 = stages[0]
     if rk4:
         X1, X2, X3 = X[1:]
         K1, K2, K_weighted, K_doubled, K_mid = K[4], K[5], K[:4], K[1:3], K[4:]
+        _, rhs1, rhs2, rhs3 = stages
     T, A, Zf = np.empty_like(Z), np.empty_like(Z), Z.reshape(-1)  # step increment; |Z|; Z flat
     # Divergence pre-check sum(z^2) < thr^2: rounding is monotone, so |z| > thr
     # gives fl(z^2) >= fl(thr^2) and a sum at least that; NaN and inf fail it too.
     thr2 = cfg.divergence_threshold * cfg.divergence_threshold
-    # 0-d arrays: a ufunc converts a Python float argument on every call.
-    half, full, sixth, two = np.empty(()), np.empty(()), np.empty(()), np.array(2.0)
+    # 0-d arrays (a ufunc converts a Python float argument on every call), set when h changes.
+    half, full, sixth, two, h_set = np.empty(()), np.empty(()), np.empty(()), np.array(2.0), None
+    multiply, add, add_reduce, vdot = np.multiply, np.add, np.add.reduce, np.vdot
     snaps = np.empty((np.count_nonzero(rec), N + 1, n))  # [x0; estimates] per recorded point
     snaps[0] = Z[N - 1 :]
     rows = iter(snaps[1:])  # the rows the loop fills, in order
@@ -295,37 +296,38 @@ def run(
     with np.errstate(over="ignore", invalid="ignore"):
         for P0 in range(0, grid.size - 1, block):
             P = slice(P0, min(P0 + block, grid.size - 1) + 1)  # the block's steps and end point
-            g_at = gain_rows(grid[P])
-            if rk4:
-                g_mid = gain_rows(grid[P][:-1] + 0.5 * np.diff(grid[P]))
-            ts, keep = grid[P].tolist(), rec[P].tolist()
-            for i, (t, tn, L0) in enumerate(zip(ts, ts[1:], [L0s[j] for j in topo[P].tolist()])):
+            g_at, ts = gain_rows(grid[P]), grid[P].tolist()
+            t_mid = grid[P][:-1] + 0.5 * np.diff(grid[P])  # the same floats as t + 0.5 h
+            g_mid = gain_rows(t_mid) if rk4 else g_at  # euler reads no midpoint
+            step = zip(ts, ts[1:], t_mid.tolist(), [L0s[j] for j in topo[P].tolist()],
+                       g_at, g_mid, g_at[1:], rec[P][1:].tolist())
+            for t, tn, tm, L0, ga, gm, gn, keep in step:
                 h = tn - t
-                half[()], full[()], sixth[()] = 0.5 * h, h, h / 6.0
-                rhs(L0, g_at[i], 0, t)
+                if h != h_set:
+                    half[()], full[()], sixth[()], h_set = 0.5 * h, h, h / 6.0, h
+                rhs0(L0, ga, t)
                 if rk4:  # stage inputs Z + (h/2) k1, Z + (h/2) k2, Z + h k3
-                    np.multiply(K0, half, out=X1)
-                    np.add(Z, X1, out=X1)
-                    gm, tm = g_mid[i], t + 0.5 * h
-                    rhs(L0, gm, 1, tm)
-                    np.multiply(K1, half, out=X2)
-                    np.add(Z, X2, out=X2)
-                    rhs(L0, gm, 2, tm)
-                    np.multiply(K2, full, out=X3)
-                    np.add(Z, X3, out=X3)
-                    rhs(L0, g_at[i + 1], 3, tn)
-                    np.multiply(K_mid, two, out=K_doubled)
-                    np.add.reduce(K_weighted, axis=0, out=T)
-                    np.multiply(T, sixth, out=T)
+                    multiply(K0, half, out=X1)
+                    add(Z, X1, out=X1)
+                    rhs1(L0, gm, tm)
+                    multiply(K1, half, out=X2)
+                    add(Z, X2, out=X2)
+                    rhs2(L0, gm, tm)
+                    multiply(K2, full, out=X3)
+                    add(Z, X3, out=X3)
+                    rhs3(L0, gn, tn)
+                    multiply(K_mid, two, out=K_doubled)
+                    add_reduce(K_weighted, axis=0, out=T)
+                    multiply(T, sixth, out=T)
                 else:
-                    np.multiply(K0, full, out=T)
-                np.add(Z, T, out=Z)
+                    multiply(K0, full, out=T)
+                add(Z, T, out=Z)
                 # One check per step: a non-finite stage derivative shows up in Z.
-                if not np.vdot(Zf, Zf) < thr2:  # exact max |Z| test only past the pre-check
+                if not vdot(Zf, Zf) < thr2:  # exact max |Z| test only past the pre-check
                     peak = np.maximum.reduce(np.abs(Z, out=A), axis=None)
                     if not (math.isfinite(peak) and peak <= cfg.divergence_threshold):
                         raise Diverged(tn if np.isfinite(K[stage_rows, N:]).all() else t)
-                if keep[i + 1]:
+                if keep:
                     next(rows)[...] = Z[N - 1 :]
 
     # Diagnostics from the snapshots, under the plan's topology at each recorded point.

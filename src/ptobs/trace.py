@@ -33,7 +33,7 @@ def header_columns(N: int, n: int) -> list[str]:
 def write_trace(result: TraceData, path: str):
     S, N, n = result.estimate_errors.shape
     cols = header_columns(N, n)
-    row = ",".join(["{:.17g}"] * len(cols)) + "\n"
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
         arrays = (result.times, result.leader_states, result.estimate_errors,
@@ -41,7 +41,7 @@ def write_trace(result: TraceData, path: str):
         for a in range(0, S, _CHUNK_ROWS):
             m = min(_CHUNK_ROWS, S - a)
             block = np.hstack([x[a : a + m].reshape(m, -1) for x in arrays])
-            fh.write("".join(row.format(*values) for values in block.tolist()))
+            fh.write("".join(row % tuple(values) for values in block.tolist()))
 
 
 def read_trace(path: str) -> TraceData:

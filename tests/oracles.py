@@ -101,6 +101,28 @@ def componentwise_psi(topo, estimates, x0):
     return psi
 
 
+def componentwise_dpto(topo, g, sigma, estimates, x0, smoothing=None):
+    """Observer derivative from the per-component formula, follower by follower.
+
+    xhat_ik' = xhat_i,k+1 - g_k psi_k[i] below the top stage and
+    -sigma sgn(psi_n[i]) - g_n psi_n[i] at it, with g the stage gains and sgn
+    the hard sign (0 at 0) or psi / (|psi| + smoothing).
+    """
+    psi = componentwise_psi(topo, estimates, x0)
+    N, n = psi.shape
+    out = np.zeros((N, n))
+    for i in range(N):
+        for k in range(n - 1):
+            out[i, k] = estimates[i, k + 1] - g[k] * psi[i, k]
+        p = psi[i, n - 1]
+        if smoothing is None:
+            sgn = 1.0 if p > 0.0 else -1.0 if p < 0.0 else 0.0
+        else:
+            sgn = p / (abs(p) + smoothing)
+        out[i, n - 1] = -sigma * sgn - g[n - 1] * p
+    return out
+
+
 def random_spanning_topology(rng, max_followers=6):
     """Random digraph guaranteed to have a leader-rooted spanning tree.
 

@@ -358,6 +358,31 @@ def test_synthesize_emit_config(tmp_path, capsys):
     assert exp.gains.sigma == 0.125
 
 
+def test_synthesize_emit_config_into_missing_directory_exits_1(tmp_path, capsys):
+    emitted = tmp_path / "missing" / "explicit.cfg"
+    assert main(["synthesize", "--config", CFG, "--emit-config", str(emitted), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and "Traceback" not in err
+    assert err.count("\n") == 1
+    assert not emitted.parent.exists()
+
+
+def test_back_to_back_calls_do_not_share_options(capsys):
+    # The parser is built once per process: a second call must see none of
+    # the first call's --set values or flags.
+    assert main(["analyze", "--config", CFG]) == 0
+    alone = capsys.readouterr().out
+    assert main(["analyze", "--config", CFG, "--quiet", "--set", "gains.alpha=2"]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["analyze", "--config", CFG]) == 0
+    assert capsys.readouterr().out == alone
+    assert main(["synthesize", "--config", CFG, "--set", "gains.mode=synthesize",
+                 "--set", "gains.alpha_margin=3"]) == 0
+    assert "alpha = 3\n" in capsys.readouterr().out
+    assert main(["synthesize", "--config", CFG]) == 0
+    assert "alpha = 1\n" in capsys.readouterr().out
+
+
 def test_run_and_trace_roundtrip(tmp_path, capsys):
     code = main([
         "run", "--config", CFG, "--out", str(tmp_path),

@@ -6,7 +6,7 @@ import pytest
 import ptobs
 from ptobs.errors import DimensionMismatch, InfeasibleTopology, InputBoundViolated
 from conftest import ETA, INITIAL_ESTIMATES
-from oracles import componentwise_psi, random_spanning_topology
+from oracles import componentwise_dpto, componentwise_psi, random_spanning_topology
 
 
 def _leader(order, name, *params, bound=1.0, x0=None):
@@ -96,6 +96,29 @@ def test_kernel_dot_equals_matmul_bit_for_bit(N, n):
         D = rng.normal(size=(N, n)) * 10.0 ** rng.integers(-6, 7, size=(N, n))
         np.dot(L0, D, out=out)
         assert np.array_equal(out, L0 @ D)
+
+
+@pytest.mark.parametrize("smoothing", [None, 0.05])
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("N", [1, 4, 40])
+def test_dpto_rhs_matches_componentwise_formula(N, n, smoothing):
+    # The kernel keeps psi and the top-stage sign in one buffer and multiplies
+    # it by one extended gain row; the exact-replay tests in test_sim.py run
+    # that kernel on both sides, so only an independent formula sees a layout
+    # error such as -sigma in the wrong slot.
+    rng = np.random.default_rng(1000 * N + 10 * n + (smoothing is not None))
+    A = np.where(rng.random((N, N)) < 0.5, rng.uniform(0.2, 2.0, (N, N)), 0.0)
+    np.fill_diagonal(A, 0.0)
+    topo = ptobs.DirectedTopology(adjacency=A, pinning=rng.uniform(0.5, 1.5, N))
+    a = ptobs.build_analysis(topo)
+    sched = ptobs.CascadeSchedule(t0=0.0, stage_durations=(0.2,) * n, exponent=2.01)
+    gains = ptobs.ObserverGains(alpha=1.05, beta=5.692, sigma=0.75)
+    for t in (0.0, 0.13, 0.2 * n - 0.05, 0.2 * n + 1.0):
+        g = [gains.alpha + gains.beta * ptobs.stage_gain(sched, k, t, 1e-3) for k in range(1, n + 1)]
+        estimates, x0 = rng.normal(size=(N, n)), rng.normal(size=n)
+        d = ptobs.dpto_rhs(a, gains, sched, 1e-3, estimates, x0, t, sign_smoothing=smoothing)
+        ref = componentwise_dpto(topo, g, gains.sigma, estimates, x0, smoothing)
+        assert np.max(np.abs(d - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_dpto_rhs_tracks_once_converged(digraph1, cascade):

@@ -408,7 +408,7 @@ _SWEEP = [
 ]
 
 
-@pytest.mark.parametrize("case", ["static", "switching", "smoothing", "euler", *_SWEEP])
+@pytest.mark.parametrize("case", ["static", "switching", "smoothing", "euler", *_SWEEP, "switch-every-0.0137"])
 def test_integrator_matches_public_rhs_exactly(digraph1, digraph2, sine_leader, cascade, case):
     leader, sched, estimates = sine_leader, cascade, INITIAL_ESTIMATES
     gains = ptobs.ObserverGains(alpha=1.05, beta=5.692, sigma=0.125)
@@ -418,6 +418,14 @@ def test_integrator_matches_public_rhs_exactly(digraph1, digraph2, sine_leader, 
         seq = ptobs.TopologySequence(
             topologies=(digraph1, digraph2),
             schedule=tuple((round(0.05 * i, 10), 1 + i % 2) for i in range(7)),
+            common_H=ETA,
+        )
+    elif case == "switch-every-0.0137":
+        # Off-grid switches shorten the step before each one, and those steps'
+        # h differ in the last ulp: the loop's reused h/2, h, h/6 must follow.
+        seq = ptobs.TopologySequence(
+            topologies=(digraph1, digraph2),
+            schedule=tuple((0.0137 * i, 1 + i % 2) for i in range(22)),
             common_H=ETA,
         )
     elif case in _SWEEP:
@@ -431,7 +439,11 @@ def test_integrator_matches_public_rhs_exactly(digraph1, digraph2, sine_leader, 
         method=method, sign_smoothing=smoothing,
     )
     res = ptobs.run(seq, leader, gains, sched, estimates, cfg)
-    assert len(res.times) == 301
+    if case == "switch-every-0.0137":
+        h = np.diff(res.times)
+        assert len(res.times) > 301 and len(set(h[h < 9e-4].tolist())) > 4
+    else:
+        assert len(res.times) == 301
     _public_rhs_replay(res, seq, leader, gains, sched, estimates, cfg)
 
 
