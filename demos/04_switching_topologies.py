@@ -18,7 +18,7 @@ cfg_path = Path(__file__).resolve().parent.parent / "configs" / "triple_integrat
 exp = load_experiment(str(cfg_path))
 
 print(f"topologies: {exp.sequence.topology_count}, "
-      f"switches: {len(exp.sequence.schedule)}, shared H = {exp.sequence.common_H}")
+      f"switches: {exp.sequence.switch_times.size}, shared H = {exp.sequence.common_H}")
 print(f"gains: alpha={exp.gains.alpha}, beta={exp.gains.beta}, sigma={exp.gains.sigma}")
 
 # The explicit beta in the config is below the worst-case synthesis bound;

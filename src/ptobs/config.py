@@ -286,7 +286,9 @@ def _read_topology(doc: ConfigDocument, section: str) -> DirectedTopology:
         return DirectedTopology(adjacency=np.vstack(rows), pinning=pinning)
 
 
-def _read_schedule(doc: ConfigDocument, sim: SimConfig) -> list[tuple[float, int]]:
+def _read_schedule(doc: ConfigDocument, sim: SimConfig):
+    """The [switching] schedule: t:index pairs as written, or the periodic
+    form as an (S, 2) array of (t0 + i * period, cycle[i % len(cycle)])."""
     raw = doc.get("switching", "schedule")
     if raw is not None:
         pairs = []
@@ -308,17 +310,21 @@ def _read_schedule(doc: ConfigDocument, sim: SimConfig) -> list[tuple[float, int
     if period < sim.dt:  # it would only add grid points, and its schedule can fill memory
         doc._fail("switching", "period", f"must be at least sim.dt = {sim.dt:g}, got {period:g}")
     try:
-        indices = [int(tok) for tok in cycle.split()]
-    except ValueError:
+        indices = np.array([int(tok) for tok in cycle.split()], dtype=float)
+    except (ValueError, OverflowError):
         doc._fail("switching", "cycle", f"expected integer indices, got '{cycle}'")
-    if not indices:
+    if not indices.size:
         doc._fail("switching", "cycle", "must list at least one topology index")
-    pairs = []
-    t = sim.t0
-    while t < sim.t_end:
-        pairs.append((t, indices[len(pairs) % len(indices)]))
-        t = sim.t0 + len(pairs) * period
-    return pairs
+    # t0 + i * period rounds monotonically in i, so the entries below t_end are
+    # a prefix; with period > 2 ulp(t) (SimConfig's dt bound) none lies past
+    # index span / period + 3.
+    count = int((sim.t_end - sim.t0) / period) + 4
+    try:
+        times = sim.t0 + np.arange(count, dtype=float) * period
+    except MemoryError:
+        doc._fail("switching", "period", f"plans {count:g} switches, too many to hold in memory")
+    times = times[: times.searchsorted(sim.t_end)]
+    return np.column_stack((times, indices[np.arange(times.size) % indices.size]))
 
 
 def build_experiment(doc: ConfigDocument) -> Experiment:
@@ -374,13 +380,13 @@ def build_experiment(doc: ConfigDocument) -> Experiment:
         if doc.get("switching", "common_h") is not None:
             common_H = doc.vector("switching", "common_h", N)
         schedule = _read_schedule(doc, sim_cfg)
-        if not schedule or schedule[0][0] != t0:
+        if len(schedule) == 0 or schedule[0][0] != t0:
             raise ConfigError("[switching]: schedule must start at the cascade t0", doc.path)
     elif len(topologies) > 1:
         raise ConfigError("several topologies defined but no [switching] section", doc.path)
     with doc._section_errors("switching" if "switching" in doc.sections else "topology.1"):
         sequence = TopologySequence(
-            topologies=topologies, schedule=tuple(schedule), common_H=common_H
+            topologies=topologies, schedule=schedule, common_H=common_H
         )
 
     mode = doc.choice("gains", "mode", ("explicit", "synthesize"))

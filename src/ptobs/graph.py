@@ -19,7 +19,6 @@ and they are validated (not assumed) here.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -222,53 +221,66 @@ def mirror_with_H(topo: DirectedTopology, eta: np.ndarray) -> GraphAnalysis:
     return _analysis(topo, eta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TopologySequence:
     """Piecewise-constant, right-continuous switching signal over p topologies.
 
-    schedule holds (switch_time, topology_index) pairs with 1-based indices
-    and strictly increasing times; entries that do not change the active index
-    are dropped, so a p = 1 sequence behaves exactly like a static topology.
-    common_H supplies the diagonal weights eta shared by every topology and is
-    required when p > 1.  Construction reaches the feasibility verdict (see
-    analyses): NoSpanningTree or InfeasibleTopology (lambda_min not positive)
-    names the first topology that fails.
+    schedule takes (switch_time, topology_index) pairs or an (S, 2) array,
+    with 1-based integer indices and strictly increasing finite times.  It is
+    stored as two read-only arrays, switch_times (float) and indices (int),
+    without the entries that do not change the active index, so a p = 1
+    sequence behaves exactly like a static topology.  common_H supplies the
+    diagonal weights eta shared by every topology and is required when p > 1.
+    Construction reaches the feasibility verdict (see analyses):
+    NoSpanningTree or InfeasibleTopology (lambda_min not positive) names the
+    first topology that fails.
     """
 
     topologies: tuple[DirectedTopology, ...]
-    schedule: tuple[tuple[float, int], ...]
-    common_H: np.ndarray | None = None
+    common_H: np.ndarray | None
+    switch_times: np.ndarray
+    indices: np.ndarray
 
-    def __post_init__(self):
-        topos = tuple(self.topologies)
+    def __init__(self, topologies, schedule, common_H: np.ndarray | None = None):
+        topos = tuple(topologies)
         if not topos:
             raise DimensionMismatch("at least one topology is required")
         counts = {t.follower_count for t in topos}
         if len(counts) != 1:
             raise DimensionMismatch(f"follower counts differ across topologies: {counts}")
-        if self.common_H is None and len(topos) > 1:
+        if common_H is None and len(topos) > 1:
             raise DimensionMismatch("common_h is required when switching over several topologies")
-        sched = [(float(t), int(j)) for t, j in self.schedule]
-        if not sched:
+        try:
+            entries = np.asarray(schedule, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise DimensionMismatch("schedule must be (time, index) pairs") from None
+        if entries.size == 0:
             raise DimensionMismatch("schedule must contain at least one entry")
-        times = [t for t, _ in sched]
-        if not np.all(np.isfinite(times)):
+        if entries.ndim != 2 or entries.shape[1] != 2:
+            raise DimensionMismatch(f"schedule must be (time, index) pairs, got shape {entries.shape}")
+        times, idx = entries.T
+        if not np.isfinite(times).all():
             raise DimensionMismatch("switch times must be finite")
-        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
+        if not (times[1:] > times[:-1]).all():
             raise DimensionMismatch("switch times must be strictly increasing")
-        for t, j in sched:
-            if not 1 <= j <= len(topos):
-                raise DimensionMismatch(f"topology index {j} out of range [1, {len(topos)}]")
-        deduped = [sched[0]]
-        for entry in sched[1:]:
-            if entry[1] != deduped[-1][1]:
-                deduped.append(entry)
+        bad = idx != np.floor(idx)  # NaN too
+        bad |= idx < 1.0
+        bad |= idx > len(topos)
+        if bad.any():
+            j = float(idx[bad.argmax()])
+            raise DimensionMismatch(
+                f"topology index {int(j) if j.is_integer() else j} is not an integer "
+                f"in [1, {len(topos)}]"
+            )
+        keep = np.concatenate(([True], idx[1:] != idx[:-1]))
+        times, idx = times[keep], idx[keep].astype(int)
+        times.flags.writeable = idx.flags.writeable = False
+        H = None if common_H is None else _as_readonly(np.atleast_1d(common_H))
         object.__setattr__(self, "topologies", topos)
-        object.__setattr__(self, "schedule", tuple(deduped))
-        object.__setattr__(self, "_switch_times", tuple(t for t, _ in deduped))
-        if self.common_H is not None:
-            object.__setattr__(self, "common_H", _as_readonly(np.atleast_1d(self.common_H)))
-        H, analyses = self.common_H, []
+        object.__setattr__(self, "common_H", H)
+        object.__setattr__(self, "switch_times", times)
+        object.__setattr__(self, "indices", idx)
+        analyses = []
         for j, topo in enumerate(topos, start=1):
             try:
                 a = build_analysis(topo) if H is None else mirror_with_H(topo, H)
@@ -292,8 +304,8 @@ class TopologySequence:
 
     def active_index(self, t: float) -> int:
         """1-based index of the topology active at time t (right-continuous)."""
-        i = bisect.bisect_right(self._switch_times, t)
-        return self.schedule[max(i - 1, 0)][1]
+        i = int(self.switch_times.searchsorted(t, side="right"))
+        return int(self.indices[max(i - 1, 0)])
 
     def analyses(self) -> tuple[GraphAnalysis, ...]:
         """One GraphAnalysis per topology, computed at construction:

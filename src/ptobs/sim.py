@@ -4,21 +4,21 @@ Every stage-window boundary, topology switch and t_end lands exactly on a
 step boundary (dt is shortened locally before each event), so no step
 straddles a switch; a switch within the merge tolerance of another event
 takes effect at that event.  One step plan, built before the loop as
-whole-run arrays (O(steps) memory, about 17 bytes a step), holds the grid
-points, the right-continuous topology at each and the record points; steps
-and recorded diagnostics take their topology from it.  The loop steps one
-stacked state in place through the observer kernel's stage functions (7
-numpy calls each), with each block's extended gain rows from one vector
-expression, and writes [x0; estimates] into one snapshot array at record
-points, from which errors, psi, V and the decay envelope follow.  Each step's divergence check is one BLAS sum of
+whole-run arrays (O(steps) memory, about 17 bytes a step) from the switching
+signal's arrays, holds the grid points, the right-continuous topology at each
+and the record points; steps and recorded diagnostics take their topology
+from it.  The loop steps one stacked state in place through the observer
+kernel's stage functions (7 numpy calls each), with each block's extended
+gain rows from one vector expression, and writes [x0; estimates] into one
+snapshot array at record points, from which errors, psi, V and the decay
+envelope follow as arrays.  Each step's divergence check is one BLAS sum of
 squares against threshold squared; the exact max |Z| test runs only when that
 fails, so both stop a run at the same step.  Bit-identical to stepping
-leader_rhs, dpto_rhs.
+leader_rhs, dpto_rhs, and to decay_budget at each sample.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -167,57 +167,75 @@ def detect_convergence(
 
 def _event_grid(cfg: SimConfig, sched: CascadeSchedule, topos: TopologySequence):
     # Sorted events in [t0, t_end] and the 0-based topology active from each.
-    # A candidate within max(1e-12, 4 ulp(t)) of an accepted event is dropped
-    # (past |t| ~ 2e3 one ulp of t exceeds 1e-12): boundaries go first so their
-    # exact floats win, and a dropped switch takes effect at the nearest event
-    # (the earlier on a tie).  Only the insertion point's neighbours can clash.
-    events: list[float] = []
-
-    def accept(t: float) -> float | None:  # the event t becomes or merges into
-        if not cfg.t0 <= t <= cfg.t_end:
-            return None
-        i = bisect.bisect_left(events, t)
-        tol = max(_EVENT_MERGE_TOL, 4.0 * math.ulp(t))
-        near = [e for e in events[max(i - 1, 0) : i + 1] if abs(t - e) <= tol]
-        if near:
-            return min(near, key=lambda e: abs(t - e))
-        events.insert(i, t)
-        return t
-
+    # A candidate within max(1e-12, 4 ulp(t)) of an accepted event merges into
+    # the nearest (the earlier on a tie; past |t| ~ 2e3 one ulp of t exceeds
+    # 1e-12).  Boundaries go first, so their exact floats win; then switches in
+    # time order, the later winning at a shared event.  Only a switch that
+    # close to the one before it (a cluster) can merge into a switch event, so
+    # only those are walked one by one.
+    base: list[float] = []
     for t in (*sched.boundaries(), cfg.t0, cfg.t_end):
-        accept(t)
-    switched = {accept(t): j - 1 for t, j in topos.schedule}  # later switches win
-    active = [topos.schedule[0][1] - 1]
-    for e in events:
-        active.append(switched.get(e, active[-1]))
-    return events, active[1:]
-
-
-def _segment_steps(e1: float, e2: float, dt: float) -> int:
-    span = e2 - e1
-    m = int(round(span / dt))
-    if m >= 1 and abs(e1 + m * dt - e2) <= 1e-9 * dt:
-        return m
-    return int(np.floor(span / dt)) + 1
+        if cfg.t0 <= t <= cfg.t_end and all(
+            abs(t - e) > max(_EVENT_MERGE_TOL, 4.0 * math.ulp(t)) for e in base
+        ):
+            base.append(t)
+    base.sort()
+    times, indices = topos.switch_times, topos.indices
+    in_range = slice(times.searchsorted(cfg.t0), times.searchsorted(cfg.t_end, side="right"))
+    s, j = times[in_range], indices[in_range] - 1
+    tol = np.maximum(_EVENT_MERGE_TOL, 4.0 * np.spacing(np.abs(s)))
+    # The nearest boundary event, the earlier on a tie (inf pads the ends).
+    padded = np.array([-np.inf, *base, np.inf])
+    i = padded.searchsorted(s)
+    left, right = s - padded[i - 1], padded[i] - s
+    near = np.where(left <= right, padded[i - 1], padded[i])
+    dist = np.minimum(left, right)
+    target = np.where(dist <= tol, near, s)
+    inserted = dist > tol
+    cluster = np.flatnonzero(np.diff(s) <= tol[1:]) + 1
+    latest = np.where(inserted, s, -np.inf)
+    latest[cluster] = -np.inf  # settled in the walk
+    latest = np.maximum.accumulate(latest)
+    walked = -np.inf
+    for k in cluster.tolist():
+        prev = max(walked, latest[k - 1])  # the nearest switch event before k
+        if s[k] - prev <= dist[k]:
+            near[k], dist[k] = prev, s[k] - prev
+        if dist[k] <= tol[k]:
+            target[k], inserted[k] = near[k], False
+        else:
+            walked = s[k]
+    events = np.sort(np.concatenate((base, s[inserted])))
+    # 1 + the latest switch that landed on each event (0: none), forward-filled.
+    last = np.zeros(events.size, dtype=int)
+    np.maximum.at(last, events.searchsorted(target), np.arange(1, s.size + 1))
+    filled = np.maximum.accumulate(np.where(last > 0, np.arange(events.size), -1))
+    last = np.where(filled >= 0, last[filled], 0)
+    return events, np.concatenate(([indices[0] - 1], j))[last]
 
 
 def _step_plan(cfg: SimConfig, sched: CascadeSchedule, topos: TopologySequence):
     """Grid points, the 0-based topology at each, and which are recorded.
 
     Step P runs grid[P] -> grid[P + 1] under topo[P]; segment s's points are
-    events[s] + j * dt, j < _segment_steps.  Events and every record_stride-th
-    point are recorded."""
+    events[s] + j * dt for j below its step count: round(span / dt) when
+    that many dt land within 1e-9 dt of the next event, else one more than
+    the whole dt that fit.  Events and every record_stride-th point are
+    recorded."""
     events, active = _event_grid(cfg, sched, topos)
-    steps = [_segment_steps(e1, e2, cfg.dt) for e1, e2 in zip(events[:-1], events[1:])]
+    span = np.diff(events) / cfg.dt
+    m = np.rint(span)  # round half to even, as round() does
+    fits = (m >= 1) & (np.abs(events[:-1] + m * cfg.dt - events[1:]) <= 1e-9 * cfg.dt)
+    steps = np.where(fits, m, np.floor(span) + 1).astype(np.int64)
     try:
-        seg = np.repeat(np.arange(len(events)), [*steps, 1])  # the last event starts no step
+        seg = np.repeat(np.arange(events.size), np.append(steps, 1))  # the last event starts no step
         P = np.arange(seg.size)
-        offset = P - np.cumsum([0, *steps])[seg]
-        grid = np.array(events)[seg] + offset * cfg.dt
+        offset = P - np.concatenate(([0], np.cumsum(steps)))[seg]
+        grid = events[seg] + offset * cfg.dt
         rec = (P % cfg.record_stride == 0) | (offset == 0)
-        return grid, np.array(active)[seg], rec
+        return grid, active[seg], rec
     except MemoryError:
-        msg = f"dt = {cfg.dt:g} plans {sum(steps):g} steps, too many to hold in memory"
+        msg = f"dt = {cfg.dt:g} plans {steps.sum():g} steps, too many to hold in memory"
         raise DimensionMismatch(msg) from None
 
 
@@ -239,7 +257,7 @@ def run(
     n = leader.order
     if sched.order != n:
         raise DimensionMismatch(f"schedule order {sched.order} does not match leader order {n}")
-    if sched.t0 != cfg.t0 or topos.schedule[0][0] != cfg.t0:
+    if sched.t0 != cfg.t0 or topos.switch_times[0] != cfg.t0:
         raise DimensionMismatch("cascade schedule and switching schedule must start at the sim t0")
     N = topos.topologies[0].follower_count
     E = np.array(initial_estimates, dtype=float)
@@ -250,18 +268,21 @@ def run(
 
     analyses = topos.analyses()
     worst = min(analyses, key=lambda a: a.lambda_min)  # envelope uses the worst topology
-    stage_starts = {k: sched.stage_start(k) for k in range(1, n + 1)}
+    windows = [sched.window(k) for k in range(1, n + 1)]
     event_log = [
         (t, f"stage {k} window {what}")
-        for k in range(1, n + 1)
-        for t, what in ((stage_starts[k], "opens"), (sched.window(k).end, "closes"))
+        for k, w in enumerate(windows, start=1)
+        for t, what in ((w.start, "opens"), (w.end, "closes"))
         if cfg.t0 <= t <= cfg.t_end
     ]
     grid, topo, rec = _step_plan(cfg, sched, topos)
     # A switch is logged where the plan's topology changes, so a merged switch
     # is logged at the event it merged into and a cancelled one not at all.
-    switched = np.flatnonzero(np.diff(topo, prepend=topos.schedule[0][1] - 1)).tolist()
-    event_log += [(float(grid[P]), f"switch to topology {topo[P] + 1}") for P in switched]
+    switched = np.flatnonzero(np.diff(topo, prepend=topos.indices[0] - 1))
+    event_log += [
+        (t, f"switch to topology {j}")
+        for t, j in zip(grid[switched].tolist(), (topo[switched] + 1).tolist())
+    ]
     event_log.sort(key=lambda item: item[0])  # stable: stage entries first at a shared time
 
     L0s = [a.sub_laplacian for a in analyses]
@@ -337,15 +358,24 @@ def run(
     for j, analysis in enumerate(analyses):
         psi[active == j] = np.matmul(analysis.sub_laplacian, errors[active == j])
     V = _weighted_energy(np.array([a.rho for a in analyses])[active], psi)
-    # Each stage's envelope starts from V at the sample exactly at its window start.
-    rec_t = times.tolist()
-    baselines = {k: float(V[rec_t.index(t), k - 1]) for k, t in stage_starts.items() if t in rec_t}
+    # decay_budget at every sample from V at its stage's window start (where
+    # that is a sample), the same floats: only its two powers stay per-sample
+    # Python, because numpy's SIMD pow differs from libm's in the last bit.
+    start, end, duration = np.array([(w.start, w.end, w.duration) for w in windows]).T
+    at = np.minimum(times.searchsorted(start), times.size - 1)  # the sample at each start
+    has_v0 = times[at] == start
+    v0 = V[at, np.arange(n)]
+    # The active stage is the first opened window: stage 1 opens last, stage n at t0.
+    stage = (start <= times[:, None]).argmax(axis=1)
+    s = np.flatnonzero(has_v0[stage])
+    t, k = times[s], stage[s]
+    inside = (start[k] <= t) & (t < end[k])
+    base = duration[k][inside] / np.maximum(end[k][inside] - t[inside], cfg.guard)
+    vs2 = np.ones(t.shape)  # varsigma^-2
+    vs2[inside] = [(b ** sched.exponent) ** -2.0 for b in base.tolist()]
+    c = 2.0 * gains.alpha * worst.lambda_min / worst.max_weight
     budget = np.full(times.shape, np.inf)
-    for s, t in enumerate(rec_t):
-        # stage 1 opens last, so the first opened window in 1..n is the active one
-        k = next((k for k in range(1, n + 1) if stage_starts[k] <= t), n)
-        if k in baselines:
-            budget[s] = decay_budget(worst, gains, sched, k, baselines[k], t, cfg.guard)
+    budget[s] = vs2 * np.exp(-c * (t - start[k])) * v0[k]
 
     return SimResult(
         times=times,

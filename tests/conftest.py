@@ -23,6 +23,12 @@ except ImportError:
 REPO = Path(__file__).resolve().parent.parent
 BUNDLED_CONFIG = REPO / "configs" / "triple_integrator_switching.cfg"
 
+
+def schedule_pairs(seq):
+    """A TopologySequence's stored switching signal as (time, index) pairs."""
+    return tuple(zip(seq.switch_times.tolist(), seq.indices.tolist()))
+
+
 # Reference experiment pieces (three followers, triple-integrator leader).
 ETA = np.array([3.0, 5.0, 4.0])
 INITIAL_ESTIMATES = np.array(

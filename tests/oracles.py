@@ -150,3 +150,34 @@ def random_spanning_topology(rng, max_followers=6):
     if pinning.max() == 0.0:
         pinning[order[0]] = 1.0
     return DirectedTopology(adjacency=adjacency, pinning=pinning)
+
+
+def segment_steps(e1, e2, dt):
+    """Step count of the segment [e1, e2]: round(span / dt) when that many
+    steps of dt land within 1e-9 dt of e2, else one more than the whole dt
+    that fit (the last step is shortened).  Scalar, one segment at a time."""
+    span = e2 - e1
+    m = int(round(span / dt))
+    if m >= 1 and abs(e1 + m * dt - e2) <= 1e-9 * dt:
+        return m
+    return int(np.floor(span / dt)) + 1
+
+
+def periodic_schedule(t0, t_end, period, cycle):
+    """(t, index) pairs of a periodic switching signal, one entry at a time:
+    t0 + i * period for every i that stays below t_end, cycling the indices."""
+    pairs = []
+    t = t0
+    while t < t_end:
+        pairs.append((t, cycle[len(pairs) % len(cycle)]))
+        t = t0 + len(pairs) * period
+    return pairs
+
+
+def dedup_schedule(pairs):
+    """The pairs without the entries that keep the index before them."""
+    out = pairs[:1]
+    for t, j in pairs[1:]:
+        if j != out[-1][1]:
+            out.append((t, j))
+    return out

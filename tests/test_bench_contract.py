@@ -70,3 +70,18 @@ def test_every_experiment_field_perfbench_reads_resolves():
     assert [exp.gains_mode for exp in experiments] == ["explicit", "synthesize"]
     missing = [name for name in sorted(names) for exp in experiments if not hasattr(exp, name)]
     assert "gains_mode" in names and missing == []
+
+
+def test_every_sequence_field_perfbench_reads_resolves():
+    # perfbench/workloads.py also reads exp.sequence.<name>; a change of the
+    # switching signal's representation must fail here, not in the benchmark.
+    tree = ast.parse((REPO / "perfbench" / "workloads.py").read_text())
+    names = {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "sequence" and isinstance(node.value.value, ast.Name)
+        and node.value.value.id == "exp"
+    }
+    exp = load_experiment(str(BUNDLED_CONFIG))
+    assert {"topologies", "analyses"} <= names
+    assert [name for name in sorted(names) if not hasattr(exp.sequence, name)] == []

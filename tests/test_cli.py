@@ -126,6 +126,17 @@ def test_switching_period_below_dt_exits_1(capsys):
     assert main(argv + ["--set", "switching.period=1e-4"]) == 0
 
 
+def test_periodic_schedule_too_large_for_memory_exits_1(capsys):
+    # 2e12 switches: the schedule's TiB-sized arrays fail to allocate at once,
+    # and the error names the period, as the step plan's names dt.
+    argv = ["analyze", "--config", CFG, "--set", "sim.dt=1e-12", "--set", "switching.period=1e-12"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: --set switching.period: [switching] period: "
+        "plans 2e+12 switches, too many to hold in memory\n"
+    )
+
+
 def test_diverging_run_prints_no_numpy_warning(tmp_path, capsys):
     argv = ["run", "--config", CFG, "--out", str(tmp_path), "--set", "gains.alpha=1e300"]
     with warnings.catch_warnings(record=True) as caught:

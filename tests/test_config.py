@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ptobs
 from ptobs.config import (
@@ -10,7 +12,8 @@ from ptobs.config import (
     serialize_config,
 )
 from ptobs.errors import ConfigError, InfeasibleTopology
-from conftest import BUNDLED_CONFIG
+from conftest import BUNDLED_CONFIG, schedule_pairs
+from oracles import dedup_schedule, periodic_schedule
 
 MINIMAL = """\
 [leader]
@@ -53,9 +56,10 @@ def test_bundled_config_loads():
     assert (exp.gains.alpha, exp.gains.beta, exp.gains.sigma) == (1.05, 5.692, 0.125)
     assert exp.sequence.topology_count == 2
     assert np.allclose(exp.sequence.common_H, [3, 5, 4])
-    assert exp.sequence.schedule[0] == (0.0, 1)
-    assert len(exp.sequence.schedule) == 20  # every 0.1 s up to t_end = 2 s
-    assert [j for _, j in exp.sequence.schedule[:4]] == [1, 2, 1, 2]
+    pairs = schedule_pairs(exp.sequence)
+    assert pairs[0] == (0.0, 1)
+    assert len(pairs) == 20  # every 0.1 s up to t_end = 2 s
+    assert [j for _, j in pairs[:4]] == [1, 2, 1, 2]
     assert exp.sched.stage_durations == (0.2, 0.2, 0.2)
     assert exp.sim.dt == 1e-4 and exp.sim.guard == 1e-3
     assert exp.initial_estimates.shape == (3, 3)
@@ -74,7 +78,7 @@ def test_roundtrip_parse_serialize_parse_fixed_point():
 def test_minimal_experiment_builds():
     exp = build_experiment(parse_config(MINIMAL, "m.cfg"))
     assert exp.leader.order == 1
-    assert exp.sequence.schedule == ((0.0, 1),)
+    assert schedule_pairs(exp.sequence) == ((0.0, 1),)
     assert exp.sim.method == "rk4"  # default
 
 
@@ -202,7 +206,30 @@ def test_explicit_schedule_form():
         "[switching]\nschedule = 0.0:1 0.5:1\n\n[cascade]",
     )
     exp = build_experiment(parse_config(text, "exp.cfg"))
-    assert exp.sequence.schedule == ((0.0, 1),)  # no-op switch dropped
+    assert schedule_pairs(exp.sequence) == ((0.0, 1),)  # no-op switch dropped
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    t0=st.sampled_from([0.0, -0.3, 1e5 + 0.3]),
+    period=st.one_of(st.sampled_from([0.1, 0.0137, 0.3, 0.7, 1 / 3]), st.floats(1e-4, 0.5)),
+    multiple=st.integers(1, 40),
+    nudge=st.integers(-2, 2),
+    cycle=st.lists(st.integers(1, 2), min_size=1, max_size=3),
+)
+def test_periodic_schedule_equals_one_entry_at_a_time(t0, period, multiple, nudge, cycle):
+    # t_end on, just below or just above (by ulps) the loop's own multiple of
+    # the period; the periods are not binary fractions, and dt = 1e-4.
+    t_end = t0 + multiple * period
+    for _ in range(abs(nudge)):
+        t_end = float(np.nextafter(t_end, np.inf if nudge > 0 else -np.inf))
+    overrides = [
+        f"cascade.t0={t0!r}", f"sim.t_end={t_end!r}", f"switching.period={period!r}",
+        "switching.cycle=" + " ".join(map(str, cycle)),
+    ]
+    exp = load_experiment(str(BUNDLED_CONFIG), overrides)
+    expected = dedup_schedule(periodic_schedule(t0, t_end, period, cycle))
+    assert schedule_pairs(exp.sequence) == tuple(expected)
 
 
 def test_leader_input_parsing():

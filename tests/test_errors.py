@@ -160,6 +160,19 @@ _LIBRARY_CASES = [
      DimensionMismatch, "follower counts differ across topologies: {1, 3}"),
     ("empty-schedule", lambda: ptobs.TopologySequence(topologies=(_TOPO1,), schedule=()),
      DimensionMismatch, "schedule must contain at least one entry"),
+    ("fractional-topology-index",
+     lambda: ptobs.TopologySequence(topologies=(_TOPO1,) * 3, schedule=((0.0, 1), (0.1, 2.9)),
+                                    common_H=[1.0]),
+     DimensionMismatch, "topology index 2.9 is not an integer in [1, 3]"),
+    ("nan-topology-index",
+     lambda: ptobs.TopologySequence(topologies=(_TOPO1,), schedule=((0.0, 1), (0.1, np.nan))),
+     DimensionMismatch, "topology index nan is not an integer in [1, 1]"),
+    ("topology-index-out-of-range",
+     lambda: ptobs.TopologySequence(topologies=(_TOPO1,), schedule=((0.0, 2),)),
+     DimensionMismatch, "topology index 2 is not an integer in [1, 1]"),
+    ("schedule-not-pairs",
+     lambda: ptobs.TopologySequence(topologies=(_TOPO1,), schedule=((0.0, 1, 0.5),)),
+     DimensionMismatch, "schedule must be (time, index) pairs, got shape (1, 3)"),
     ("leader-order", lambda: _leader(0), DimensionMismatch, "leader order must be >= 1, got 0"),
     ("leader-state-length",
      lambda: ptobs.LeaderModel(3, ptobs.input_by_name("zero"), 0.0, [1.0, 0.0]),

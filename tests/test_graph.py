@@ -11,7 +11,7 @@ from ptobs.errors import (
     NotSymmetric,
     SingularLaplacian,
 )
-from conftest import ETA
+from conftest import ETA, schedule_pairs
 from oracles import char_poly_min_eig, cofactor_inverse, random_spanning_topology
 
 
@@ -216,7 +216,19 @@ def test_sequence_drops_noop_switches(digraph1):
     seq = ptobs.TopologySequence(
         topologies=(digraph1,), schedule=((0.0, 1), (0.1, 1), (0.2, 1))
     )
-    assert seq.schedule == ((0.0, 1),)
+    assert schedule_pairs(seq) == ((0.0, 1),)
+
+
+def test_sequence_stores_the_schedule_as_readonly_arrays(digraph1, digraph2):
+    pairs = ((0.0, 1), (0.1, 2), (0.2, 2), (0.3, 1))
+    seq = ptobs.TopologySequence(topologies=(digraph1, digraph2), schedule=pairs, common_H=ETA)
+    same = ptobs.TopologySequence(
+        topologies=(digraph1, digraph2), schedule=np.array(pairs), common_H=ETA
+    )
+    for s in (seq, same):
+        assert schedule_pairs(s) == ((0.0, 1), (0.1, 2), (0.3, 1))
+        assert s.switch_times.dtype == float and s.indices.dtype == int
+        assert not s.switch_times.flags.writeable and not s.indices.flags.writeable
 
 
 def test_sequence_active_index(digraph1, digraph2):

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 import ptobs
 import ptobs.sim
 from ptobs.errors import DimensionMismatch, SingularLaplacian
-from ptobs.sim import _EVENT_MERGE_TOL, _event_grid, _segment_steps, _step_plan
+from ptobs.sim import _EVENT_MERGE_TOL, _event_grid, _step_plan
+from conftest import schedule_pairs
+from oracles import segment_steps
 
 _TOPO = ptobs.DirectedTopology(adjacency=[[0.0]], pinning=[1.0])
 
@@ -44,7 +46,7 @@ def _scan_event_grid(cfg, sched, topos):
         add(b)
     add(cfg.t0)
     add(cfg.t_end)
-    for t, j in topos.schedule:
+    for t, j in schedule_pairs(topos):
         e = add(t)
         if e is not None:
             moved.append((e, j))
@@ -91,18 +93,52 @@ def _schedules(draw):
     return cfg, sched, seq
 
 
+@st.composite
+def _long_schedules(draw):
+    # 100-300 periodic switches as the config builds them (t0 + i * period),
+    # some moved within 1.5e-12 of a stage boundary, some with a neighbour
+    # within the merge tolerance (clusters); a coarser dt keeps the scans short.
+    t0 = draw(st.sampled_from([0.0, 1.0, -0.3]))
+    count = draw(st.integers(100, 300))
+    period = draw(st.sampled_from([0.005, 0.01, 0.0137, 0.02]))
+    durations = draw(
+        st.lists(
+            st.one_of(st.floats(1e-2, 1.0), st.sampled_from([0.1, 0.2, 0.37, 1e-12])),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    sched = ptobs.CascadeSchedule(t0=t0, stage_durations=tuple(durations), exponent=2.01)
+    periodic = [t0 + i * period for i in range(1, count + 1)]
+    near_anchor = st.builds(lambda a, d: a + d, st.sampled_from(sched.boundaries()), _NEAR)
+    moved = draw(st.lists(near_anchor, max_size=10))
+    picks = draw(st.lists(st.tuples(st.integers(0, count - 1), _NEAR), max_size=30))
+    clustered = [periodic[i] + d for i, d in picks]
+    times = sorted({t for t in periodic + moved + clustered if t > t0})
+    schedule = [(t0, 1)] + [(t, 1 + i % 2) for i, t in enumerate(times, start=1)]
+    seq = ptobs.TopologySequence(
+        topologies=(_TOPO, _TOPO), schedule=tuple(schedule), common_H=[1.0]
+    )
+    span = count * period * draw(st.sampled_from([0.5, 1.0, 1.1]))
+    t_end = draw(st.one_of(near_anchor, st.just(t0 + span)))
+    if not t_end > t0:
+        t_end = t0 + span
+    cfg = ptobs.SimConfig(t0=t0, t_end=t_end, dt=1e-2)
+    return cfg, sched, seq
+
+
 @settings(max_examples=300, deadline=None)
-@given(_schedules())
+@given(st.one_of(_schedules(), _long_schedules()))
 def test_event_grid_equals_quadratic_scan(case):
     cfg, sched, seq = case
     events, active = _event_grid(cfg, sched, seq)
     expected, moved = _scan_event_grid(cfg, sched, seq)
-    assert events == expected
-    assert [j + 1 for j in active] == [_scan_active_index(moved, e) for e in expected]
+    assert events.tolist() == expected
+    assert [j + 1 for j in active.tolist()] == [_scan_active_index(moved, e) for e in expected]
 
 
 @settings(max_examples=300, deadline=None)
-@given(_schedules())
+@given(st.one_of(_schedules(), _long_schedules()))
 def test_step_plan_topology_and_records(case):
     cfg, sched, seq = case
     grid, topo, rec = _step_plan(cfg, sched, seq)
@@ -120,13 +156,13 @@ def test_step_plan_topology_and_records(case):
 @given(_schedules(), st.lists(st.floats(-1.0, 7.0), max_size=20))
 def test_active_index_equals_linear_scan(case, probes):
     _, _, seq = case
-    switch_times = [t for t, _ in seq.schedule]
+    switch_times = seq.switch_times.tolist()
     # Probe each switch time exactly and at its float neighbours as well.
     probes = probes + switch_times
     probes += [float(np.nextafter(t, -np.inf)) for t in switch_times]
     probes += [float(np.nextafter(t, np.inf)) for t in switch_times]
     for t in probes:
-        assert seq.active_index(t) == _scan_active_index(seq.schedule, t)
+        assert seq.active_index(t) == _scan_active_index(schedule_pairs(seq), t)
 
 
 @st.composite
@@ -167,19 +203,19 @@ def _far_schedules(draw):
 @given(_far_schedules())
 def test_event_grid_far_from_zero(case):
     cfg, sched, seq = case
-    events, _ = _event_grid(cfg, sched, seq)
+    events = _event_grid(cfg, sched, seq)[0].tolist()
     tol = 4 * math.ulp(cfg.t0)
     # Every stage boundary in range is hit exactly; every switch is merged
     # into an event at most 4 ulps away.
     assert all(b in events for b in sched.boundaries() if cfg.t0 <= b <= cfg.t_end)
-    for t, _ in seq.schedule:
+    for t in seq.switch_times.tolist():
         if cfg.t0 <= t <= cfg.t_end:
             assert min(abs(t - e) for e in events) <= tol
     # Events are more than the merge tolerance apart, and the steps the
     # integrator takes between them (sim.run's grid) all have positive length.
     for e1, e2 in zip(events, events[1:]):
         assert e2 - e1 > tol
-        grid = e1 + np.arange(_segment_steps(e1, e2, cfg.dt) + 1) * cfg.dt
+        grid = e1 + np.arange(segment_steps(e1, e2, cfg.dt) + 1) * cfg.dt
         grid[-1] = e2
         assert np.all(np.diff(grid) > 0.0)
     # The whole step plan strictly increases and records every event.
@@ -242,10 +278,10 @@ def test_step_grid_equals_per_segment_grid(case):
     topos, _, _, sched, _, cfg = args
     res = ptobs.run(*args)
     # The grid the per-segment loop built: e1 + arange(m + 1) * dt, last point e2.
-    events, _ = _event_grid(cfg, sched, topos)
+    events = _event_grid(cfg, sched, topos)[0].tolist()
     expected = [events[0]]
     for e1, e2 in zip(events[:-1], events[1:]):
-        grid = e1 + np.arange(_segment_steps(e1, e2, cfg.dt) + 1) * cfg.dt
+        grid = e1 + np.arange(segment_steps(e1, e2, cfg.dt) + 1) * cfg.dt
         grid[-1] = e2
         expected += grid[1:].tolist()
     assert np.array_equal(res.times, expected)

@@ -80,7 +80,7 @@ def test_event_alignment(digraph1, digraph2, sine_leader, cascade):
     grid = np.sort(res.times)
     for b in cascade.boundaries():
         assert b in set(grid.tolist())  # stage boundaries hit with their exact float
-    for t, _ in seq.schedule:
+    for t in seq.switch_times.tolist():
         # a switch that collides with a stage boundary within merge tolerance is
         # represented by the boundary's float; otherwise it appears exactly
         assert np.min(np.abs(grid - t)) <= 1e-12
