@@ -269,8 +269,8 @@ class TopologySequence:
         if bad.any():
             j = float(idx[bad.argmax()])
             raise DimensionMismatch(
-                f"topology index {int(j) if j.is_integer() else j} is not an integer "
-                f"in [1, {len(topos)}]"
+                f"topology index must be an integer in [1, {len(topos)}], "
+                f"got {int(j) if j.is_integer() else j}"
             )
         keep = np.concatenate(([True], idx[1:] != idx[:-1]))
         times, idx = times[keep], idx[keep].astype(int)

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own linear algebra: the inverse is
 assembled from cofactors and the smallest eigenvalue comes from closed-form
-roots of the characteristic polynomial (sizes up to 3 only).
+roots of the characteristic polynomial (sizes up to 3 only).  The switching
+schedule and step-count oracles work one entry at a time, in plain Python.
 """
 
 import numpy as np

@@ -163,13 +163,13 @@ _LIBRARY_CASES = [
     ("fractional-topology-index",
      lambda: ptobs.TopologySequence(topologies=(_TOPO1,) * 3, schedule=((0.0, 1), (0.1, 2.9)),
                                     common_H=[1.0]),
-     DimensionMismatch, "topology index 2.9 is not an integer in [1, 3]"),
+     DimensionMismatch, "topology index must be an integer in [1, 3], got 2.9"),
     ("nan-topology-index",
      lambda: ptobs.TopologySequence(topologies=(_TOPO1,), schedule=((0.0, 1), (0.1, np.nan))),
-     DimensionMismatch, "topology index nan is not an integer in [1, 1]"),
+     DimensionMismatch, "topology index must be an integer in [1, 1], got nan"),
     ("topology-index-out-of-range",
      lambda: ptobs.TopologySequence(topologies=(_TOPO1,), schedule=((0.0, 2),)),
-     DimensionMismatch, "topology index 2 is not an integer in [1, 1]"),
+     DimensionMismatch, "topology index must be an integer in [1, 1], got 2"),
     ("schedule-not-pairs",
      lambda: ptobs.TopologySequence(topologies=(_TOPO1,), schedule=((0.0, 1, 0.5),)),
      DimensionMismatch, "schedule must be (time, index) pairs, got shape (1, 3)"),
