@@ -6,11 +6,12 @@ Grammar (one construct per line):
     [section]                section header; dots allowed, e.g. [topology.2]
     key = value              value is everything after the first '=', trimmed
 
-Vector values are whitespace-separated numbers; matrix rows are one key each
-(adjacency_row_1, adjacency_row_2, ...).  Parsing records the line number of
-every key so validation errors can point at the exact line.  Serializing a
-parsed document and parsing it again yields an equal document (comments are
-not kept).
+Vector values are whitespace-separated numbers, each read as Python's float()
+reads it; matrix rows are one key each (adjacency_row_1, adjacency_row_2, ...),
+and a matrix is parsed as one block (ConfigDocument.matrix).  Parsing records
+the line number of every key so validation errors can point at the exact line,
+a bad matrix row's included.  Serializing a parsed document and parsing it
+again yields an equal document (comments are not kept).
 
 Sections and keys:
 
@@ -74,10 +75,10 @@ _REQUIRED = object()  # default of a typed accessor whose key must be present
 class ConfigDocument:
     """Parsed config text: ordered sections of key -> (value, line).
 
-    The typed accessors (scalar, integer, choice, vector) report a value that
-    does not convert at its line, or as the --set override it came from (line
-    None); _section_errors reports what a model rejects under the section it
-    was read from.
+    The typed accessors (scalar, integer, choice, vector, matrix) report a
+    value that does not convert at its line, or as the --set override it came
+    from (line None); _section_errors reports what a model rejects under the
+    section it was read from.
     """
 
     path: str = "<config>"
@@ -129,6 +130,28 @@ class ConfigDocument:
         if vals.shape != (length,):
             self._fail(section, key, f"expected {length} values, got {vals.shape[0]}")
         return vals
+
+    def matrix(self, section: str, keys: list[str], length: int) -> np.ndarray:
+        """The rows `keys` of `section` as a (len(keys), length) array.
+
+        One np.loadtxt call reads the whole block.  Its C reader converts each
+        token with CPython's own string-to-double routine and accepts a subset
+        of what float() accepts, so a block it reads holds the values `vector`
+        would give.  Any block it cannot read whole (a missing or blank row,
+        a token only float() takes, a row of the wrong length) is read again
+        row by row by `vector`, which accepts or reports each row as it
+        always has, at its own line or --set override.
+        """
+        raws = [self.get(section, key) for key in keys]
+        if all(raw is not None and raw.strip() for raw in raws):  # loadtxt warns on blank input
+            try:
+                block = np.loadtxt(raws, comments=None, ndmin=2)
+            except ValueError:
+                pass
+            else:
+                if block.shape == (len(keys), length):
+                    return block
+        return np.vstack([self.vector(section, key, length) for key in keys])
 
     @contextmanager
     def _section_errors(self, section: str):
@@ -280,10 +303,10 @@ def _read_topology(doc: ConfigDocument, section: str) -> DirectedTopology:
     count = doc.integer(section, "followers")
     if count < 1:
         doc._fail(section, "followers", "must be a positive integer")
-    rows = [doc.vector(section, f"adjacency_row_{i}", count) for i in range(1, count + 1)]
+    adjacency = doc.matrix(section, [f"adjacency_row_{i}" for i in range(1, count + 1)], count)
     pinning = doc.vector(section, "pinning", count)
     with doc._section_errors(section):
-        return DirectedTopology(adjacency=np.vstack(rows), pinning=pinning)
+        return DirectedTopology(adjacency=adjacency, pinning=pinning)
 
 
 def _read_schedule(doc: ConfigDocument, sim: SimConfig):
@@ -405,9 +428,7 @@ def build_experiment(doc: ConfigDocument) -> Experiment:
                 sigma_factor=doc.scalar("gains", "sigma_factor", GainMargins.sigma_factor),
             )
 
-    estimates = np.vstack(
-        [doc.vector("initial_estimates", f"row_{i}", order) for i in range(1, N + 1)]
-    )
+    estimates = doc.matrix("initial_estimates", [f"row_{i}" for i in range(1, N + 1)], order)
     finite = np.isfinite(estimates).all(axis=1)
     if not finite.all():
         doc._fail("initial_estimates", f"row_{np.argmin(finite) + 1}", "values must be finite")

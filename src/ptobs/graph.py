@@ -120,15 +120,19 @@ def has_spanning_tree(topo: DirectedTopology) -> bool:
     """True iff every follower is reachable from the leader.
 
     Depth-first search over the directed edges leader -> i (pinning) and
-    j -> i (adjacency), counting weights above EDGE_EPS as edges.  Plain
-    Python lists: on a few followers numpy's per-call overhead would dominate.
+    j -> i (adjacency), counting weights above EDGE_EPS as edges.  Successor
+    lists are built once from the edges np.nonzero finds, so the search takes
+    O(N + E) Python steps for N followers and E edges.
     """
     seen = (topo.pinning > EDGE_EPS).tolist()
-    edges_from = (topo.adjacency.T > EDGE_EPS).tolist()  # edges_from[j][i]: edge j -> i
+    successors = [[] for _ in seen]
+    tails, heads = np.nonzero(topo.adjacency.T > EDGE_EPS)  # edges tails[k] -> heads[k]
+    for j, i in zip(tails.tolist(), heads.tolist()):
+        successors[j].append(i)
     stack = [i for i, pinned in enumerate(seen) if pinned]
     while stack:
-        for i, edge in enumerate(edges_from[stack.pop()]):
-            if edge and not seen[i]:
+        for i in successors[stack.pop()]:
+            if not seen[i]:
                 seen[i] = True
                 stack.append(i)
     return all(seen)

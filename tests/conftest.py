@@ -1,3 +1,4 @@
+import importlib.util
 import sys
 import warnings
 from pathlib import Path
@@ -22,6 +23,17 @@ except ImportError:
 
 REPO = Path(__file__).resolve().parent.parent
 BUNDLED_CONFIG = REPO / "configs" / "triple_integrator_switching.cfg"
+
+
+def perfbench_workloads():
+    """perfbench/workloads.py (its config generators and overrides), imported
+    from its file: perfbench is a directory of scripts, not a package."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:  # registered first: its dataclasses look it up
+        spec = importlib.util.spec_from_file_location(name, REPO / "perfbench" / "workloads.py")
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
 
 
 def schedule_pairs(seq):

@@ -3,7 +3,8 @@
 These deliberately avoid the library's own linear algebra: the inverse is
 assembled from cofactors and the smallest eigenvalue comes from closed-form
 roots of the characteristic polynomial (sizes up to 3 only).  The switching
-schedule and step-count oracles work one entry at a time, in plain Python.
+schedule and step-count oracles work one entry at a time, in plain Python, and
+reachability comes from a boolean transitive closure.
 """
 
 import numpy as np
@@ -151,6 +152,28 @@ def random_spanning_topology(rng, max_followers=6):
     if pinning.max() == 0.0:
         pinning[order[0]] = 1.0
     return DirectedTopology(adjacency=adjacency, pinning=pinning)
+
+
+def leader_reaches_all(adjacency, pinning, eps):
+    """Whether the leader reaches every follower along edges heavier than eps.
+
+    Warshall's boolean transitive closure over node 0 (the leader) and nodes
+    1..N (the followers), where a[i, j] is the edge j -> i and b[i] the edge
+    leader -> i.  Plain lists, O(N^3).
+    """
+    a = np.asarray(adjacency, dtype=float).tolist()
+    b = np.asarray(pinning, dtype=float).tolist()
+    n = len(b) + 1
+    reach = [[False] * n for _ in range(n)]  # reach[u][v]: a path u -> v
+    for i in range(1, n):
+        reach[0][i] = b[i - 1] > eps
+        for j in range(1, n):
+            reach[j][i] = a[i - 1][j - 1] > eps
+    for k in range(n):
+        for u in range(n):
+            if reach[u][k]:
+                reach[u] = [x or y for x, y in zip(reach[u], reach[k])]
+    return all(reach[0][1:])
 
 
 def segment_steps(e1, e2, dt):

@@ -229,6 +229,19 @@ def test_underflowing_common_h_exits_1_in_every_command(tmp_path, capsys, comman
     assert [str(w.message) for w in caught] == []
 
 
+def test_blank_adjacency_row_override_is_one_error_line(capsys):
+    # A blank row never reaches the block parser, which would warn on it.
+    argv = ["analyze", "--config", CFG, "--set", "topology.1.adjacency_row_2="]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 1
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == (
+        "error: --set topology.1.adjacency_row_2: "
+        "[topology.1] adjacency_row_2: expected 3 values, got 0\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["analyze", "synthesize", "run"])
 @pytest.mark.parametrize(
     "override",

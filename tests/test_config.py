@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 import ptobs
 from ptobs.config import (
+    ConfigDocument,
     apply_overrides,
     build_experiment,
     load_experiment,
@@ -12,7 +15,7 @@ from ptobs.config import (
     serialize_config,
 )
 from ptobs.errors import ConfigError, InfeasibleTopology
-from conftest import BUNDLED_CONFIG, schedule_pairs
+from conftest import BUNDLED_CONFIG, perfbench_workloads, schedule_pairs
 from oracles import dedup_schedule, periodic_schedule
 
 MINIMAL = """\
@@ -242,3 +245,86 @@ def test_leader_input_parsing():
 def test_unreadable_file():
     with pytest.raises(ConfigError):
         load_experiment("/nonexistent/path.cfg")
+
+
+# Matrix-block tokens: what float() reads (random doubles, subnormals,
+# overflow, signed nan and inf), what only float() reads (1_0, Arabic-Indic
+# one), and what neither reads.  Separators: two of Unicode's whitespace too.
+_GOOD_TOKENS = st.one_of(
+    st.floats().map(repr), st.sampled_from(["5e-324", "1e400", "nan", "-nan", "inf", "-inf"])
+)
+_ANY_TOKENS = st.one_of(_GOOD_TOKENS, st.sampled_from(["1_0", "\u0661", "0x10", "#", ","]))
+_SEPARATORS = st.sampled_from([" ", "\t", "\xa0", "\u2003"])
+
+
+@st.composite
+def _matrix_blocks(draw):
+    """(config text, --set overrides, keys, length) of one [block] section.
+
+    A clean block has every row in full, from the file or an override; any
+    other row may be missing, blank, ragged or hold tokens float() refuses.
+    """
+    rows, length = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    clean = draw(st.booleans())
+    counts = st.sampled_from([length] if clean else [length, length, 0, length - 1, length + 1])
+    token = _GOOD_TOKENS if clean else _ANY_TOKENS
+    places = ["file", "override", "both"] + ([] if clean else ["missing"])
+    lines, overrides, keys = ["[block]"], [], []
+    for i in range(1, rows + 1):
+        key = f"row_{i}"
+        keys.append(key)
+        count = draw(counts)
+        tokens = draw(st.lists(token, min_size=count, max_size=count))
+        seps = draw(st.lists(_SEPARATORS, min_size=count + 1, max_size=count + 1))
+        value = seps[0] + "".join(tok + sep for tok, sep in zip(tokens, seps[1:]))
+        where = draw(st.sampled_from(places))
+        if where in ("file", "both"):
+            lines.append(f"{key} = {value if where == 'file' else '0'}")
+        if where in ("override", "both"):
+            overrides.append(f"block.{key}={value}")
+    return "\n".join(lines) + "\n", overrides, keys, length
+
+
+def _outcome(read):
+    try:
+        block = read()
+    except ConfigError as exc:
+        return "error", str(exc), exc.line
+    return "ok", block.shape, block.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrix_blocks())
+def test_matrix_equals_rows_read_one_by_one(block):
+    # doc.matrix either gives the per-key vstack byte for byte or raises the
+    # same ConfigError at the same line or --set override; no warning.
+    text, overrides, keys, length = block
+    doc = parse_config(text, "m.cfg")
+    apply_overrides(doc, overrides)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _outcome(lambda: doc.matrix("block", keys, length))
+        want = _outcome(lambda: np.vstack([doc.vector("block", key, length) for key in keys]))
+    assert got == want
+
+
+def test_matrix_blocks_are_parsed_in_one_call(monkeypatch, tmp_path):
+    # A silent fallback to row-by-row parsing would keep every result and
+    # only cost time: any adjacency or estimate row read by `vector` fails.
+    workloads = perfbench_workloads()
+    vector = ConfigDocument.vector
+
+    def rows_only_in_blocks(doc, section, key, length):
+        assert not key.startswith(("adjacency_row_", "row_")), f"[{section}] {key} read alone"
+        return vector(doc, section, key, length)
+
+    monkeypatch.setattr(ConfigDocument, "vector", rows_only_in_blocks)
+    wide = tmp_path / "wide.cfg"
+    wide.write_text(workloads.wide_config(3, 0, 40)[2])
+    for path, overrides in [
+        (BUNDLED_CONFIG, []),
+        (BUNDLED_CONFIG, list(workloads.DENSE_OVERRIDES)),
+        (wide, []),
+    ]:
+        exp = load_experiment(str(path), overrides)
+        assert exp.initial_estimates.shape == (exp.sequence.topologies[0].follower_count, 3)

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ptobs
 from ptobs.errors import (
@@ -12,7 +14,12 @@ from ptobs.errors import (
     SingularLaplacian,
 )
 from conftest import ETA, schedule_pairs
-from oracles import char_poly_min_eig, cofactor_inverse, random_spanning_topology
+from oracles import (
+    char_poly_min_eig,
+    cofactor_inverse,
+    leader_reaches_all,
+    random_spanning_topology,
+)
 
 
 def test_scalar_pinned_chain():
@@ -80,6 +87,67 @@ def test_spanning_tree_requires_pinning():
 
 def test_spanning_tree_digraph2(digraph2):
     assert ptobs.has_spanning_tree(digraph2)
+
+
+# Weights on both sides of the edge threshold, and one that would overflow a sum.
+_EDGE_WEIGHTS = (0.0, ptobs.graph.EDGE_EPS, np.nextafter(ptobs.graph.EDGE_EPS, 1.0), 0.5, 1e300)
+
+
+@st.composite
+def _digraphs(draw):
+    # A tree rooted at the leader, with up to two links below the threshold,
+    # plus a few extra edges of any weight: both verdicts are common.
+    n = draw(st.integers(1, 12))
+    node = st.integers(0, n - 1)
+    weight = st.sampled_from(_EDGE_WEIGHTS)
+    heavy, dust = st.sampled_from(_EDGE_WEIGHTS[2:]), st.sampled_from(_EDGE_WEIGHTS[:2])
+    adjacency, pinning = np.zeros((n, n)), np.zeros(n)
+    order = draw(st.permutations(range(n)))
+    cut = set(draw(st.lists(node, max_size=2)))
+    for pos, i in enumerate(order):
+        parent = draw(st.integers(-1, pos - 1))  # -1: the leader
+        w = draw(dust if i in cut else heavy)
+        if parent < 0:
+            pinning[i] = w
+        else:
+            adjacency[i, order[parent]] = w
+    for i, j, w in draw(st.lists(st.tuples(node, node, weight), max_size=n)):
+        if i != j:
+            adjacency[i, j] = w
+    return adjacency, pinning
+
+
+@settings(max_examples=200, deadline=None)
+@given(_digraphs())
+def test_spanning_tree_matches_transitive_closure(graph):
+    adjacency, pinning = graph
+    topo = ptobs.DirectedTopology(adjacency=adjacency, pinning=pinning)
+    expected = leader_reaches_all(adjacency, pinning, ptobs.graph.EDGE_EPS)
+    assert ptobs.has_spanning_tree(topo) is expected
+
+
+@pytest.mark.parametrize("cut", [False, True])
+def test_spanning_tree_matches_transitive_closure_on_120_followers(cut):
+    # A random tree of weights above EDGE_EPS plus sparse extra edges of any
+    # weight; `cut` lowers every link into one follower to EDGE_EPS.
+    rng = np.random.default_rng(20240516)
+    n = 120
+    adjacency, pinning = np.zeros((n, n)), np.zeros(n)
+    order = rng.permutation(n)
+    pinning[order[0]] = 0.5
+    for pos in range(1, n):
+        adjacency[order[pos], order[rng.integers(pos)]] = rng.choice(_EDGE_WEIGHTS[2:])
+    extra = rng.random((n, n)) < 1.5 / n
+    np.fill_diagonal(extra, False)
+    adjacency[extra] = rng.choice(_EDGE_WEIGHTS, size=int(extra.sum()))
+    if cut:
+        victim = order[n // 2]
+        adjacency[victim][adjacency[victim] > 0.0] = ptobs.graph.EDGE_EPS
+        pinning[victim] = 0.0
+    topo = ptobs.DirectedTopology(adjacency=adjacency, pinning=pinning)
+    expected = leader_reaches_all(adjacency, pinning, ptobs.graph.EDGE_EPS)
+    assert expected is not cut
+    assert ptobs.has_spanning_tree(topo) is expected
 
 
 def test_mirror_with_H_matches_rho_case(digraph1):
