@@ -195,7 +195,9 @@ def _stacked_kernel(N: int, n: int, smoothing: float | None, leader: LeaderModel
     (hard sign) with g a _gain_row of alpha + beta r_k(t): one multiply of
     [psi | sign(psi_n)] by g gives g * psi and -sigma sign(psi_n).  It allocates
     nothing, checks no shapes and, with no leader, leaves the leader input
-    unset.  psi is a BLAS dot, the same dgemm as L0 @ D (checked bit for bit).
+    unset.  Calls pass out positionally and scalars as 0-d arrays, the
+    cheaper forms.  psi is a BLAS dot, the same dgemm as L0 @ D (checked bit
+    for bit).
     """
     X = np.zeros((len(out_rows), 2 * N, n))
     K = np.zeros((max(out_rows) + 1, 2 * N, n))
@@ -205,6 +207,7 @@ def _stacked_kernel(N: int, n: int, smoothing: float | None, leader: LeaderModel
     # G[:2Nn - 1] is then every shift term, exactly x0[1:] in leader rows.
     GP, gp_flat, gp_top, sliding = G[Nn:], G[: 2 * Nn - 1], G[Nn + n - 1 : 2 * Nn : n], G[2 * Nn :]
     psi_top, subtract, dot, multiply, sign_of = psi[:, -1], np.subtract, np.dot, np.multiply, np.sign
+    eps, absolute, add, divide = np.array(smoothing or 0.0, dtype=float), np.abs, np.add, np.divide
     input_fn, bound = (leader.input_fn, leader.input_bound + _BOUND_SLACK) if leader else (None, 0.0)
 
     def stage(Xs: np.ndarray, Ks: np.ndarray):  # estimates, leader copies and row, flat shift, tops
@@ -212,17 +215,17 @@ def _stacked_kernel(N: int, n: int, smoothing: float | None, leader: LeaderModel
         K_flat, K_top, K_input = Ks.reshape(-1)[:-1], Ks[N:, -1], Ks[:N, -1]
 
         def rhs(L0: np.ndarray, g: np.ndarray, t: float):
-            subtract(F, L, out=D)
-            dot(L0, D, out=psi)
+            subtract(F, L, D)
+            dot(L0, D, psi)
             # Top column -sigma sign(psi_n) - g_n psi_n: hard sign (sign(0) =
             # 0) or the boundary layer psi / (|psi| + eps) for chattering studies.
             if smoothing is None:
-                sign_of(psi_top, out=sign)
+                sign_of(psi_top, sign)
             else:  # |psi| + eps into sign, then psi divided by it
-                np.divide(psi_top, np.add(np.abs(psi_top, out=sign), smoothing, out=sign), out=sign)
-            multiply(PS, g, out=GP)
-            subtract(X_shift, gp_flat, out=K_flat)
-            subtract(sliding, gp_top, out=K_top)
+                divide(psi_top, add(absolute(psi_top, sign), eps, sign), sign)
+            multiply(PS, g, GP)
+            subtract(X_shift, gp_flat, K_flat)
+            subtract(sliding, gp_top, K_top)
             if leader is not None:  # _leader_input inline; called again only to raise
                 f0 = float(input_fn(x0, t))
                 K_input.fill(f0 if abs(f0) <= bound else _leader_input(leader, x0, t))

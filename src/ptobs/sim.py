@@ -11,9 +11,11 @@ from it.  The loop steps one stacked state in place through the observer
 kernel's stage functions (7 numpy calls each), with each block's extended
 gain rows from one vector expression, and writes [x0; estimates] into one
 snapshot array at record points, from which errors, psi, V and the decay
-envelope follow as arrays.  Each step's divergence check is one BLAS sum of
-squares against threshold squared; the exact max |Z| test runs only when that
-fails, so both stop a run at the same step.  Bit-identical to stepping
+envelope follow as arrays.  A numpy call on these small arrays costs its
+dispatch, so every call passes out positionally, rk4 sums its stages with
+three adds, and each step's divergence check is one bound BLAS dot,
+Zf.dot(Zf), against threshold squared; the exact max |Z| test runs only when
+that fails, so both stop a run at the same step.  Bit-identical to stepping
 leader_rhs, dpto_rhs, and to decay_budget at each sample.
 """
 
@@ -291,7 +293,7 @@ def run(
         return _gain_row(gains.alpha + gains.beta * stage_rates(sched, times, cfg.guard), N, gains.sigma)
 
     # rk4 evaluates k1..k4 into K[0], K[4], K[5], K[3] and writes 2 k2, 2 k3
-    # into K[1], K[2], so one reduce over K[:4] sums ((k1 + 2 k2) + 2 k3) + k4.
+    # into K[1], K[2], so three adds sum ((k1 + 2 k2) + 2 k3) + k4.
     rk4 = cfg.method == "rk4"
     stage_rows = (0, 4, 5, 3) if rk4 else (0,)
     X, K, stages = _stacked_kernel(N, n, cfg.sign_smoothing, leader, stage_rows)
@@ -300,15 +302,16 @@ def run(
     rhs0 = stages[0]
     if rk4:
         X1, X2, X3 = X[1:]
-        K1, K2, K_weighted, K_doubled, K_mid = K[4], K[5], K[:4], K[1:3], K[4:]
+        K1, K2, K3, K_doubled, K_mid = K[4], K[5], K[3], K[1:3], K[4:]
+        K1_doubled, K2_doubled = K_doubled
         _, rhs1, rhs2, rhs3 = stages
     T, A, Zf = np.empty_like(Z), np.empty_like(Z), Z.reshape(-1)  # step increment; |Z|; Z flat
-    # Divergence pre-check sum(z^2) < thr^2: rounding is monotone, so |z| > thr
+    # Divergence pre-check z.z < thr^2 (BLAS ddot): rounding is monotone, so |z| > thr
     # gives fl(z^2) >= fl(thr^2) and a sum at least that; NaN and inf fail it too.
-    thr2 = cfg.divergence_threshold * cfg.divergence_threshold
+    thr2, sum_sq = cfg.divergence_threshold * cfg.divergence_threshold, Zf.dot
     # 0-d arrays (a ufunc converts a Python float argument on every call), set when h changes.
     half, full, sixth, two, h_set = np.empty(()), np.empty(()), np.empty(()), np.array(2.0), None
-    multiply, add, add_reduce, vdot = np.multiply, np.add, np.add.reduce, np.vdot
+    multiply, add = np.multiply, np.add  # out goes positionally: see the module docstring
     snaps = np.empty((np.count_nonzero(rec), N + 1, n))  # [x0; estimates] per recorded point
     snaps[0] = Z[N - 1 :]
     rows = iter(snaps[1:])  # the rows the loop fills, in order
@@ -328,24 +331,26 @@ def run(
                     half[()], full[()], sixth[()], h_set = 0.5 * h, h, h / 6.0, h
                 rhs0(L0, ga, t)
                 if rk4:  # stage inputs Z + (h/2) k1, Z + (h/2) k2, Z + h k3
-                    multiply(K0, half, out=X1)
-                    add(Z, X1, out=X1)
+                    multiply(K0, half, X1)
+                    add(Z, X1, X1)
                     rhs1(L0, gm, tm)
-                    multiply(K1, half, out=X2)
-                    add(Z, X2, out=X2)
+                    multiply(K1, half, X2)
+                    add(Z, X2, X2)
                     rhs2(L0, gm, tm)
-                    multiply(K2, full, out=X3)
-                    add(Z, X3, out=X3)
+                    multiply(K2, full, X3)
+                    add(Z, X3, X3)
                     rhs3(L0, gn, tn)
-                    multiply(K_mid, two, out=K_doubled)
-                    add_reduce(K_weighted, axis=0, out=T)
-                    multiply(T, sixth, out=T)
+                    multiply(K_mid, two, K_doubled)
+                    add(K0, K1_doubled, T)
+                    add(T, K2_doubled, T)
+                    add(T, K3, T)
+                    multiply(T, sixth, T)
                 else:
-                    multiply(K0, full, out=T)
-                add(Z, T, out=Z)
+                    multiply(K0, full, T)
+                add(Z, T, Z)
                 # One check per step: a non-finite stage derivative shows up in Z.
-                if not vdot(Zf, Zf) < thr2:  # exact max |Z| test only past the pre-check
-                    peak = np.maximum.reduce(np.abs(Z, out=A), axis=None)
+                if not sum_sq(Zf) < thr2:  # exact max |Z| test only past the pre-check
+                    peak = np.maximum.reduce(np.abs(Z, A), axis=None)
                     if not (math.isfinite(peak) and peak <= cfg.divergence_threshold):
                         raise Diverged(tn if np.isfinite(K[stage_rows, N:]).all() else t)
                 if keep:

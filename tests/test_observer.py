@@ -83,7 +83,7 @@ def test_psi_matches_componentwise_definition():
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("N", [1, 2, 3, 5, 40, 120])
 def test_kernel_dot_equals_matmul_bit_for_bit(N, n):
-    # The integrator's kernel computes psi as np.dot(L0, D, out=psi), while
+    # The integrator's kernel computes psi as np.dot(L0, D, psi), while
     # local_errors and the recorded psi use L0 @ D.  The exact-replay test in
     # test_sim.py replays through the kernel too, so only this test sees the
     # two products disagree on the BLAS this runs on.
@@ -96,6 +96,38 @@ def test_kernel_dot_equals_matmul_bit_for_bit(N, n):
         D = rng.normal(size=(N, n)) * 10.0 ** rng.integers(-6, 7, size=(N, n))
         np.dot(L0, D, out=out)
         assert np.array_equal(out, L0 @ D)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e154, 1e-160, 1e-170])
+@pytest.mark.parametrize("N", [3, 40, 120])
+def test_divergence_precheck_dot_equals_vdot_bit_for_bit(N, scale):
+    # sim.run's divergence pre-check is Zf.dot(Zf) < thr^2 over the flat
+    # state; it was np.vdot(Zf, Zf).  Both are BLAS ddot.  Scales 1e154 and
+    # 1e-160 / 1e-170 put the squares past overflow and into the subnormals.
+    rng = np.random.default_rng(N)
+    thr2 = 1e9 * 1e9
+    with np.errstate(over="ignore", invalid="ignore"):  # as around the loop
+        for _ in range(20):
+            x = rng.normal(size=2 * N * 3) * scale
+            assert x.dot(x).tobytes() == np.vdot(x, x).tobytes()
+            for bad in (np.inf, -np.inf, np.nan):
+                y = x.copy()
+                y[rng.integers(y.size)] = bad
+                assert not y.dot(y) < thr2 and not np.vdot(y, y) < thr2
+
+
+@pytest.mark.parametrize("N", [3, 40, 120])
+def test_rk4_stage_sum_equals_reduce_bit_for_bit(N):
+    # sim.run sums K[0] .. K[3] (k1, 2 k2, 2 k3, k4) with three positional
+    # adds; np.add.reduce(K[:4], axis=0) gave ((k1 + 2 k2) + 2 k3) + k4 too.
+    rng = np.random.default_rng(7 + N)
+    T = np.empty((2 * N, 3))
+    for _ in range(20):
+        K = rng.normal(size=(6, 2 * N, 3)) * 10.0 ** rng.integers(-8, 9, size=(6, 2 * N, 3))
+        np.add(K[0], K[1], T)
+        np.add(T, K[2], T)
+        np.add(T, K[3], T)
+        assert T.tobytes() == np.add.reduce(K[:4], axis=0).tobytes()
 
 
 @pytest.mark.parametrize("smoothing", [None, 0.05])
