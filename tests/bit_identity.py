@@ -126,7 +126,7 @@ def run_invocation(overrides: tuple[str, ...], out: Path) -> dict:
         "overrides": list(overrides),
         "exit_codes": [code, code_report],
         "convergence_times": list(result.convergence_times),
-        "post_deadline_errors": np.abs(after).max(axis=(0, 1)).tolist(),
+        "post_deadline_errors": np.abs(after).max(axis=(0, 1)).tolist() if after.size else [],
         "digests": digests,
     }
 
