@@ -9,6 +9,12 @@ stage, which tests/test_bit_identity.py compares within 1e-9 relative on a
 host whose fingerprint (numpy version, BLAS, machine and CPU) differs from
 the one that wrote the file, since BLAS kernels may round differently there.
 
+Per kernel case it holds the digest of dpto_rhs outputs at seeded inputs,
+and their sum of magnitudes for the same fallback.  An integrator step at a
+fine dt can absorb a last-bit change in the observer stage (the smoothed
+sign's division, say) into the estimate it is added to; the raw derivative
+cannot.
+
 Regenerate from the repository root, only when a change alters results on
 purpose, and list the invocations whose digests changed:
 
@@ -31,6 +37,8 @@ from unittest import mock
 import numpy as np
 
 from ptobs import cli
+from ptobs.config import load_experiment
+from ptobs.observer import dpto_rhs
 
 REPO = Path(__file__).resolve().parent.parent
 BUNDLED_CONFIG = REPO / "configs" / "triple_integrator_switching.cfg"
@@ -64,6 +72,13 @@ INVOCATIONS: dict[str, tuple[str, ...]] = {
         "sim.t_end=0.33",
     ),
 }
+
+# dpto_rhs cases: the sign smoothing each evaluates under (None: hard sign).
+KERNEL_CASES: dict[str, float | None] = {
+    "kernel-hard-sign": None,
+    "kernel-sign-smoothing-0.05": 0.05,
+}
+_KERNEL_SAMPLES = 200
 
 
 def fingerprint() -> dict[str, str]:
@@ -131,6 +146,31 @@ def run_invocation(overrides: tuple[str, ...], out: Path) -> dict:
     }
 
 
+def kernel_case(smoothing: float | None) -> dict:
+    """dpto_rhs on the bundled topologies, gains and schedule at seeded times,
+    estimates and leader states small enough that the smoothed sign stays
+    off its saturation."""
+    exp = load_experiment(str(BUNDLED_CONFIG))
+    analyses, sched = exp.sequence.analyses(), exp.sched
+    rng = np.random.default_rng(17)
+    out = np.stack([
+        dpto_rhs(analyses[rng.integers(len(analyses))], exp.gains, sched, exp.sim.guard,
+                 rng.normal(scale=0.05, size=(3, sched.order)),
+                 rng.normal(scale=0.05, size=sched.order),
+                 rng.uniform(sched.t0, sched.t_star), smoothing)
+        for _ in range(_KERNEL_SAMPLES)
+    ])
+    return {
+        "sign_smoothing": smoothing,
+        "abs_sum": float(np.abs(out).sum()),
+        "digest": _sha(f"{out.dtype}{out.shape}".encode() + out.tobytes()),
+    }
+
+
+def run_kernel_cases() -> dict[str, dict]:
+    return {name: kernel_case(smoothing) for name, smoothing in KERNEL_CASES.items()}
+
+
 def run_corpus(root: Path) -> dict[str, dict]:
     """Every invocation, each writing into its own directory under root."""
     return {name: run_invocation(o, root / name) for name, o in INVOCATIONS.items()}
@@ -138,10 +178,14 @@ def run_corpus(root: Path) -> dict[str, dict]:
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        corpus = {"fingerprint": fingerprint(), "invocations": run_corpus(Path(tmp))}
+        corpus = {
+            "fingerprint": fingerprint(),
+            "invocations": run_corpus(Path(tmp)),
+            "kernel": run_kernel_cases(),
+        }
     CORPUS.parent.mkdir(exist_ok=True)
     CORPUS.write_text(json.dumps(corpus, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {len(INVOCATIONS)} invocations to {CORPUS}")
+    print(f"wrote {len(INVOCATIONS)} invocations and {len(KERNEL_CASES)} kernel cases to {CORPUS}")
     return 0
 
 

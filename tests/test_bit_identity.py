@@ -40,6 +40,19 @@ def _summary_mismatches(stored, fresh):
 def test_corpus_lists_the_current_invocations():
     stored = {name: tuple(v["overrides"]) for name, v in STORED["invocations"].items()}
     assert stored == bit_identity.INVOCATIONS, "regenerate with tests/bit_identity.py"
+    kernel = {name: v["sign_smoothing"] for name, v in STORED["kernel"].items()}
+    assert kernel == bit_identity.KERNEL_CASES, "regenerate with tests/bit_identity.py"
+
+
+def test_kernel_outputs_match_the_corpus():
+    fresh = bit_identity.run_kernel_cases()
+    if STORED["fingerprint"] != bit_identity.fingerprint():  # see test_outputs_match_the_corpus
+        bad = [name for name, want in STORED["kernel"].items()
+               if not _close(fresh[name]["abs_sum"], want["abs_sum"])]
+    else:
+        bad = [name for name, want in STORED["kernel"].items()
+               if fresh[name]["digest"] != want["digest"]]
+    assert bad == [], "dpto_rhs outputs differ from the corpus"
 
 
 def test_outputs_match_the_corpus(fresh, capsys):
