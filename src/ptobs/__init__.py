@@ -43,7 +43,6 @@ from .observer import (
     input_by_name,
     leader_rhs,
     local_errors,
-    lyapunov_trace,
     synthesize_gains,
 )
 from .sim import SimConfig, SimResult, decay_budget, detect_convergence, run
@@ -80,7 +79,6 @@ __all__ = [
     "input_by_name",
     "leader_rhs",
     "local_errors",
-    "lyapunov_trace",
     "min_eig_symmetric",
     "mirror_with_H",
     "rate_ratio",

@@ -20,6 +20,7 @@ t* = t0 + sum of all stage durations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,10 +91,6 @@ class CascadeSchedule:
         """Instant by which every stage has closed its window."""
         return self._windows[0].end
 
-    def stage_start(self, stage_k: int) -> float:
-        """Window start t_{n-k} of stage k: later stages open earlier."""
-        return self.window(stage_k).start
-
     def window(self, stage_k: int) -> ScalingWindow:
         if not 1 <= stage_k <= self.order:
             raise DimensionMismatch(f"stage {stage_k} out of range [1, {self.order}]")
@@ -104,15 +101,14 @@ class CascadeSchedule:
         return [w.start for w in reversed(self._windows)] + [self.t_star]
 
 
-def varsigma(w: ScalingWindow, t: float) -> float:
-    """Scaling function value at t: (T/(start+T-t))^h on the window, else 1."""
-    return varsigma_clamped(w, t, 0.0)
-
-
-def varsigma_clamped(w: ScalingWindow, t: float, guard: float) -> float:
-    """Scaling function with the denominator clamped at guard, as the dynamics use."""
+def varsigma(w: ScalingWindow, t: float, guard: float = 0.0) -> float:
+    """Scaling function value at t: (T / max(start+T-t, guard))^h on the window,
+    else 1; inf where the power overflows.  The dynamics clamp at their guard."""
     if w.start <= t < w.end:
-        return (w.duration / max(w.end - t, guard)) ** w.exponent
+        try:
+            return (w.duration / max(w.end - t, guard)) ** w.exponent
+        except OverflowError:
+            return math.inf
     return 1.0
 
 
@@ -132,9 +128,8 @@ def stage_gain(sched: CascadeSchedule, stage_k: int, t: float, guard: float) -> 
 
 def stage_rates(sched: CascadeSchedule, times: np.ndarray, guard: float) -> np.ndarray:
     """Rate ratios of all stages at each time, shape (len(times), n): entry
-    [i, k-1] is the same float as stage_gain(sched, k, times[i], guard)."""
-    if guard <= 0.0:
-        raise DimensionMismatch(f"guard must be positive, got {guard}")
+    [i, k-1] is the same float as stage_gain(sched, k, times[i], guard).
+    Unchecked: the integrator passes SimConfig.guard, which is at least dt."""
     t = np.asarray(times, dtype=float)[:, None]
     start, end, exponent = np.array([(w.start, w.end, w.exponent) for w in sched._windows]).T
     inside = (start <= t) & (t < end)

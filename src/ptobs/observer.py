@@ -335,9 +335,3 @@ def _weighted_energy(weights: np.ndarray, psi: np.ndarray) -> np.ndarray:
     # 0.5 * sum_i w_i psi[..., i, k]^2 for weights (..., N) and psi (..., N, n).
     # numpy sums a stack of samples as it sums one sample of the same n.
     return 0.5 * (weights[..., :, None] * psi * psi).sum(axis=-2)
-
-
-def lyapunov_trace(analysis: GraphAnalysis, psi_k: np.ndarray) -> float:
-    """Weighted energy of one stage's local error: 0.5 * sum_i w_i psi_k[i]^2."""
-    psi_k = np.asarray(psi_k, dtype=float)
-    return float(_weighted_energy(analysis.rho, psi_k[:, None])[0])

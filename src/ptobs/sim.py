@@ -10,13 +10,13 @@ and the record points; steps and recorded diagnostics take their topology
 from it.  The loop steps one stacked state in place through the observer
 kernel's stage functions (7 numpy calls each), with each block's extended
 gain rows from one vector expression, and writes [x0; estimates] into one
-snapshot array at record points, from which errors, psi, V and the decay
-envelope follow as arrays.  A numpy call on these small arrays costs its
-dispatch, so every call passes out positionally, rk4 sums its stages with
-three adds, and each step's divergence check is one bound BLAS dot,
-Zf.dot(Zf), against threshold squared; the exact max |Z| test runs only when
-that fails, so both stop a run at the same step.  Bit-identical to stepping
-leader_rhs, dpto_rhs, and to decay_budget at each sample.
+snapshot array at record points, from which errors, psi and V follow as
+arrays; one decay_budget call gives the envelope at every sample.  A numpy
+call on these small arrays costs its dispatch, so every call passes out
+positionally, rk4 sums its stages with three adds, and each step's
+divergence check is one bound BLAS dot, Zf.dot(Zf), against threshold
+squared; the exact max |Z| test runs only when that fails, so both stop a
+run at the same step.  Bit-identical to stepping leader_rhs and dpto_rhs.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, Diverged
-from .gain import CascadeSchedule, stage_rates, varsigma_clamped
+from .gain import CascadeSchedule, stage_rates
 from .graph import GraphAnalysis, TopologySequence
 from .observer import LeaderModel, ObserverGains, _gain_row, _stacked_kernel, _weighted_energy
 from .observer import dpto_rhs, leader_rhs, local_errors  # noqa: F401  (public forms, wrapped by perfbench)
@@ -126,21 +126,40 @@ def decay_budget(
     analysis: GraphAnalysis,
     gains: ObserverGains,
     sched: CascadeSchedule,
-    stage_k: int,
-    V_at_window_start: float,
-    t: float,
+    stage_k: int | np.ndarray,
+    V_at_window_start: float | np.ndarray,
+    t: float | np.ndarray,
     guard: float,
-) -> float:
-    """Theoretical Lyapunov envelope for stage k from its window start.
-
-    varsigma(t)^-2 * exp(-c (t - window_start)) * V_at_window_start with
-    c = 2 alpha lambda_min / max(weights), using the same guard-clamped
-    scaling function as the dynamics.
+) -> float | np.ndarray:
+    """Theoretical Lyapunov envelope for stage k from its window start:
+    varsigma(t)^-2 exp(-c (t - window_start)) V_at_window_start, where
+    c = 2 alpha lambda_min / max(weights) and varsigma is clamped at guard as
+    in the dynamics.  Scalars, or arrays of one shape, in and out.  The two
+    powers are libm's, per sample (numpy's SIMD pow differs in the last bit),
+    saturating to 0 where varsigma overflows and to inf where it underflows
+    to 0; a zero V_at_window_start gives 0.
     """
-    w = sched.window(stage_k)
+    def inverse_square_power(base: float, h: float) -> float:
+        # (base ** h) ** -2.0 as libm's pow rounds it; where Python raises, the
+        # result lies past the doubles: below them if base > 1, else above.
+        try:
+            return (base ** h) ** -2.0
+        except (OverflowError, ZeroDivisionError):
+            return 0.0 if base > 1.0 else math.inf
+
+    shape = np.broadcast(stage_k, V_at_window_start, t).shape
+    k, V0, t = (np.broadcast_to(a, shape).ravel() for a in (stage_k, V_at_window_start, t))
+    for j in (k.min(initial=1), k.max(initial=1)):  # a stage out of range raises
+        sched.window(int(j))
+    table = [(w.start, w.end, w.duration) for w in map(sched.window, range(1, sched.order + 1))]
+    start, end, duration = np.array(table).T[:, k - 1]
+    inside = (start <= t) & (t < end)
+    base = duration[inside] / np.maximum(end[inside] - t[inside], guard)
+    vs2 = np.ones(t.shape)  # varsigma^-2
+    vs2[inside] = [inverse_square_power(b, sched.exponent) for b in base.tolist()]
     c = 2.0 * gains.alpha * analysis.lambda_min / analysis.max_weight
-    vs = varsigma_clamped(w, t, guard)
-    return vs ** (-2.0) * np.exp(-c * (t - w.start)) * V_at_window_start
+    budget = np.multiply(vs2 * np.exp(-c * (t - start)), V0, out=np.zeros(t.shape), where=V0 != 0)
+    return budget.reshape(shape)[()]
 
 
 def detect_convergence(
@@ -223,7 +242,7 @@ def _step_plan(cfg: SimConfig, sched: CascadeSchedule, topos: TopologySequence):
     events[s] + j * dt for j below its step count: round(span / dt) when
     that many dt land within 1e-9 dt of the next event, else one more than
     the whole dt that fit.  Events and every record_stride-th point are
-    recorded."""
+    recorded; a stride of at least the point count records the events alone."""
     events, active = _event_grid(cfg, sched, topos)
     span = np.diff(events) / cfg.dt
     m = np.rint(span)  # round half to even, as round() does
@@ -234,7 +253,7 @@ def _step_plan(cfg: SimConfig, sched: CascadeSchedule, topos: TopologySequence):
         P = np.arange(seg.size)
         offset = P - np.concatenate(([0], np.cumsum(steps)))[seg]
         grid = events[seg] + offset * cfg.dt
-        rec = (P % cfg.record_stride == 0) | (offset == 0)
+        rec = (P % min(cfg.record_stride, P.size) == 0) | (offset == 0)
         return grid, active[seg], rec
     except MemoryError:
         msg = f"dt = {cfg.dt:g} plans {steps.sum():g} steps, too many to hold in memory"
@@ -363,24 +382,16 @@ def run(
     for j, analysis in enumerate(analyses):
         psi[active == j] = np.matmul(analysis.sub_laplacian, errors[active == j])
     V = _weighted_energy(np.array([a.rho for a in analyses])[active], psi)
-    # decay_budget at every sample from V at its stage's window start (where
-    # that is a sample), the same floats: only its two powers stay per-sample
-    # Python, because numpy's SIMD pow differs from libm's in the last bit.
-    start, end, duration = np.array([(w.start, w.end, w.duration) for w in windows]).T
+    # The envelope at every sample whose stage has a sample at its window start.
+    start = np.array([w.start for w in windows])
     at = np.minimum(times.searchsorted(start), times.size - 1)  # the sample at each start
     has_v0 = times[at] == start
     v0 = V[at, np.arange(n)]
     # The active stage is the first opened window: stage 1 opens last, stage n at t0.
     stage = (start <= times[:, None]).argmax(axis=1)
     s = np.flatnonzero(has_v0[stage])
-    t, k = times[s], stage[s]
-    inside = (start[k] <= t) & (t < end[k])
-    base = duration[k][inside] / np.maximum(end[k][inside] - t[inside], cfg.guard)
-    vs2 = np.ones(t.shape)  # varsigma^-2
-    vs2[inside] = [(b ** sched.exponent) ** -2.0 for b in base.tolist()]
-    c = 2.0 * gains.alpha * worst.lambda_min / worst.max_weight
     budget = np.full(times.shape, np.inf)
-    budget[s] = vs2 * np.exp(-c * (t - start[k])) * v0[k]
+    budget[s] = decay_budget(worst, gains, sched, stage[s] + 1, v0[stage[s]], times[s], cfg.guard)
 
     return SimResult(
         times=times,

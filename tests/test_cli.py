@@ -643,6 +643,31 @@ def test_run_divergence_exits_3(capsys):
     assert "diverged at t" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides, saturated",
+    [
+        (("gains.beta=0", "cascade.exponent=200", "sim.t_end=0.7"), 0.0),  # varsigma overflows
+        (("sim.guard=1e300", "sim.t_end=0.7"), np.inf),  # varsigma underflows to 0
+    ],
+)
+def test_run_with_saturating_envelope_exits_0(tmp_path, capsys, overrides, saturated):
+    sets = [arg for o in overrides for arg in ("--set", o)]
+    assert main(["run", "--config", CFG, "--quiet", "--out", str(tmp_path), *sets]) == 0
+    assert all(line.startswith("warning: beta") for line in capsys.readouterr().err.splitlines())
+    assert saturated in read_trace(str(tmp_path / "trace.csv")).decay_bound
+
+
+def test_run_stride_past_the_plan_records_the_events(tmp_path, capsys):
+    # A stride no int64 holds: the events alone (t0, switches every 0.1 s,
+    # window boundaries, t_end) are recorded.
+    assert main([
+        "run", "--config", CFG, "--quiet", "--out", str(tmp_path),
+        "--set", "sim.record_stride=99999999999999999999", "--set", "sim.t_end=0.7",
+    ]) == 0
+    times = read_trace(str(tmp_path / "trace.csv")).times
+    assert times.tolist() == pytest.approx([0.1 * i for i in range(8)], abs=1e-12)
+
+
 def test_run_nan_leader_input_exits_1(tmp_path, capsys):
     code = main([
         "run", "--config", CFG, "--quiet", "--out", str(tmp_path),

@@ -9,7 +9,7 @@ import pytest
 import ptobs
 from ptobs.config import apply_overrides, build_experiment, parse_config
 from ptobs.errors import ConfigError, DimensionMismatch, MalformedTrace, NonFinite
-from ptobs.gain import rate_ratio, stage_rates
+from ptobs.gain import rate_ratio
 from ptobs.observer import dpto_rhs, local_errors
 from ptobs.sim import detect_convergence
 from ptobs.trace import header_columns, read_trace
@@ -147,8 +147,6 @@ _LIBRARY_CASES = [
     ("stage-out-of-range", lambda: _SCHED.window(0), DimensionMismatch, "stage 0 out of range [1, 3]"),
     ("rate-ratio-guard", lambda: rate_ratio(_SCHED.window(1), 0.0, 0.0), DimensionMismatch,
      "guard must be positive, got 0.0"),
-    ("stage-rates-guard", lambda: stage_rates(_SCHED, [0.0], -1.0), DimensionMismatch,
-     "guard must be positive, got -1.0"),
     ("adjacency-not-square", lambda: ptobs.DirectedTopology(adjacency=np.zeros((2, 3)), pinning=[1, 0]),
      DimensionMismatch, "adjacency must be square, got (2, 3)"),
     ("min-eig-not-square", lambda: ptobs.min_eig_symmetric(np.zeros((2, 3))), DimensionMismatch,

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import ptobs
 from ptobs.errors import DimensionMismatch
-from ptobs.gain import ScalingWindow, rate_ratio, stage_gain, varsigma, varsigma_clamped
+from ptobs.gain import ScalingWindow, rate_ratio, stage_gain, varsigma
 
 
 @pytest.fixture
@@ -76,9 +76,16 @@ def test_rate_ratio_left_limit_decimal_offsets(window):
 def test_varsigma_clamped_matches_inside_and_saturates(window):
     guard = 1e-3
     t_in = window.end - 5 * guard
-    assert varsigma_clamped(window, t_in, guard) == varsigma(window, t_in)
-    sat = varsigma_clamped(window, window.end - guard / 10, guard)
+    assert varsigma(window, t_in, guard) == varsigma(window, t_in)
+    sat = varsigma(window, window.end - guard / 10, guard)
     assert sat == pytest.approx((window.duration / guard) ** window.exponent)
+
+
+def test_varsigma_saturates_instead_of_raising():
+    # (T / guard)^h past the largest double is inf; below the least, 0.
+    w = ScalingWindow(start=0.0, duration=0.2, exponent=200.0)
+    assert varsigma(w, 0.1999, guard=1e-3) == np.inf
+    assert varsigma(ScalingWindow(0.0, 0.2, 2.01), 0.1, guard=1e300) == 0.0
 
 
 def test_window_validation():
@@ -90,16 +97,16 @@ def test_window_validation():
 
 def test_cascade_stage_windows(cascade):
     # order 3, 0.2 s each: stage 3 = [0, 0.2), stage 2 = [0.2, 0.4), stage 1 = [0.4, 0.6)
-    assert cascade.stage_start(3) == 0.0
-    assert cascade.stage_start(2) == pytest.approx(0.2)
-    assert cascade.stage_start(1) == pytest.approx(0.4)
+    assert cascade.window(3).start == 0.0
+    assert cascade.window(2).start == pytest.approx(0.2)
+    assert cascade.window(1).start == pytest.approx(0.4)
     assert cascade.t_star == pytest.approx(0.6)
 
 
 def test_cascade_boundaries_bitwise_consistent(cascade):
     # a window's end is the next window's start, as the same float
     for k in range(cascade.order, 1, -1):
-        assert cascade.window(k).end == cascade.stage_start(k - 1)
+        assert cascade.window(k).end == cascade.window(k - 1).start
     assert cascade.window(1).end == cascade.t_star
     assert cascade.boundaries()[0] == cascade.t0
 
@@ -141,7 +148,7 @@ def test_cascade_validation():
 
 
 def _varsigma_closed_form(w, t):
-    # The unclamped closed form varsigma had before it called varsigma_clamped.
+    # The unclamped closed form: varsigma at its default guard of 0.
     if w.start <= t < w.end:
         return (w.duration / (w.end - t)) ** w.exponent
     return 1.0
@@ -171,6 +178,5 @@ def test_cascade_window_table_bitwise(t0, durations):
     assert [b.hex() for b in bounds] == [s.hex() for s in sums]
     assert sched.t_star.hex() == bounds[-1].hex()
     for k in range(1, len(durations) + 1):
-        assert sched.stage_start(k).hex() == sched.window(k).start.hex()
         if k > 1:
-            assert sched.window(k).end.hex() == sched.stage_start(k - 1).hex()
+            assert sched.window(k).end.hex() == sched.window(k - 1).start.hex()

@@ -288,26 +288,6 @@ def test_gain_warnings_flag_low_beta_and_sigma(digraph1):
     assert ptobs.gain_condition_warnings(ok, analyses, 0.125) == []
 
 
-def test_lyapunov_trace_values():
-    a = ptobs.GraphAnalysis(
-        sub_laplacian=np.eye(2),
-        rho=np.array([1.0, 1.0]),
-        mirror=np.eye(2),
-        lambda_min=1.0,
-        weight_source="user_H",
-    )
-    assert ptobs.lyapunov_trace(a, np.zeros(2)) == 0.0
-    assert ptobs.lyapunov_trace(a, np.array([1.0, -1.0])) == pytest.approx(1.0)
-    b = ptobs.GraphAnalysis(
-        sub_laplacian=np.eye(2),
-        rho=np.array([2.0, 3.0]),
-        mirror=np.eye(2),
-        lambda_min=1.0,
-        weight_source="user_H",
-    )
-    assert ptobs.lyapunov_trace(b, np.array([1.0, 2.0])) == pytest.approx(7.0)
-
-
 def test_gains_validation():
     with pytest.raises(DimensionMismatch):
         ptobs.ObserverGains(alpha=0.0, beta=1.0, sigma=0.0)

@@ -6,8 +6,8 @@ import pytest
 import ptobs
 from ptobs.errors import DimensionMismatch, Diverged, InputBoundViolated
 from ptobs.observer import dpto_rhs, leader_rhs, local_errors
-from ptobs.observer import lyapunov_trace
 from ptobs.config import load_experiment
+from ptobs.gain import varsigma
 from ptobs.sim import decay_budget, detect_convergence
 from ptobs.trace import TraceData
 from conftest import BUNDLED_CONFIG, ETA, INITIAL_ESTIMATES
@@ -181,6 +181,37 @@ def test_decay_budget_at_window_start(static_run):
     assert decay_budget(analysis, gains, sched, 3, 0.0, 0.15, cfg.guard) == 0.0
 
 
+def test_decay_budget_saturates_where_varsigma_does(static_run):
+    # The envelopes of `ptobs run` at gains.beta=0 with cascade.exponent=200,
+    # and at sim.guard=1e300: varsigma overflows (budget 0) or underflows to 0
+    # (budget inf, or 0 for a zero V at the window start).
+    analysis, gains, cfg, res = static_run
+    sched = ptobs.CascadeSchedule(t0=0.0, stage_durations=(0.2, 0.2, 0.2), exponent=2.01)
+    steep = dataclasses.replace(sched, exponent=200.0)
+    assert decay_budget(analysis, gains, steep, 3, 0.7, 0.1999, 1e-3) == 0.0
+    assert decay_budget(analysis, gains, sched, 3, 0.7, 0.1, 1e300) == np.inf
+    assert decay_budget(analysis, gains, sched, 3, 0.0, 0.1, 1e300) == 0.0
+    # The array form is the scalar form at each sample, in the arguments' shape.
+    k = np.array([[3, 3, 3], [2, 1, 1]])
+    V0 = np.array([[0.7, 0.0, 0.7], [0.3, 0.2, 0.2]])
+    t = np.array([[0.1, 0.1999, 0.1999], [0.25, 0.5, 0.65]])
+    for schedule, guard in ((sched, cfg.guard), (steep, 1e-3), (sched, 1e300)):
+        got = decay_budget(analysis, gains, schedule, k, V0, t, guard)
+        assert got.shape == (2, 3)
+        assert got.tolist() == [
+            [decay_budget(analysis, gains, schedule, *args, guard) for args in zip(*rows)]
+            for rows in zip(k.tolist(), V0.tolist(), t.tolist())
+        ]
+
+
+def test_decay_budget_rejects_a_stage_out_of_range(static_run):
+    analysis, gains, cfg, res = static_run
+    sched = ptobs.CascadeSchedule(t0=0.0, stage_durations=(0.2, 0.2, 0.2), exponent=2.01)
+    for stages in (0, np.array([1, 4, 2])):
+        with pytest.raises(DimensionMismatch, match=r"^stage (0|4) out of range \[1, 3\]$"):
+            decay_budget(analysis, gains, sched, stages, np.ones(np.shape(stages)), 0.1, cfg.guard)
+
+
 def test_lyapunov_top_stage_nonincreasing(static_run):
     analysis, gains, cfg, res = static_run
     V3 = res.lyapunov[:, 2]
@@ -226,20 +257,23 @@ def test_recorded_energy_and_budget_equal_public_forms(digraph1, digraph2, sine_
     res = ptobs.run(seq, sine_leader, gains, cascade, INITIAL_ESTIMATES, cfg)
     analyses = seq.analyses()
     worst = min(analyses, key=lambda a: a.lambda_min)
-    starts = {k: cascade.stage_start(k) for k in (1, 2, 3)}
-    baseline_index = {k: np.flatnonzero(res.times == t)[0] for k, t in starts.items()}
+    c = 2.0 * gains.alpha * worst.lambda_min / worst.max_weight
+    windows = {k: cascade.window(k) for k in (1, 2, 3)}
+    baseline_index = {k: np.flatnonzero(res.times == w.start)[0] for k, w in windows.items()}
     for s, t in enumerate(res.times.tolist()):
         active = analyses[seq.active_index(t) - 1]
         for k in (1, 2, 3):
             psi = res.local_errors[s, :, k - 1]
-            assert res.lyapunov[s, k - 1] == lyapunov_trace(active, psi)
             # Row-by-row sum in Python floats: the old per-sample recorder's order.
             assert res.lyapunov[s, k - 1] == 0.5 * sum(
                 w * p * p for w, p in zip(active.rho.tolist(), psi.tolist())
             )
-        k = min(k for k in (1, 2, 3) if starts[k] <= t)
-        V0 = res.lyapunov[baseline_index[k], k - 1]
-        assert res.decay_bound[s] == decay_budget(worst, gains, cascade, k, V0, t, cfg.guard)
+        k = min(k for k in (1, 2, 3) if windows[k].start <= t)
+        w, V0 = windows[k], res.lyapunov[baseline_index[k], k - 1]
+        # The envelope written out: Python's pow for varsigma^-2, numpy's exp.
+        budget = varsigma(w, t, cfg.guard) ** -2.0 * np.exp(-c * (t - w.start)) * V0
+        assert res.decay_bound[s] == budget
+        assert decay_budget(worst, gains, cascade, k, V0, t, cfg.guard) == budget
 
 
 def test_cascade_order(static_run):
