@@ -250,7 +250,7 @@ class OutputOptions:
     write_csv: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Experiment:
     """Everything a run needs, assembled and cross-validated from a config."""
 

@@ -47,7 +47,7 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectedTopology:
     """Weighted digraph of one leader and N followers.
 
@@ -82,7 +82,7 @@ class DirectedTopology:
         return self.adjacency.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphAnalysis:
     """Follower Laplacian L0 with its weight vector, mirror matrix and lambda_min.
 
@@ -152,11 +152,10 @@ def min_eig_symmetric(M: np.ndarray) -> float:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got {M.shape}")
-    if np.max(np.abs(M - M.T)) > _SYMMETRY_TOL:
-        raise NotSymmetric(
-            f"asymmetry {np.max(np.abs(M - M.T)):.3e} exceeds {_SYMMETRY_TOL:.0e}"
-        )
-    A = 0.5 * (M + M.T)
+    D = M.T - M
+    if np.max(np.abs(D)) > _SYMMETRY_TOL:
+        raise NotSymmetric(f"asymmetry {np.max(np.abs(D)):.3e} exceeds {_SYMMETRY_TOL:.0e}")
+    A = M + 0.5 * D  # the symmetric part; M itself, bit for bit, when M is symmetric
     w, V = np.linalg.eigh(A)
     lam = w[0]
     v = V[:, 0].astype(np.longdouble)
@@ -225,7 +224,7 @@ def mirror_with_H(topo: DirectedTopology, eta: np.ndarray) -> GraphAnalysis:
     return _analysis(topo, eta)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class TopologySequence:
     """Piecewise-constant, right-continuous switching signal over p topologies.
 

@@ -49,7 +49,7 @@ InputFn = Callable[[np.ndarray, float], float]
 _BOUND_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LeaderModel:
     """Order-n integrator-chain leader with a bounded top-stage input."""
 
@@ -184,7 +184,7 @@ def _gain_row(g: np.ndarray, N: int, sigma: float) -> np.ndarray:
     return np.concatenate([np.tile(g, N), np.full((*g.shape[:-1], N), -sigma)], axis=-1)
 
 
-def _stacked_kernel(N: int, n: int, smoothing: float | None, leader: LeaderModel | None,
+def _stacked_kernel(N: int, n: int, smoothing: float | None, leader: LeaderModel,
                     out_rows: tuple[int, ...] = (0,)):
     """Work area (X, K) of the stacked observer and one stage function per stage.
 
@@ -194,10 +194,9 @@ def _stacked_kernel(N: int, n: int, smoothing: float | None, leader: LeaderModel
     writes the derivative of X[s] at t into K[out_rows[s]] in 7 numpy calls
     (hard sign) with g a _gain_row of alpha + beta r_k(t): one multiply of
     [psi | sign(psi_n)] by g gives g * psi and -sigma sign(psi_n).  It allocates
-    nothing, checks no shapes and, with no leader, leaves the leader input
-    unset.  Calls pass out positionally and scalars as 0-d arrays, the
-    cheaper forms.  psi is a BLAS dot, the same dgemm as L0 @ D (checked bit
-    for bit).
+    nothing and checks no shapes.  Calls pass out positionally and scalars as
+    0-d arrays, the cheaper forms.  psi is a BLAS dot, the same dgemm as
+    L0 @ D (checked bit for bit).
     """
     X = np.zeros((len(out_rows), 2 * N, n))
     K = np.zeros((max(out_rows) + 1, 2 * N, n))
@@ -208,7 +207,7 @@ def _stacked_kernel(N: int, n: int, smoothing: float | None, leader: LeaderModel
     GP, gp_flat, gp_top, sliding = G[Nn:], G[: 2 * Nn - 1], G[Nn + n - 1 : 2 * Nn : n], G[2 * Nn :]
     psi_top, subtract, dot, multiply, sign_of = psi[:, -1], np.subtract, np.dot, np.multiply, np.sign
     eps, absolute, add, divide = np.array(smoothing or 0.0, dtype=float), np.abs, np.add, np.divide
-    input_fn, bound = (leader.input_fn, leader.input_bound + _BOUND_SLACK) if leader else (None, 0.0)
+    input_fn, bound = leader.input_fn, leader.input_bound + _BOUND_SLACK
 
     def stage(Xs: np.ndarray, Ks: np.ndarray):  # estimates, leader copies and row, flat shift, tops
         F, L, x0, X_shift = Xs[N:], Xs[:N], Xs[N - 1], Xs.reshape(-1)[1:]
@@ -226,9 +225,8 @@ def _stacked_kernel(N: int, n: int, smoothing: float | None, leader: LeaderModel
             multiply(PS, g, GP)
             subtract(X_shift, gp_flat, K_flat)
             subtract(sliding, gp_top, K_top)
-            if leader is not None:  # _leader_input inline; called again only to raise
-                f0 = float(input_fn(x0, t))
-                K_input.fill(f0 if abs(f0) <= bound else _leader_input(leader, x0, t))
+            f0 = float(input_fn(x0, t))  # _leader_input inline; called again only to raise
+            K_input.fill(f0 if abs(f0) <= bound else _leader_input(leader, x0, t))
 
         return rhs
 
@@ -256,7 +254,9 @@ def dpto_rhs(
         raise DimensionMismatch(f"need estimates ({N}, {n}) and x0 ({n},)")
     rates = [stage_gain(sched, k, t, guard) for k in range(1, n + 1)]
     g = _gain_row(gains.alpha + gains.beta * np.array(rates), N, gains.sigma)
-    X, K, (rhs,) = _stacked_kernel(N, n, sign_smoothing, None)  # fresh: out owns K
+    # out is the estimate rows alone; a zero-input leader fills the copies' rows.
+    leader = LeaderModel(order=n, input_fn=_make_zero(), input_bound=0.0, initial_state=np.zeros(n))
+    X, K, (rhs,) = _stacked_kernel(N, n, sign_smoothing, leader)  # fresh: out owns K
     X[0, :N], X[0, N:] = x0, estimates
     rhs(analysis_at_t.sub_laplacian, g, t)
     out = K[0, N:]

@@ -83,7 +83,7 @@ class SimConfig:
             raise DimensionMismatch("divergence threshold must be positive (inf disables it)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraceData:
     """The recorded samples of one run: what a trace CSV holds.
 
@@ -109,7 +109,7 @@ class TraceData:
         return self.estimate_errors.shape[2]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimResult(TraceData):
     """Recorded trajectory and diagnostics of one run.
 
@@ -193,7 +193,11 @@ def _event_grid(cfg: SimConfig, sched: CascadeSchedule, topos: TopologySequence)
     # 1e-12).  Boundaries go first, so their exact floats win; then switches in
     # time order, the later winning at a shared event.  Only a switch that
     # close to the one before it (a cluster) can merge into a switch event, so
-    # only those are walked one by one.
+    # only those are walked one by one.  Invariant: target[k], the event switch
+    # k lands on, never decreases in k.  So the walk compares s[k] with
+    # target[k - 1] alone (no event between them is nearer; a boundary past
+    # s[k] takes s[k] too), and the switches that landed on or before an event
+    # are a prefix, counted by one searchsorted.
     base: list[float] = []
     for t in (*sched.boundaries(), cfg.t0, cfg.t_end):
         if cfg.t0 <= t <= cfg.t_end and all(
@@ -214,24 +218,15 @@ def _event_grid(cfg: SimConfig, sched: CascadeSchedule, topos: TopologySequence)
     target = np.where(dist <= tol, near, s)
     inserted = dist > tol
     cluster = np.flatnonzero(np.diff(s) <= tol[1:]) + 1
-    latest = np.where(inserted, s, -np.inf)
-    latest[cluster] = -np.inf  # settled in the walk
-    latest = np.maximum.accumulate(latest)
-    walked = -np.inf
     for k in cluster.tolist():
-        prev = max(walked, latest[k - 1])  # the nearest switch event before k
-        if s[k] - prev <= dist[k]:
-            near[k], dist[k] = prev, s[k] - prev
+        gap = s[k] - target[k - 1]  # < 0: k - 1 merged into the boundary ahead
+        if gap <= dist[k]:
+            near[k], dist[k] = target[k - 1], gap
         if dist[k] <= tol[k]:
             target[k], inserted[k] = near[k], False
-        else:
-            walked = s[k]
     events = np.sort(np.concatenate((base, s[inserted])))
-    # 1 + the latest switch that landed on each event (0: none), forward-filled.
-    last = np.zeros(events.size, dtype=int)
-    np.maximum.at(last, events.searchsorted(target), np.arange(1, s.size + 1))
-    filled = np.maximum.accumulate(np.where(last > 0, np.arange(events.size), -1))
-    last = np.where(filled >= 0, last[filled], 0)
+    # 1 + the latest switch that landed on or before each event (0: none).
+    last = target.searchsorted(events, side="right")
     return events, np.concatenate(([indices[0] - 1], j))[last]
 
 

@@ -653,8 +653,20 @@ def test_run_divergence_exits_3(capsys):
 def test_run_with_saturating_envelope_exits_0(tmp_path, capsys, overrides, saturated):
     sets = [arg for o in overrides for arg in ("--set", o)]
     assert main(["run", "--config", CFG, "--quiet", "--out", str(tmp_path), *sets]) == 0
-    assert all(line.startswith("warning: beta") for line in capsys.readouterr().err.splitlines())
+    err = capsys.readouterr().err.splitlines()
+    assert all(line.startswith(("warning: beta", "warning: guard")) for line in err)
     assert saturated in read_trace(str(tmp_path / "trace.csv")).decay_bound
+
+
+@pytest.mark.parametrize("overrides, warned", [((), False), (("sim.guard=0.2",), True)])
+def test_run_warns_when_the_guard_covers_a_stage_window(tmp_path, capsys, overrides, warned):
+    # The bundled windows are 0.2 s: a guard that long keeps varsigma at most 1.
+    sets = [arg for o in ("sim.t_end=0.3", "output.csv=off", *overrides) for arg in ("--set", o)]
+    assert main(["run", "--config", CFG, "--quiet", "--out", str(tmp_path), *sets]) == 0
+    err = [line for line in capsys.readouterr().err.splitlines() if "guard" in line]
+    expected = ("warning: guard 0.2 s is not below the shortest stage window (0.2 s): "
+                "its time-varying gain never grows")
+    assert err == ([expected] if warned else [])
 
 
 def test_run_stride_past_the_plan_records_the_events(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import copy
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from ptobs.config import (
     serialize_config,
 )
 from ptobs.errors import ConfigError, InfeasibleTopology
+from ptobs.trace import read_trace, write_trace
 from conftest import BUNDLED_CONFIG, perfbench_workloads, schedule_pairs
 from oracles import dedup_schedule, periodic_schedule
 
@@ -328,3 +330,19 @@ def test_matrix_blocks_are_parsed_in_one_call(monkeypatch, tmp_path):
     ]:
         exp = load_experiment(str(path), overrides)
         assert exp.initial_estimates.shape == (exp.sequence.topologies[0].follower_count, 3)
+
+
+def test_array_holding_dataclasses_compare_and_hash_by_identity(tmp_path):
+    # Their fields hold arrays, so field-wise == would raise (ambiguous truth
+    # value) and the generated hash would hash an array.
+    exp = load_experiment(str(BUNDLED_CONFIG), ["sim.t_end=0.01"])
+    seq = exp.sequence
+    result = ptobs.run(seq, exp.leader, exp.gains, exp.sched, exp.initial_estimates, exp.sim)
+    write_trace(result, str(tmp_path / "trace.csv"))
+    trace = read_trace(str(tmp_path / "trace.csv"))
+    objects = [exp, seq, seq.topologies[0], seq.analyses()[0], exp.leader, result, trace]
+    for obj in objects:
+        twin = copy.deepcopy(obj)
+        assert obj == obj and obj != twin
+        assert obj in (twin, obj) and twin not in (obj,)
+        assert {obj: 1}[obj] == 1 and hash(obj) != hash(twin)

@@ -222,6 +222,12 @@ def test_min_eig_diagonal():
     assert ptobs.min_eig_symmetric(np.diag([2.0, -1.0, 5.0])) == pytest.approx(-1.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_min_eig_near_the_largest_double_does_not_overflow():
+    # M + M^T overflows here; the symmetric part is M itself, and eigh gives 1e308.
+    assert ptobs.min_eig_symmetric(np.diag([1e308, 1.5e308])) == 1e308
+
+
 def test_min_eig_digraph2_with_H_vs_cubic(digraph2):
     h = ptobs.mirror_with_H(digraph2, ETA)
     assert abs(h.lambda_min - char_poly_min_eig(h.mirror)) < 1e-9

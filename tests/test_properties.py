@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ptobs
@@ -53,6 +53,17 @@ def _scan_event_grid(cfg, sched, topos):
     return sorted(events), moved
 
 
+def _switching(t0, times):
+    # Topology 1 from t0, then 2, 1, 2, ... at the sorted switch times.
+    schedule = [(t0, 1)] + [(t, 1 + i % 2) for i, t in enumerate(times, start=1)]
+    return ptobs.TopologySequence(topologies=(_TOPO, _TOPO), schedule=tuple(schedule), common_H=[1.0])
+
+
+def _cluster_case(times):
+    sched = ptobs.CascadeSchedule(t0=0.0, stage_durations=(0.1,), exponent=2.01)
+    return ptobs.SimConfig(t0=0.0, t_end=1.0, dt=1e-3), sched, _switching(0.0, times)
+
+
 def _scan_active_index(schedule, t):
     idx = schedule[0][1]
     for time, j in schedule:
@@ -85,10 +96,7 @@ def _schedules(draw):
     # Clusters: some switches get a neighbour within the tolerance.
     extra = [t + d for t, d in zip(raw, draw(st.lists(_NEAR, max_size=len(raw))))]
     times = sorted({t for t in raw + extra if t > t0})
-    schedule = [(t0, 1)] + [(t, 1 + i % 2) for i, t in enumerate(times, start=1)]
-    seq = ptobs.TopologySequence(
-        topologies=(_TOPO, _TOPO), schedule=tuple(schedule), common_H=[1.0]
-    )
+    seq = _switching(t0, times)
     cfg = ptobs.SimConfig(t0=t0, t_end=t_end, dt=1e-3)
     return cfg, sched, seq
 
@@ -115,10 +123,7 @@ def _long_schedules(draw):
     picks = draw(st.lists(st.tuples(st.integers(0, count - 1), _NEAR), max_size=30))
     clustered = [periodic[i] + d for i, d in picks]
     times = sorted({t for t in periodic + moved + clustered if t > t0})
-    schedule = [(t0, 1)] + [(t, 1 + i % 2) for i, t in enumerate(times, start=1)]
-    seq = ptobs.TopologySequence(
-        topologies=(_TOPO, _TOPO), schedule=tuple(schedule), common_H=[1.0]
-    )
+    seq = _switching(t0, times)
     span = count * period * draw(st.sampled_from([0.5, 1.0, 1.1]))
     t_end = draw(st.one_of(near_anchor, st.just(t0 + span)))
     if not t_end > t0:
@@ -129,6 +134,14 @@ def _long_schedules(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(_schedules(), _long_schedules()))
+# Clusters at the stage boundary 0.1 (1e-12 is the merge tolerance): switch
+# k - 1 merges forward into the boundary, which lies past s[k] ...
+@example(_cluster_case([0.1 - 1e-12, 0.1 - 0.7e-12, 0.3]))
+# ... the second of three merges into the first, the third into its event ...
+@example(_cluster_case([0.5, 0.5 + 0.4e-12, 0.5 + 0.9e-12, 0.7]))
+# ... and s[k] is 2**-40 from both the previous switch's event and the
+# boundary (exact differences): the earlier event wins.
+@example(_cluster_case([0.1 - 2 * 2**-40, 0.1 - 2**-40, 0.3]))
 def test_event_grid_equals_quadratic_scan(case):
     cfg, sched, seq = case
     events, active = _event_grid(cfg, sched, seq)
@@ -191,16 +204,25 @@ def _far_schedules(draw):
     periodic = [t0 + i * period for i in range(1, draw(st.integers(0, 40)))]
     raw = draw(st.lists(st.one_of(near_anchor, st.floats(t0, t0 + 5.0)), max_size=15))
     times = sorted({t for t in periodic + raw if t > t0})
-    schedule = [(t0, 1)] + [(t, 1 + i % 2) for i, t in enumerate(times, start=1)]
-    seq = ptobs.TopologySequence(
-        topologies=(_TOPO, _TOPO), schedule=tuple(schedule), common_H=[1.0]
-    )
+    seq = _switching(t0, times)
     cfg = ptobs.SimConfig(t0=t0, t_end=t_end, dt=draw(st.sampled_from([1e-3, 1e-2])))
     return cfg, sched, seq
 
 
+def _halving_case():
+    # Below t = -2048 the merge tolerance is 4 ulp = 1.8e-12, above it 1e-12.
+    # The first switch merges forward into the boundary b; the second, between
+    # them but more than its own tolerance from b, joins b too rather than
+    # become an event 1.1e-12 before it.
+    sched = ptobs.CascadeSchedule(t0=-2050.0, stage_durations=(2.0 + 1.4e-12,), exponent=2.01)
+    b = sched.t_star
+    cfg = ptobs.SimConfig(t0=-2050.0, t_end=-2046.0, dt=1e-3)
+    return cfg, sched, _switching(-2050.0, [b - 1.7e-12, b - 1.1e-12])
+
+
 @settings(max_examples=300, deadline=None)
 @given(_far_schedules())
+@example(_halving_case())
 def test_event_grid_far_from_zero(case):
     cfg, sched, seq = case
     events = _event_grid(cfg, sched, seq)[0].tolist()
