@@ -39,6 +39,23 @@ _SYMMETRY_TOL = 1e-10
 # L0 counts as singular when its smallest singular value is at most this
 # times ||L0^T||_inf, the matrix the rho solve factors.
 _SINGULAR_RTOL = 1e-12
+# The M-matrix certificate (see _sigma_min_certificate) stands in for the SVD
+# only when its lower bound on sigma_min(L0) exceeds the singularity tolerance
+# tol by this factor, so that the SVD could not have reported sigma_min <= tol:
+# - The SVD's absolute error is about N eps ||L0||_2 <= N eps sqrt(2) ||L0||_1
+#   (a row of L0 sums to at most twice its diagonal), that is N * 3.1e-4 tol:
+#   under tol for N <= 3000 and under 1000 tol for N < 3e6.
+# - Each solve is backward stable, with relative error about 3 N eps times the
+#   LU growth factor, which is at most 2 on diagonally dominant matrices
+#   (Higham 2002, section 9.5): L0 is by rows, L0^T by columns.  The rounded
+#   diagonal fl(b + sum a) changes L0 by N eps relative, the same size.  A
+#   certified L0 has kappa_2 = ||L0||_2 / sigma_min < sqrt(2) 1e12 / 2^10, so
+#   max(rho) and max(u) are at most sqrt(N) kappa_2 6 N eps too small: 2.4e-3
+#   at N = 120, 0.3 at N = 3000, where the bound is at most 1.43 times too large.
+# A certified sigma_min is thus above 2^10 / 1.43 = 716 tol for N <= 3000, far
+# above the 1.94 tol the SVD needs; the seeded 120-follower graphs clear tol by
+# at least 1.2e8.
+_CERTIFICATE_MARGIN = 2.0**10
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -64,6 +81,8 @@ class DirectedTopology:
         b = _as_readonly(np.atleast_1d(self.pinning))
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"adjacency must be square, got {a.shape}")
+        if a.size == 0:
+            raise DimensionMismatch("a topology needs at least one follower")
         if b.shape != (a.shape[0],):
             raise DimensionMismatch(
                 f"pinning length {b.shape[0]} does not match {a.shape[0]} followers"
@@ -147,14 +166,20 @@ def min_eig_symmetric(M: np.ndarray) -> float:
     it to within about half an ulp where longdouble is wider than double (as
     on x86-64 Linux).  Deterministic for fixed input.
 
-    Raises NotSymmetric if max|M - M^T| > 1e-10.
+    Raises NotSymmetric unless max|M - M^T| <= 1e-10, so for NaN or inf
+    entries and an overflowing asymmetry too, and DimensionMismatch for a
+    non-square or empty M.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got {M.shape}")
-    D = M.T - M
-    if np.max(np.abs(D)) > _SYMMETRY_TOL:
-        raise NotSymmetric(f"asymmetry {np.max(np.abs(D)):.3e} exceeds {_SYMMETRY_TOL:.0e}")
+    if M.size == 0:
+        raise DimensionMismatch("expected a non-empty matrix, got (0, 0)")
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: reported below
+        D = M.T - M
+    asymmetry = np.max(np.abs(D))
+    if not asymmetry <= _SYMMETRY_TOL:  # "not" so NaN fails too
+        raise NotSymmetric(f"asymmetry {asymmetry:.3e} exceeds {_SYMMETRY_TOL:.0e}")
     A = M + 0.5 * D  # the symmetric part; M itself, bit for bit, when M is symmetric
     w, V = np.linalg.eigh(A)
     lam = w[0]
@@ -163,29 +188,62 @@ def min_eig_symmetric(M: np.ndarray) -> float:
     return float(lam + (v @ residual) / (v @ v))
 
 
+def _sigma_min_certificate(L0: np.ndarray) -> tuple[np.ndarray | None, float]:
+    """rho solving L0^T rho = 1, and a lower bound on sigma_min(L0).
+
+    With every follower reachable, L0 is a nonsingular M-matrix, so L0^-1 >= 0
+    (Berman and Plemmons 1994) and its 1- and inf-norms are max(rho) and
+    max(u), u = L0^-1 1.  As ||A||_2 <= sqrt(||A||_1 ||A||_inf) (Higham 2002,
+    section 6.3), sigma_min(L0) >= 1 / sqrt(max(rho) max(u)).  The bound is
+    0.0 when it proves nothing: some entry of rho or u is not a positive
+    normal float; rho is None when a solve fails.
+    """
+    ones = np.ones(L0.shape[0])
+    try:
+        rho = np.linalg.solve(L0.T, ones)
+        u = np.linalg.solve(L0, ones)
+    except np.linalg.LinAlgError:
+        return None, 0.0
+    tiny = np.finfo(float).tiny
+    if not (np.all((tiny <= rho) & (rho < np.inf)) and np.all((tiny <= u) & (u < np.inf))):
+        return rho, 0.0
+    return rho, float(1.0 / (np.sqrt(rho.max()) * np.sqrt(u.max())))
+
+
+def _rho(L0: np.ndarray) -> np.ndarray:
+    # rho = L0^-T 1 once L0 is shown not numerically singular: sigma_min(L0)
+    # above tol = 1e-12 ||L0^T||_inf, by the certificate when it clears tol by
+    # _CERTIFICATE_MARGIN, else by the SVD.
+    tol = _SINGULAR_RTOL * np.linalg.norm(L0.T, np.inf)
+    if tol == np.inf:  # finite entries whose column sums overflow: scale by 2^-64
+        tol = _SINGULAR_RTOL * np.linalg.norm(np.ldexp(L0.T, -64), np.inf) * 2.0**64
+    rho, bound = _sigma_min_certificate(L0)
+    if bound > _CERTIFICATE_MARGIN * tol:
+        return rho
+    sigma_min = np.linalg.svd(L0, compute_uv=False)[-1]
+    if sigma_min <= tol:
+        raise SingularLaplacian(
+            f"follower Laplacian is numerically singular although the "
+            f"reachability check passed (smallest singular value {sigma_min:.3e} "
+            f"below tolerance {tol:.3e})"
+        )
+    return np.linalg.solve(L0.T, np.ones(L0.shape[0]))
+
+
 def _analysis(topo: DirectedTopology, eta: np.ndarray | None) -> GraphAnalysis:
     # Reachability, L0, the weights (rho when eta is None), the mirror and its
-    # lambda_min.  diag(w) L0 and L0^T diag(w) are exact transposes, so the
-    # mirror is exactly symmetric without a symmetrization pass.
+    # lambda_min.  R = diag(w) L0 by row scaling is exactly the transpose of
+    # L0^T diag(w), so the mirror needs no symmetrization pass; "+ 0.0" turns
+    # R's -0.0 entries (L0 = -a) into the +0.0 of the product diag(w) @ L0.
     if not has_spanning_tree(topo):
         raise NoSpanningTree("no leader-rooted spanning tree: some follower is unreachable")
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported, not warned
         L0 = sub_laplacian(topo)
         if not np.isfinite(L0).all():
             raise DimensionMismatch("follower Laplacian overflows: the edge weights are too large")
-        weights = eta
-        if eta is None:
-            sigma_min = np.linalg.svd(L0, compute_uv=False)[-1]
-            tol = _SINGULAR_RTOL * np.linalg.norm(L0.T, np.inf)
-            if sigma_min <= tol:
-                raise SingularLaplacian(
-                    f"follower Laplacian is numerically singular although the "
-                    f"reachability check passed (smallest singular value {sigma_min:.3e} "
-                    f"below tolerance {tol:.3e})"
-                )
-            weights = np.linalg.solve(L0.T, np.ones(topo.follower_count))
-        P = np.diag(weights)
-        mirror = 0.5 * (P @ L0 + L0.T @ P)
+        weights = _rho(L0) if eta is None else eta
+        R = weights[:, None] * L0
+        mirror = 0.5 * (R + R.T) + 0.0
     if not np.isfinite(mirror).all():
         raise DimensionMismatch("mirror matrix overflows: the weights are too large")
     if np.any((mirror != 0.0) & (np.abs(mirror) < np.finfo(float).tiny)):  # subnormal
@@ -201,8 +259,10 @@ def build_analysis(topo: DirectedTopology) -> GraphAnalysis:
     unreachable from the leader; SingularLaplacian when L0 is numerically
     singular (smallest singular value at most 1e-12 ||L0^T||_inf) even though
     reachability passed (both facts are reported); DimensionMismatch when L0
-    overflows or the mirror over- or underflows.  TopologySequence judges
-    lambda_min.
+    overflows or the mirror over- or underflows.  The rho solve and a second
+    solve, L0 u = 1, bound the smallest singular value from below; an SVD
+    runs only when that bound does not clear the tolerance by a wide margin.
+    TopologySequence judges lambda_min.
     """
     return _analysis(topo, None)
 

@@ -1,10 +1,11 @@
 """Independent brute-force oracles used to cross-check the library.
 
 These deliberately avoid the library's own linear algebra: the inverse is
-assembled from cofactors and the smallest eigenvalue comes from closed-form
-roots of the characteristic polynomial (sizes up to 3 only).  The switching
-schedule and step-count oracles work one entry at a time, in plain Python, and
-reachability comes from a boolean transitive closure.
+assembled from cofactors, the smallest eigenvalue comes from closed-form
+roots of the characteristic polynomial (sizes up to 3 only), and the
+singularity verdict from a plain SVD.  The switching schedule and step-count
+oracles work one entry at a time, in plain Python, and reachability comes
+from a boolean transitive closure.
 """
 
 import numpy as np
@@ -152,6 +153,14 @@ def random_spanning_topology(rng, max_followers=6):
     if pinning.max() == 0.0:
         pinning[order[0]] = 1.0
     return DirectedTopology(adjacency=adjacency, pinning=pinning)
+
+
+def svd_singular_verdict(L0):
+    """(s, singular) for a follower Laplacian: its singular values from a
+    plain SVD, largest first, and whether the smallest is at most 1e-12 times
+    ||L0^T||_inf, the largest column sum of |L0|."""
+    s = np.linalg.svd(L0, compute_uv=False)
+    return s, bool(s[-1] <= 1e-12 * np.abs(L0).sum(axis=0).max())
 
 
 def leader_reaches_all(adjacency, pinning, eps):

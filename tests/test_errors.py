@@ -8,7 +8,7 @@ import pytest
 
 import ptobs
 from ptobs.config import apply_overrides, build_experiment, parse_config
-from ptobs.errors import ConfigError, DimensionMismatch, MalformedTrace, NonFinite
+from ptobs.errors import ConfigError, DimensionMismatch, MalformedTrace, NonFinite, NotSymmetric
 from ptobs.gain import rate_ratio
 from ptobs.observer import dpto_rhs, local_errors
 from ptobs.sim import detect_convergence
@@ -149,8 +149,19 @@ _LIBRARY_CASES = [
      "guard must be positive, got 0.0"),
     ("adjacency-not-square", lambda: ptobs.DirectedTopology(adjacency=np.zeros((2, 3)), pinning=[1, 0]),
      DimensionMismatch, "adjacency must be square, got (2, 3)"),
+    ("no-followers", lambda: ptobs.DirectedTopology(adjacency=np.zeros((0, 0)), pinning=np.zeros(0)),
+     DimensionMismatch, "a topology needs at least one follower"),
     ("min-eig-not-square", lambda: ptobs.min_eig_symmetric(np.zeros((2, 3))), DimensionMismatch,
      "expected a square matrix, got (2, 3)"),
+    ("min-eig-empty", lambda: ptobs.min_eig_symmetric(np.zeros((0, 0))), DimensionMismatch,
+     "expected a non-empty matrix, got (0, 0)"),
+    ("min-eig-nan", lambda: ptobs.min_eig_symmetric(np.array([[1.0, np.nan], [np.nan, 1.0]])),
+     NotSymmetric, "asymmetry nan exceeds 1e-10"),
+    ("min-eig-inf", lambda: ptobs.min_eig_symmetric(np.diag([np.inf, 1.0])), NotSymmetric,
+     "asymmetry nan exceeds 1e-10"),
+    ("min-eig-asymmetry-overflows",
+     lambda: ptobs.min_eig_symmetric(np.array([[0.0, 1e308], [-1e308, 0.0]])), NotSymmetric,
+     "asymmetry inf exceeds 1e-10"),
     ("no-topologies", lambda: ptobs.TopologySequence(topologies=(), schedule=((0.0, 1),)),
      DimensionMismatch, "at least one topology is required"),
     ("follower-counts-differ",

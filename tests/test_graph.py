@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from ptobs.errors import (
     NotSymmetric,
     SingularLaplacian,
 )
-from conftest import ETA, schedule_pairs
+from conftest import ETA, perfbench_workloads, schedule_pairs
 from oracles import (
     char_poly_min_eig,
     cofactor_inverse,
@@ -53,8 +54,39 @@ def test_numerically_singular_laplacian_raises():
     # can tell that L0 = [[1 + 1e-14, -1], [-1, 1]] is singular to working precision.
     topo = ptobs.DirectedTopology(adjacency=[[0, 1], [1, 0]], pinning=[1e-14, 0])
     assert ptobs.has_spanning_tree(topo)
-    with pytest.raises(SingularLaplacian):
+    with pytest.raises(SingularLaplacian) as info:
         ptobs.build_analysis(topo)
+    assert str(info.value) == (
+        "follower Laplacian is numerically singular although the reachability check "
+        "passed (smallest singular value 5.084e-15 below tolerance 2.000e-12)"
+    )
+
+
+def test_singular_tolerance_does_not_overflow():
+    # L0's column sums overflow although L0 is finite and sigma_min = 5e299;
+    # the tolerance is taken on L0 scaled by 2^-64, so the analysis is built.
+    topo = ptobs.DirectedTopology(adjacency=[[0, 1e308], [1e308, 0]], pinning=[1e300, 0])
+    a = ptobs.build_analysis(topo)
+    # Exact residual of L0^T rho = 1, relative to |L0^T| |rho| row by row.
+    L0T = [[Fraction(x) for x in row] for row in a.sub_laplacian.T.tolist()]
+    rho = [Fraction(x) for x in a.rho.tolist()]
+    for row in L0T:
+        residual = sum(x * r for x, r in zip(row, rho)) - 1
+        assert abs(residual) <= Fraction(1e-12) * sum(abs(x) * r for x, r in zip(row, rho))
+
+
+def test_seeded_wide_graphs_skip_the_svd(monkeypatch):
+    # The benchmark's 120-follower graphs are certified nonsingular by their
+    # two M-matrix solves alone.
+    wide_config = perfbench_workloads().wide_config
+    topos = [ptobs.DirectedTopology(*wide_config(7, k, 120)[:2]) for k in range(4)]
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for topo in topos:
+        assert np.all(ptobs.build_analysis(topo).rho > 0)
 
 
 def test_non_finite_weights_rejected():

@@ -17,7 +17,7 @@ import ptobs.sim
 from ptobs.errors import DimensionMismatch, SingularLaplacian
 from ptobs.sim import _EVENT_MERGE_TOL, _event_grid, _step_plan
 from conftest import schedule_pairs
-from oracles import segment_steps
+from oracles import segment_steps, svd_singular_verdict
 
 _TOPO = ptobs.DirectedTopology(adjacency=[[0.0]], pinning=[1.0])
 
@@ -316,10 +316,13 @@ def test_step_grid_equals_per_segment_grid(case):
 
 
 _WEIGHT = st.floats(1e-2, 1e2)
+# Near-singular draws: weights spread over 16 decades, pinning links often 1e-14.
+_SPREAD_WEIGHT = st.floats(-8.0, 8.0).map(lambda e: 10.0**e)
+_WEAK_PIN = st.one_of(st.just(1e-14), _SPREAD_WEIGHT)
 
 
 @st.composite
-def _reachable_digraphs(draw):
+def _reachable_digraphs(draw, weight=_WEIGHT, pin=_WEIGHT):
     # A random tree rooted at the leader (follower i hangs off the leader or
     # an earlier follower), extra edges, then a random follower order.
     n = draw(st.integers(1, 12))
@@ -327,10 +330,10 @@ def _reachable_digraphs(draw):
     for i in range(n):
         parent = draw(st.integers(-1, i - 1))  # -1 = leader
         if parent < 0:
-            pinning[i] = draw(_WEIGHT)
+            pinning[i] = draw(pin)
         else:
-            adjacency[i, parent] = draw(_WEIGHT)
-    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), _WEIGHT)
+            adjacency[i, parent] = draw(weight)
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weight)
     for i, j, w in draw(st.lists(pair, max_size=2 * n)):
         if i != j:
             adjacency[i, j] = w
@@ -345,6 +348,7 @@ def _reachable_digraphs(draw):
 def test_mirror_is_exactly_symmetric(case):
     # diag(w) L0 and L0^T diag(w) are exact transposes, so no symmetrization
     # pass is needed: M equals its transpose bit for bit, for rho and for eta.
+    # Built by row scaling, it also has the bytes of the two matrix products.
     topo, eta = case
     analyses = [ptobs.mirror_with_H(topo, eta)]
     try:
@@ -353,3 +357,25 @@ def test_mirror_is_exactly_symmetric(case):
         pass
     for a in analyses:
         assert np.array_equal(a.mirror, a.mirror.T)
+        P, L0 = np.diag(a.rho), a.sub_laplacian
+        assert a.mirror.tobytes() == (0.5 * (P @ L0 + L0.T @ P)).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_reachable_digraphs(), _reachable_digraphs(_SPREAD_WEIGHT, _WEAK_PIN)))
+def test_singular_verdict_matches_the_svd_oracle(case):
+    # The M-matrix certificate may skip the SVD, but never a verdict: the
+    # analysis is refused exactly when a plain SVD finds sigma_min <= 1e-12
+    # ||L0^T||_inf.  The certificate's bound never exceeds sigma_min, up to
+    # the SVD's own absolute error N eps sigma_max (on a near-singular L0 that
+    # error is a large part of sigma_min).
+    topo, _ = case
+    L0 = ptobs.sub_laplacian(topo)
+    s, singular = svd_singular_verdict(L0)
+    slack = topo.follower_count * np.finfo(float).eps * s[0]
+    assert ptobs.graph._sigma_min_certificate(L0)[1] <= s[-1] * (1.0 + 1e-12) + slack
+    if singular:
+        with pytest.raises(SingularLaplacian):
+            ptobs.build_analysis(topo)
+    else:
+        ptobs.build_analysis(topo)
