@@ -123,14 +123,17 @@ def render_error_plot(
         f'stroke="black" stroke-width="1"/>'
     )
 
-    xs = px(np.asarray(times, dtype=float)).tolist()
     ys = py(np.asarray(errors, dtype=float))
+    xy = np.empty(2 * S)  # x0, y0, x1, y1, ...: one follower's points
+    xy[0::2] = px(np.asarray(times, dtype=float))
+    points = " ".join(["%.2f,%.2f"] * S)
     for i in range(N):
         color = _PALETTE[i % len(_PALETTE)]
+        xy[1::2] = ys[:, i]
         if S == 1:
-            parts.append(f'<circle cx="{xs[0]:.2f}" cy="{ys[0, i]:.2f}" r="3" fill="{color}"/>')
+            parts.append(f'<circle cx="{xy[0]:.2f}" cy="{xy[1]:.2f}" r="3" fill="{color}"/>')
         else:
-            pts = " ".join(map("{:.2f},{:.2f}".format, xs, ys[:, i].tolist()))
+            pts = points % tuple(xy.tolist())
             parts.append(
                 f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
             )

@@ -5,10 +5,17 @@ assembled from cofactors, the smallest eigenvalue comes from closed-form
 roots of the characteristic polynomial (sizes up to 3 only), and the
 singularity verdict from a plain SVD.  The switching schedule and step-count
 oracles work one entry at a time, in plain Python, and reachability comes
-from a boolean transitive closure.
+from a boolean transitive closure.  The trace reader is the whole-file
+reader `read_trace` used before it streamed rows, kept verbatim.
 """
 
+import math
+
 import numpy as np
+
+from ptobs.errors import MalformedTrace
+from ptobs.sim import TraceData
+from ptobs.trace import header_columns
 
 
 def det3(A):
@@ -214,3 +221,54 @@ def dedup_schedule(pairs):
         if j != out[-1][1]:
             out.append((t, j))
     return out
+
+
+def read_trace_whole_file(path: str) -> TraceData:
+    """Parse a trace CSV, recovering N and n from the header.  (The whole-file
+    reader, verbatim: str.splitlines() lines, non-ASCII raises
+    UnicodeDecodeError.)
+
+    Raises MalformedTrace for an unreadable file, an unexpected header, a row
+    of the wrong width, non-numeric fields, or a file with no data rows.
+    """
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise MalformedTrace(f"cannot read trace: {exc}") from None
+    if not lines:
+        raise MalformedTrace("empty file")
+    header = lines[0].split(",")
+    n = sum(1 for c in header if c.startswith("x0_"))
+    nxt = sum(1 for c in header if c.startswith("xt_"))
+    if n < 1 or nxt < 1 or nxt % n != 0:
+        raise MalformedTrace(f"unrecognized header: {lines[0][:80]}")
+    N = nxt // n
+    if header != header_columns(N, n):
+        raise MalformedTrace("header does not match the expected column layout")
+    if not any(lines[1:]):
+        raise MalformedTrace("trace has a header but no data rows")
+    # One C-level parse.  numpy's row numbers are not file lines, so a file it
+    # rejects is parsed per field again, which names the first bad line.
+    try:
+        data = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        data = None
+    if data is None or data.shape[1] != len(header):
+        rows = []
+        for lineno, line in enumerate(lines[1:], start=2):
+            if not line:
+                continue
+            fields = line.split(",")
+            if len(fields) != len(header):
+                raise MalformedTrace(
+                    f"line {lineno}: expected {len(header)} fields, got {len(fields)}"
+                )
+            try:
+                rows.append([float(f) for f in fields])
+            except ValueError:
+                raise MalformedTrace(f"line {lineno}: non-numeric field") from None
+        data = np.array(rows)
+    shapes = [(), (n,), (N, n), (N, n), (n,), ()]  # per sample, in TraceData field order
+    parts = np.split(data, np.cumsum([math.prod(s) for s in shapes[:-1]]), axis=1)
+    return TraceData(*(p.reshape(len(data), *s) for p, s in zip(parts, shapes)))

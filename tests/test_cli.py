@@ -1,11 +1,15 @@
 import dataclasses
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import ptobs
+import ptobs.sim
 from ptobs.cli import main
 from ptobs import svgplot
 from ptobs.config import load_config
@@ -13,6 +17,7 @@ from ptobs.errors import DimensionMismatch, MalformedTrace
 from ptobs.svgplot import render_error_plot
 from ptobs.trace import header_columns, read_trace, write_trace
 from conftest import BUNDLED_CONFIG, INITIAL_ESTIMATES
+from oracles import read_trace_whole_file
 
 CFG = str(BUNDLED_CONFIG)
 
@@ -510,10 +515,16 @@ def _read_trace_per_field(path):
 
 
 def _read_outcome(reader, path):
-    try:
-        data = reader(path)
-    except MalformedTrace as exc:
-        return str(exc)
+    # The arrays a reader returns, or its message.  It must not warn.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            data = reader(path)
+        except MalformedTrace as exc:
+            data = str(exc)
+    assert [str(w.message) for w in caught] == []
+    if isinstance(data, str):
+        return data
     return [(f.name, getattr(data, f.name).shape, getattr(data, f.name).tobytes())
             for f in dataclasses.fields(data)]
 
@@ -550,11 +561,84 @@ def test_read_trace_equals_per_field_reader(tmp_path, static_run):
         ["", ""],                                     # blank lines only
         [good.replace("0.5", "1_0", 1)],              # float() reads it, numpy does not
     ]
-    path = str(tmp_path / "bad.csv")
-    for body in bodies:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("\n".join([header, *body]) + "\n")
-        assert _read_outcome(read_trace, path) == _read_outcome(_read_trace_per_field, path), body
+    texts = [f"{header}\n" + "".join(f"{line}\n" for line in body) for body in bodies]
+    # Where str.splitlines and loadtxt's stream split lines differently.
+    texts += [
+        f"{header}\n{good}\x0b{good}\n",             # \v splits one stream line in two rows
+        f"{header}\n{good}\x0c\n{good}\n",           # \f ends a row: whitespace to loadtxt
+        f"{header}\n{good[:4]}\x1c{good[4:]}\n",      # \x1c mid-row
+        f"{header}\n{good}\x1d{good}\x1e{good}\n",
+        f"{header}\x0b{good}\n",                      # the header line ends at \v
+        f"{header}\r{good}\r{good}\r",               # CR newlines
+        f"{header}\r\n{good}\r\n{good}",              # CRLF newlines, no final newline
+        f"{header}\n{good}\n{good}",                  # no final newline
+        f"{header}",                                  # header only, no final newline
+        f"{header}\n\n\x0b\x0c\n\r\n",                # only blank lines
+        f"{header}\n \n\n",                          # only blank or whitespace lines
+        f"{header}\n\x1c\x1d\x1e\n",
+    ]
+    path = tmp_path / "bad.csv"
+    for text in texts:
+        path.write_bytes(text.encode("ascii"))
+        outcome = _read_outcome(read_trace, str(path))
+        assert outcome == _read_outcome(_read_trace_per_field, str(path)), text
+        assert outcome == _read_outcome(read_trace_whole_file, str(path)), text
+
+
+_TRACE_TOKENS = [*"0123456789,.-+eE_", "nan", "inf", " ", "\x1f",
+                 "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\r", "\r\n", "\n"]
+_SMALL_TRACE = (
+    ",".join(header_columns(1, 1)) + "\n"
+    + "0,1.5,-2e-3,0.25,1,nan\n0.001,1.5,-1e-3,0.125,0.5,inf\n0.002,-0,1E-300,+7,5e-324,0\n"
+)
+
+
+@st.composite
+def _mutated_traces(draw):
+    # One to four edits of a small valid trace: a span of up to 3 characters
+    # replaced by up to 3 tokens.
+    text = _SMALL_TRACE
+    for _ in range(draw(st.integers(1, 4))):
+        a = draw(st.integers(0, len(text)))
+        b = draw(st.integers(a, min(len(text), a + 3)))
+        text = text[:a] + "".join(draw(st.lists(st.sampled_from(_TRACE_TOKENS), max_size=3))) + text[b:]
+    return text
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_mutated_traces())
+# A split row accepted only because loadtxt strips the \x1f that float() keeps.
+@example(text=_SMALL_TRACE.replace("\n0.001", "\x0b\x1f0.001"))
+@example(text=_SMALL_TRACE.replace("1.5", "1_5", 1))
+def test_read_trace_equals_whole_file_reader(tmp_path, text):
+    path = tmp_path / "mutated.csv"
+    path.write_bytes(text.encode("ascii"))
+    assert _read_outcome(read_trace, str(path)) == _read_outcome(read_trace_whole_file, str(path))
+
+
+def test_read_trace_peak_memory_is_bounded_by_its_arrays(tmp_path):
+    S, N, n = 20_001, 3, 3
+    rng = np.random.default_rng(21)
+    result = ptobs.sim.TraceData(
+        times=np.linspace(0.0, 10.0, S),
+        leader_states=rng.normal(size=(S, n)),
+        estimate_errors=rng.normal(size=(S, N, n)),
+        local_errors=rng.normal(size=(S, N, n)),
+        lyapunov=rng.random((S, n)),
+        decay_bound=rng.random(S),
+    )
+    path = str(tmp_path / "trace.csv")
+    write_trace(result, path)
+    del result
+    tracemalloc.start()
+    try:
+        data = read_trace(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = sum(getattr(data, f.name).nbytes for f in dataclasses.fields(data))
+    assert arrays == S * len(header_columns(N, n)) * 8
+    assert peak <= 1.5 * arrays, (peak, arrays)
 
 
 def _polyline_points_per_point(times, errors):
@@ -752,6 +836,25 @@ def test_report_header_only_trace_exits_1(tmp_path, capsys):
     trace.write_text(",".join(header_columns(3, 3)) + "\n")
     assert main(["report", "--config", CFG, "--out", str(tmp_path), str(trace)]) == 1
     assert "malformed trace" in capsys.readouterr().err
+
+
+def test_report_non_ascii_trace_exits_1(tmp_path, capsys):
+    assert main(["run", "--config", CFG, "--out", str(tmp_path), "--quiet", "--set", "sim.t_end=0.3"]) == 0
+    capsys.readouterr()
+    valid = (tmp_path / "trace.csv").read_bytes()
+    header = ",".join(header_columns(3, 3)).encode("ascii")
+    last = valid.count(b"\n") + 1
+    cases = [
+        (header + "\né\n".encode("utf-8"), "line 2: non-ASCII byte 0xc3"),
+        (valid + b"\xff", f"line {last}: non-ASCII byte 0xff"),
+        (b"\xff" + valid, "line 1: non-ASCII byte 0xff"),
+    ]
+    trace = tmp_path / "bad.csv"
+    for data, message in cases:
+        trace.write_bytes(data)
+        assert main(["report", "--config", CFG, "--out", str(tmp_path), str(trace)]) == 1
+        assert capsys.readouterr().err == f"error: malformed trace: {message}\n"  # no traceback
+    assert not list(tmp_path.glob("*.svg"))
 
 
 def test_report_trace_of_other_dimensions_exits_1(tmp_path, capsys):
