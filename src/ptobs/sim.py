@@ -169,14 +169,15 @@ def detect_convergence(
 
     For stage k that is the first tau with max_i |error[s, i, k-1]| <= tol for
     every recorded s in [tau, t_end]; None if even the final sample violates.
+    A NaN error is outside every band.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise DimensionMismatch("tolerance must be positive")
     n = estimate_errors.shape[2]
     worst = np.max(np.abs(estimate_errors), axis=1)  # (S, n)
     out: list[float | None] = []
     for k in range(n):
-        bad = np.flatnonzero(worst[:, k] > tol)
+        bad = np.flatnonzero(~(worst[:, k] <= tol))
         if bad.size == 0:
             out.append(float(times[0]))
         elif bad[-1] == len(times) - 1:

@@ -50,10 +50,14 @@ def render_error_plot(
 ) -> str:
     """SVG of every follower's stage-k error vs time, window shaded.
 
-    errors has shape (S, N); window is the (start, end) of the stage's
-    time-varying-gain interval.  Raises DimensionMismatch on non-finite input
-    and on padded ranges that are not finite or too narrow for their magnitude.
+    errors has shape (S, N) and times shape (S,), with S, N >= 1; window is
+    the (start, end) of the stage's time-varying-gain interval.  Raises
+    DimensionMismatch on other shapes, on non-finite input, and on padded
+    ranges that are not finite or too narrow for their magnitude.
     """
+    if errors.ndim != 2 or errors.size == 0 or np.shape(times) != errors.shape[:1]:
+        raise DimensionMismatch(f"errors must be (S, N) and times (S,) with S, N >= 1, "
+                                f"got {errors.shape} and {np.shape(times)}")
     S, N = errors.shape
     x_lo, x_hi = float(times[0]), float(times[-1])
     if not _resolved(x_lo, x_hi):  # max: a span that overflowed stays unresolved

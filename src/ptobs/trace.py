@@ -5,18 +5,20 @@ row-major in i then k), psi_i_k (same layout), V_1..V_n, budget_active.
 Numbers carry 17 significant digits so a binary64 value round-trips exactly;
 separator is a comma, newline is LF, no locale formatting.
 
-read_trace checks the header line, then streams the rows from the open file
-into one np.loadtxt call, so its memory is bounded by the arrays it returns
-plus one block of text.  A file that parse does not accept whole is read
-again line by line, which names the bad line in the MalformedTrace message:
-a row of the wrong width, a non-numeric field, or a non-ASCII byte.
+read_trace reads ASCII text with universal newlines (LF, CRLF or CR): the
+header line, then rows of header-width comma-separated numbers, which may
+hold blank lines and whitespace around a number.  One np.loadtxt call
+streams the rows from the open file, so its memory is bounded by the arrays
+it returns.  A file that parse does not accept whole is scanned line by
+line, and the MalformedTrace message names its first bad line: a non-ASCII
+byte, a wrong header, a row of the wrong width, or a non-numeric field.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Iterator
+from typing import NoReturn
 
 import numpy as np
 
@@ -26,8 +28,6 @@ from .sim import TraceData
 
 # Rows formatted per write: bounds the copy of the result the writer holds.
 _CHUNK_ROWS = 256
-# Characters read per block: bounds the text the reader holds.
-_BLOCK_CHARS = 1 << 14
 
 
 def header_columns(N: int, n: int) -> list[str]:
@@ -59,37 +59,25 @@ def read_trace(path: str) -> TraceData:
 
     Raises MalformedTrace for an unreadable or non-ASCII file, an unexpected
     header, a row of the wrong width, non-numeric fields, or a file with no
-    data rows.
+    data rows; the message names the first bad line.
     """
-    # Rows stream from the open file into one C-level parse, so memory is the
-    # result plus a block.  A file it does not accept whole (an error, a
-    # warning, a wrong width) is read again by _read_lines, the reader that
-    # names the bad line, so both give the same outcome on every file.
     try:
         with open(path, "r", encoding="ascii") as fh:
             N, n = _layout(fh.readline().removesuffix("\n"))
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # loadtxt warns on no rows
-                data = np.loadtxt(_lines(fh), delimiter=",", comments=None, ndmin=2)
+            data = _parse(fh)
     except (OSError, ValueError, Warning, MalformedTrace):
-        return _read_lines(path)
+        _first_bad_line(path)
     if data.shape[1] != len(header_columns(N, n)):
-        return _read_lines(path)
+        _first_bad_line(path)
     return _trace_data(data, N, n)
 
 
-def _lines(fh) -> Iterator[str]:
-    # The rest of fh, line by line, read in blocks.  str.splitlines, which
-    # numbers the lines _read_lines reports, also ends a line at these
-    # characters, and loadtxt would strip them as whitespace: a block holding
-    # one ends the stream with ValueError.
-    tail = ""
-    while block := fh.read(_BLOCK_CHARS):
-        if any(c in block for c in "\x0b\x0c\x1c\x1d\x1e"):
-            raise ValueError("line separator other than a newline")
-        *lines, tail = (tail + block).split("\n")
-        yield from lines
-    yield tail
+def _parse(lines) -> np.ndarray:
+    # The one parse of trace rows: an iterable of lines to an (S, width)
+    # array; loadtxt's warning on no rows is an error.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
 
 
 def _layout(line: str) -> tuple[int, int]:
@@ -105,46 +93,31 @@ def _layout(line: str) -> tuple[int, int]:
     return N, n
 
 
-def _read_lines(path: str) -> TraceData:
-    # The whole file as str.splitlines() lines: one np.loadtxt over them, and
-    # a file that parse rejects is parsed per field again, which names the
-    # first bad line.  Both parses decide some outcomes: loadtxt strips a \x1f
-    # around a number and float() does not, float() reads "1_0" and loadtxt
-    # does not.
+def _first_bad_line(path: str) -> NoReturn:
+    # Raises MalformedTrace naming the first line read_trace's parse rejects.
+    # latin-1 decodes every byte to the character of the same number, so a
+    # non-ASCII byte is found on its own line, not in the decoder's block.
+    lineno = 0
     try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
+        with open(path, "r", encoding="latin-1") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.removesuffix("\n")
+                if not line.isascii():
+                    byte = next(c for c in line if not c.isascii())
+                    raise MalformedTrace(f"line {lineno}: non-ASCII byte 0x{ord(byte):02x}")
+                if lineno == 1:
+                    width = len(header_columns(*_layout(line)))
+                elif line and line.count(",") + 1 != width:
+                    raise MalformedTrace(
+                        f"line {lineno}: expected {width} fields, got {line.count(',') + 1}")
+                elif line:
+                    try:
+                        _parse([line])
+                    except (ValueError, Warning):
+                        raise MalformedTrace(f"line {lineno}: non-numeric field") from None
     except OSError as exc:
         raise MalformedTrace(f"cannot read trace: {exc}") from None
-    try:
-        lines = raw.decode("ascii").splitlines()
-    except UnicodeDecodeError as exc:
-        lineno = len((raw[: exc.start].decode("ascii") + "x").splitlines())
-        raise MalformedTrace(f"line {lineno}: non-ASCII byte 0x{raw[exc.start]:02x}") from None
-    if not lines:
-        raise MalformedTrace("empty file")
-    N, n = _layout(lines[0])
-    width = len(header_columns(N, n))
-    if not any(lines[1:]):
-        raise MalformedTrace("trace has a header but no data rows")
-    try:
-        data = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        data = None
-    if data is None or data.shape[1] != width:
-        rows = []
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != width:
-                raise MalformedTrace(f"line {lineno}: expected {width} fields, got {len(fields)}")
-            try:
-                rows.append([float(f) for f in fields])
-            except ValueError:
-                raise MalformedTrace(f"line {lineno}: non-numeric field") from None
-        data = np.array(rows)
-    return _trace_data(data, N, n)
+    raise MalformedTrace("trace has a header but no data rows" if lineno else "empty file")
 
 
 def _trace_data(data: np.ndarray, N: int, n: int) -> TraceData:

@@ -5,11 +5,14 @@ assembled from cofactors, the smallest eigenvalue comes from closed-form
 roots of the characteristic polynomial (sizes up to 3 only), and the
 singularity verdict from a plain SVD.  The switching schedule and step-count
 oracles work one entry at a time, in plain Python, and reachability comes
-from a boolean transitive closure.  The trace reader is the whole-file
-reader `read_trace` used before it streamed rows, kept verbatim.
+from a boolean transitive closure.  Two trace readers: the whole-file
+reader `read_trace` used before it streamed rows, kept verbatim, and a
+per-line reference of the reader's specification that parses numbers with
+float() rather than numpy.
 """
 
 import math
+import re
 
 import numpy as np
 
@@ -272,3 +275,62 @@ def read_trace_whole_file(path: str) -> TraceData:
     shapes = [(), (n,), (N, n), (N, n), (n,), ()]  # per sample, in TraceData field order
     parts = np.split(data, np.cumsum([math.prod(s) for s in shapes[:-1]]), axis=1)
     return TraceData(*(p.reshape(len(data), *s) for p, s in zip(parts, shapes)))
+
+
+def read_trace_per_line(path: str) -> TraceData:
+    """Parse a trace CSV one line at a time; the first bad line names the error.
+
+    Lines end at LF, CRLF or CR, and a final line end starts no line.  Each
+    line is checked in order: a non-ASCII byte, then the header (line 1), or
+    for a non-empty data line its field count and each field as a number
+    (str.strip() whitespace around a float() literal without underscores).
+    """
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise MalformedTrace(f"cannot read trace: {exc}") from None
+    lines = re.split(rb"\r\n|\r|\n", raw)
+    if lines[-1] == b"":
+        lines.pop()
+    if not lines:
+        raise MalformedTrace("empty file")
+    rows = []
+    for lineno, line in enumerate(lines, start=1):
+        for byte in line:
+            if byte > 0x7F:
+                raise MalformedTrace(f"line {lineno}: non-ASCII byte 0x{byte:02x}")
+        fields = line.decode("ascii").split(",")
+        if lineno == 1:
+            header = fields
+            n = sum(1 for c in header if c.startswith("x0_"))
+            nxt = sum(1 for c in header if c.startswith("xt_"))
+            if n < 1 or nxt < 1 or nxt % n != 0:
+                raise MalformedTrace(f"unrecognized header: {line.decode('ascii')[:80]}")
+            N = nxt // n
+            if header != header_columns(N, n):
+                raise MalformedTrace("header does not match the expected column layout")
+            continue
+        if line == b"":
+            continue
+        if len(fields) != len(header):
+            raise MalformedTrace(f"line {lineno}: expected {len(header)} fields, got {len(fields)}")
+        try:
+            if any("_" in f for f in fields):
+                raise ValueError
+            rows.append([float(f.strip()) for f in fields])
+        except ValueError:
+            raise MalformedTrace(f"line {lineno}: non-numeric field") from None
+    if not rows:
+        raise MalformedTrace("trace has a header but no data rows")
+    data = np.array(rows)
+    S = len(data)
+    cut = np.cumsum([1, n, N * n, N * n, n])
+    return TraceData(
+        times=data[:, 0],
+        leader_states=data[:, cut[0] : cut[1]],
+        estimate_errors=data[:, cut[1] : cut[2]].reshape(S, N, n),
+        local_errors=data[:, cut[2] : cut[3]].reshape(S, N, n),
+        lyapunov=data[:, cut[3] : cut[4]],
+        decay_bound=data[:, cut[4]],
+    )

@@ -1,7 +1,7 @@
-"""perfbench/tracing.py wraps ptobs names by attribute: each must resolve.
+"""perfbench wraps, imports and reads ptobs names: each must resolve.
 
-The file is read, not imported, so a refactor that drops a wrapped name
-fails here rather than in the traced benchmark run.
+The files are read, not imported, so a refactor that drops or renames a
+name perfbench uses fails here rather than in the benchmark run.
 """
 
 import ast
@@ -34,6 +34,20 @@ def test_every_traced_target_resolves():
         if not callable(getattr(obj, attr.value, None)):
             missing.append(f"{owner}.{attr.value}")
     assert len(targets.elts) > 10 and missing == []
+
+
+def test_every_ptobs_import_in_perfbench_resolves():
+    # `from ptobs.x import y` anywhere in perfbench/*.py, function bodies included.
+    imports = [
+        (path.name, node.module, alias.name)
+        for path in sorted((REPO / "perfbench").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ptobs"
+        for alias in node.names
+    ]
+    missing = [entry for entry in imports
+               if not hasattr(importlib.import_module(entry[1]), entry[2])]
+    assert ("workloads.py", "ptobs.trace", "read_trace") in imports and missing == []
 
 
 def test_every_unused_import_is_a_traced_target():

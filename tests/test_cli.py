@@ -17,7 +17,7 @@ from ptobs.errors import DimensionMismatch, MalformedTrace
 from ptobs.svgplot import render_error_plot
 from ptobs.trace import header_columns, read_trace, write_trace
 from conftest import BUNDLED_CONFIG, INITIAL_ESTIMATES
-from oracles import read_trace_whole_file
+from oracles import read_trace_per_line, read_trace_whole_file
 
 CFG = str(BUNDLED_CONFIG)
 
@@ -559,23 +559,16 @@ def test_read_trace_equals_per_field_reader(tmp_path, static_run):
         ["1,2", "1,2"],                               # every row equally short
         [],                                           # header only
         ["", ""],                                     # blank lines only
-        [good.replace("0.5", "1_0", 1)],              # float() reads it, numpy does not
     ]
     texts = [f"{header}\n" + "".join(f"{line}\n" for line in body) for body in bodies]
-    # Where str.splitlines and loadtxt's stream split lines differently.
     texts += [
-        f"{header}\n{good}\x0b{good}\n",             # \v splits one stream line in two rows
-        f"{header}\n{good}\x0c\n{good}\n",           # \f ends a row: whitespace to loadtxt
-        f"{header}\n{good[:4]}\x1c{good[4:]}\n",      # \x1c mid-row
-        f"{header}\n{good}\x1d{good}\x1e{good}\n",
-        f"{header}\x0b{good}\n",                      # the header line ends at \v
+        f"{header}\n{good}\x0c\n{good}\n",           # \f before a line end: whitespace to both
         f"{header}\r{good}\r{good}\r",               # CR newlines
         f"{header}\r\n{good}\r\n{good}",              # CRLF newlines, no final newline
         f"{header}\n{good}\n{good}",                  # no final newline
         f"{header}",                                  # header only, no final newline
-        f"{header}\n\n\x0b\x0c\n\r\n",                # only blank lines
+        f"{header}\n\n\n\r\n",                        # only blank lines
         f"{header}\n \n\n",                          # only blank or whitespace lines
-        f"{header}\n\x1c\x1d\x1e\n",
     ]
     path = tmp_path / "bad.csv"
     for text in texts:
@@ -585,35 +578,73 @@ def test_read_trace_equals_per_field_reader(tmp_path, static_run):
         assert outcome == _read_outcome(read_trace_whole_file, str(path)), text
 
 
-_TRACE_TOKENS = [*"0123456789,.-+eE_", "nan", "inf", " ", "\x1f",
-                 "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\r", "\r\n", "\n"]
 _SMALL_TRACE = (
     ",".join(header_columns(1, 1)) + "\n"
     + "0,1.5,-2e-3,0.25,1,nan\n0.001,1.5,-1e-3,0.125,0.5,inf\n0.002,-0,1E-300,+7,5e-324,0\n"
 )
+# Characters write_trace can put in a file, and the line ends of other platforms.
+_WRITER_TOKENS = [*"0123456789,.-+eE", "nan", "inf", " ", "\r", "\r\n", "\n"]
+# Those, and characters no writer produces: underscores, whitespace that
+# str.splitlines takes for a line end, a non-ASCII byte.
+_TRACE_TOKENS = [*_WRITER_TOKENS, "_", "\t", "\x1f", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\xe9"]
 
 
 @st.composite
-def _mutated_traces(draw):
+def _mutated_traces(draw, tokens):
     # One to four edits of a small valid trace: a span of up to 3 characters
     # replaced by up to 3 tokens.
     text = _SMALL_TRACE
     for _ in range(draw(st.integers(1, 4))):
         a = draw(st.integers(0, len(text)))
         b = draw(st.integers(a, min(len(text), a + 3)))
-        text = text[:a] + "".join(draw(st.lists(st.sampled_from(_TRACE_TOKENS), max_size=3))) + text[b:]
+        text = text[:a] + "".join(draw(st.lists(st.sampled_from(tokens), max_size=3))) + text[b:]
     return text
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(text=_mutated_traces())
-# A split row accepted only because loadtxt strips the \x1f that float() keeps.
-@example(text=_SMALL_TRACE.replace("\n0.001", "\x0b\x1f0.001"))
-@example(text=_SMALL_TRACE.replace("1.5", "1_5", 1))
+@given(text=_mutated_traces(_WRITER_TOKENS))
 def test_read_trace_equals_whole_file_reader(tmp_path, text):
+    # On the writer's alphabet the reader keeps the whole-file reader's outcome.
     path = tmp_path / "mutated.csv"
     path.write_bytes(text.encode("ascii"))
     assert _read_outcome(read_trace, str(path)) == _read_outcome(read_trace_whole_file, str(path))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_mutated_traces(_TRACE_TOKENS))
+def test_read_trace_equals_per_line_reference(tmp_path, text):
+    path = tmp_path / "mutated.csv"
+    path.write_bytes(text.encode("latin-1"))
+    assert _read_outcome(read_trace, str(path)) == _read_outcome(read_trace_per_line, str(path))
+
+
+def test_read_trace_outcome_on_forms_no_writer_produces(tmp_path):
+    # Inputs whose outcome changed when read_trace became one loadtxt parse
+    # over universal-newline lines: str.splitlines line ends (\v \x1c \x1d
+    # \x1e \f) are in-line whitespace, and a field float() reads but numpy
+    # does not (1_0) is non-numeric.
+    header = ",".join(header_columns(2, 1))
+    good = ",".join(["0.5"] * len(header_columns(2, 1)))
+    accepted = tmp_path / "good.csv"
+    accepted.write_text(f"{header}\n{good}\n")
+    cases = [
+        (f"{header}\n{good.replace('0.5', '1_0', 1)}\n", "line 2: non-numeric field"),
+        (f"{header}\n{good}\x0b{good}\n", "line 2: expected 8 fields, got 15"),
+        (f"{header}\n{good}\x1d{good}\n", "line 2: expected 8 fields, got 15"),
+        (f"{header}\n{good}\x1e{good}\n", "line 2: expected 8 fields, got 15"),
+        (f"{header}\n{good[:4]}\x1c{good[4:]}\n", _read_outcome(read_trace, str(accepted))),
+        (f"{header}\x0b{good}\n", "header does not match the expected column layout"),
+        (f"{header}\n\n\x0b\x0c\n\r\n", "line 3: expected 8 fields, got 1"),
+        (f"{header}\n\x1c\x1d\x1e\n", "line 2: expected 8 fields, got 1"),
+        (f"{header}\n1,2\n\xe9\n", "line 2: expected 8 fields, got 2"),
+        (_SMALL_TRACE.replace("\n0.001", "\x0b\x1f0.001"), "line 2: expected 6 fields, got 11"),
+        (_SMALL_TRACE.replace("1.5", "1_5", 1), "line 2: non-numeric field"),
+    ]
+    path = tmp_path / "odd.csv"
+    for text, outcome in cases:
+        path.write_bytes(text.encode("latin-1"))
+        assert _read_outcome(read_trace, str(path)) == outcome, text
+        assert _read_outcome(read_trace_per_line, str(path)) == outcome, text
 
 
 def test_read_trace_peak_memory_is_bounded_by_its_arrays(tmp_path):
@@ -969,6 +1000,18 @@ def test_report_trace_too_wide_to_plot_exits_1(tmp_path, capsys):
 def test_error_plot_rejects_what_it_cannot_plot(times, errors):
     with pytest.raises(DimensionMismatch, match="must be finite, over ranges that ticks can resolve"):
         render_error_plot(np.array(times), np.array(errors), 1, (0.0, 1.0), "t")
+
+
+@pytest.mark.parametrize(
+    "times, errors, shapes",
+    [([], np.zeros((0, 1)), "(0, 1) and (0,)"), ([0.0, 1.0], np.zeros((3, 1)), "(3, 1) and (2,)"),
+     ([0.0, 1.0], np.zeros(2), "(2,) and (2,)"), ([0.0, 1.0], np.zeros((2, 0)), "(2, 0) and (2,)")],
+    ids=["no-samples", "length-mismatch", "1d-errors", "no-followers"],
+)
+def test_error_plot_rejects_mismatched_shapes(times, errors, shapes):
+    message = f"errors must be (S, N) and times (S,) with S, N >= 1, got {shapes}"
+    with pytest.raises(DimensionMismatch, match=re.escape(message) + "$"):
+        render_error_plot(np.array(times), errors, 1, (0.0, 1.0), "t")
 
 
 def test_error_plot_widens_unresolvable_ranges():

@@ -174,6 +174,17 @@ def test_detect_convergence_never():
     assert detect_convergence(times, errors, 0.01) == [None]
 
 
+def test_detect_convergence_nan_is_outside_the_band():
+    times = np.array([0.0, 1.0, 2.0])
+    errors = np.zeros((3, 2, 1))
+    errors[2, 1, 0] = np.nan
+    assert detect_convergence(times, errors, 0.01) == [None]
+    errors[2, 1, 0], errors[1, 0, 0] = 0.0, np.nan
+    assert detect_convergence(times, errors, 0.01) == [2.0]
+    with pytest.raises(DimensionMismatch, match="^tolerance must be positive$"):
+        detect_convergence(times, np.zeros((3, 2, 1)), np.nan)
+
+
 def test_decay_budget_at_window_start(static_run):
     analysis, gains, cfg, res = static_run
     sched = ptobs.CascadeSchedule(t0=0.0, stage_durations=(0.2, 0.2, 0.2), exponent=2.01)
