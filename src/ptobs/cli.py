@@ -7,6 +7,7 @@ Exit codes are a stable contract: 0 success, 1 config or input error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -41,9 +42,18 @@ from .svgplot import render_error_plot
 from .trace import read_trace, write_trace
 
 
+@contextlib.contextmanager
+def _writing(path):  # an OSError in the block exits 1, naming path and reason
+    try:
+        yield
+    except OSError as exc:
+        raise ToolkitError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _out_dir(args, experiment: Experiment) -> Path:
     path = Path(args.out or os.environ.get("OUTPUT_DIR") or experiment.output.directory)
-    path.mkdir(parents=True, exist_ok=True)
+    with _writing(path):
+        path.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -82,10 +92,8 @@ def cmd_synthesize(args, exp: Experiment, info) -> int:
         doc.set("gains", "mode", "explicit")
         for key in ("alpha", "beta", "sigma"):
             doc.set("gains", key, f"{getattr(gains, key):.17g}")
-        try:
+        with _writing(args.emit_config):
             Path(args.emit_config).write_text(serialize_config(doc), encoding="utf-8")
-        except OSError as exc:
-            raise ToolkitError(f"cannot write {args.emit_config}: {exc.strerror or exc}") from None
         info(f"explicit-gain config written to {args.emit_config}")
     return 0
 
@@ -105,7 +113,8 @@ def cmd_run(args, exp: Experiment, info) -> int:
     out = _out_dir(args, exp)
     if exp.output.write_csv:
         trace_path = out / "trace.csv"
-        write_trace(result, str(trace_path))
+        with _writing(trace_path):
+            write_trace(result, str(trace_path))
         info(f"trace written to {trace_path}")
     t_star = exp.sched.t_star
     after = result.times >= t_star
@@ -132,12 +141,14 @@ def cmd_report(args, exp: Experiment, info) -> int:
         )
     if not (np.isfinite(data.times).all() and np.isfinite(data.estimate_errors).all()):
         raise MalformedTrace("times and estimate errors must be finite to plot")
+    times, errors = data.times.copy(), data.estimate_errors.copy()  # all the plots read
+    del data  # and the rest of the trace's block goes
     svgs = []  # every stage renders before any file is written
-    for k in range(1, data.order + 1):
+    for k in range(1, exp.sched.order + 1):
         w = exp.sched.window(k)
         svgs.append(render_error_plot(
-            data.times,
-            data.estimate_errors[:, :, k - 1],
+            times,
+            errors[:, :, k - 1],
             stage_k=k,
             window=(w.start, w.end),
             title=f"Follower estimation error, stage {k}",
@@ -145,7 +156,8 @@ def cmd_report(args, exp: Experiment, info) -> int:
     out = _out_dir(args, exp)
     for k, svg in enumerate(svgs, start=1):
         path = out / f"stage_{k}_error.svg"
-        path.write_text(svg, encoding="ascii")
+        with _writing(path):
+            path.write_text(svg, encoding="ascii")
         info(f"wrote {path}")
     return 0
 

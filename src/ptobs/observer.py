@@ -334,4 +334,7 @@ def gain_condition_warnings(
 def _weighted_energy(weights: np.ndarray, psi: np.ndarray) -> np.ndarray:
     # 0.5 * sum_i w_i psi[..., i, k]^2 for weights (..., N) and psi (..., N, n).
     # numpy sums a stack of samples as it sums one sample of the same n.
-    return 0.5 * (weights[..., :, None] * psi * psi).sum(axis=-2)
+    t = weights[..., :, None] * psi
+    t *= psi  # (w psi) psi in one temporary, and its sum halved in place
+    v = t.sum(axis=-2)
+    return np.multiply(v, 0.5, out=v)

@@ -3,15 +3,15 @@
 Every stage-window boundary, topology switch and t_end lands exactly on a
 step boundary (dt is shortened locally before each event), so no step
 straddles a switch; a switch within the merge tolerance of another event
-takes effect at that event.  One step plan, built before the loop as
-whole-run arrays (O(steps) memory, about 17 bytes a step) from the switching
-signal's arrays, holds the grid points, the right-continuous topology at each
-and the record points; steps and recorded diagnostics take their topology
-from it.  The loop steps one stacked state in place through the observer
-kernel's stage functions (7 numpy calls each), with each block's extended
-gain rows from one vector expression, and writes [x0; estimates] into one
-snapshot array at record points, from which errors, psi and V follow as
-arrays; one decay_budget call gives the envelope at every sample.  A numpy
+takes effect at that event.  One step plan, built before the loop from the
+switching signal's arrays (O(steps) memory: 10 bytes a step, 16 while it is
+built), holds the grid points, the right-continuous topology at each (which
+steps and samples take) and the record points.  The loop steps one stacked
+state in place through the observer kernel's stage functions (7 numpy calls
+each), with each block's extended gain rows from one vector expression, and
+writes [x0; estimates] into one snapshot array at record points.  The plan
+goes, the errors overwrite the estimates there, and psi, V and (in one
+decay_budget call) the envelope at every sample follow as arrays.  A numpy
 call on these small arrays costs its dispatch, so every call passes out
 positionally, rk4 sums its stages with three adds, and each step's
 divergence check is one bound BLAS dot, Zf.dot(Zf), against threshold
@@ -88,9 +88,9 @@ class TraceData:
     """The recorded samples of one run: what a trace CSV holds.
 
     estimate_errors[s, i, k-1] is follower i's stage-k global error at
-    times[s]; local_errors holds the matching psi vectors under the step
-    plan's topology at that point (the one the next step runs under).
-    decay_bound is the theoretical envelope of the currently active stage.
+    times[s]; a run returns it and leader_states as views of one snapshot
+    buffer.  local_errors holds psi under the step plan's topology at that
+    point (the next step's); decay_bound is the active stage's envelope.
     """
 
     times: np.ndarray            # (S,)
@@ -139,11 +139,11 @@ def decay_budget(
     saturating to 0 where varsigma overflows and to inf where it underflows
     to 0; a zero V_at_window_start gives 0.
     """
-    def inverse_square_power(base: float, h: float) -> float:
+    def inverse_square_power(base: float) -> float:
         # (base ** h) ** -2.0 as libm's pow rounds it; where Python raises, the
         # result lies past the doubles: below them if base > 1, else above.
         try:
-            return (base ** h) ** -2.0
+            return (base ** sched.exponent) ** -2.0
         except (OverflowError, ZeroDivisionError):
             return 0.0 if base > 1.0 else math.inf
 
@@ -156,7 +156,7 @@ def decay_budget(
     inside = (start <= t) & (t < end)
     base = duration[inside] / np.maximum(end[inside] - t[inside], guard)
     vs2 = np.ones(t.shape)  # varsigma^-2
-    vs2[inside] = [inverse_square_power(b, sched.exponent) for b in base.tolist()]
+    vs2[inside] = np.fromiter(map(inverse_square_power, map(float, base)), float, base.size)
     c = 2.0 * gains.alpha * analysis.lambda_min / analysis.max_weight
     budget = np.multiply(vs2 * np.exp(-c * (t - start)), V0, out=np.zeros(t.shape), where=V0 != 0)
     return budget.reshape(shape)[()]
@@ -245,12 +245,18 @@ def _step_plan(cfg: SimConfig, sched: CascadeSchedule, topos: TopologySequence):
     fits = (m >= 1) & (np.abs(events[:-1] + m * cfg.dt - events[1:]) <= 1e-9 * cfg.dt)
     steps = np.where(fits, m, np.floor(span) + 1).astype(np.int64)
     try:
-        seg = np.repeat(np.arange(events.size), np.append(steps, 1))  # the last event starts no step
-        P = np.arange(seg.size)
-        offset = P - np.concatenate(([0], np.cumsum(steps)))[seg]
-        grid = events[seg] + offset * cfg.dt
-        rec = (P % min(cfg.record_stride, P.size) == 0) | (offset == 0)
-        return grid, active[seg], rec
+        counts = np.append(steps, 1)  # the last event starts no step
+        starts = np.concatenate(([0], np.cumsum(steps)))  # each event's point
+        # offset * dt + event, built in place (integer offsets are exact in float; + commutes).
+        grid = np.arange(starts[-1] + 1, dtype=float)
+        grid -= np.repeat(starts, counts)
+        grid *= cfg.dt
+        grid += np.repeat(events, counts)
+        # The least unsigned type holding the topology count: no arithmetic on it can wrap.
+        topo = np.repeat(active.astype(np.min_scalar_type(len(topos.topologies))), counts)
+        rec = np.zeros(grid.size, dtype=bool)
+        rec[:: min(cfg.record_stride, grid.size)] = rec[starts] = True
+        return grid, topo, rec
     except MemoryError:
         msg = f"dt = {cfg.dt:g} plans {steps.sum():g} steps, too many to hold in memory"
         raise DimensionMismatch(msg) from None
@@ -295,11 +301,9 @@ def run(
     grid, topo, rec = _step_plan(cfg, sched, topos)
     # A switch is logged where the plan's topology changes, so a merged switch
     # is logged at the event it merged into and a cancelled one not at all.
-    switched = np.flatnonzero(np.diff(topo, prepend=topos.indices[0] - 1))
-    event_log += [
-        (t, f"switch to topology {j}")
-        for t, j in zip(grid[switched].tolist(), (topo[switched] + 1).tolist())
-    ]
+    switched = np.flatnonzero(np.concatenate(([topo[0] != topos.indices[0] - 1], topo[1:] != topo[:-1])))
+    labels = [f"switch to topology {j}" for j in range(1, len(analyses) + 1)]  # one string each
+    event_log += [(t, labels[j]) for t, j in zip(grid[switched].tolist(), topo[switched].tolist())]
     event_log.sort(key=lambda item: item[0])  # stable: stage entries first at a shared time
 
     L0s = [a.sub_laplacian for a in analyses]
@@ -371,9 +375,10 @@ def run(
                 if keep:
                     next(rows)[...] = Z[N - 1 :]
 
-    # Diagnostics from the snapshots, under the plan's topology at each recorded point.
+    # Diagnostics under the plan's topology at each sample; snaps becomes [x0; errors].
     times, active = grid[rec], topo[rec]
-    errors = snaps[:, 1:] - snaps[:, :1]
+    del grid, topo, rec, g_at, g_mid, t_mid, ts, step
+    errors = np.subtract(snaps[:, 1:], snaps[:, :1], out=snaps[:, 1:])
     psi = np.empty_like(errors)
     for j, analysis in enumerate(analyses):
         psi[active == j] = np.matmul(analysis.sub_laplacian, errors[active == j])

@@ -55,6 +55,7 @@ def render_error_plot(
     DimensionMismatch on other shapes, on non-finite input, and on padded
     ranges that are not finite or too narrow for their magnitude.
     """
+    errors = np.asarray(errors, dtype=float)
     if errors.ndim != 2 or errors.size == 0 or np.shape(times) != errors.shape[:1]:
         raise DimensionMismatch(f"errors must be (S, N) and times (S,) with S, N >= 1, "
                                 f"got {errors.shape} and {np.shape(times)}")
@@ -62,8 +63,7 @@ def render_error_plot(
     x_lo, x_hi = float(times[0]), float(times[-1])
     if not _resolved(x_lo, x_hi):  # max: a span that overflowed stays unresolved
         x_hi = max(x_hi, x_lo + max(1.0, _WIDEN * abs(x_lo)))
-    y_lo = float(np.min(errors))
-    y_hi = float(np.max(errors))
+    y_lo, y_hi = float(errors.min()), float(errors.max())
     if not _resolved(y_lo, y_hi):
         w = max(1.0, _WIDEN * max(abs(y_lo), abs(y_hi)))
         y_lo, y_hi = y_lo - w, y_hi + w
@@ -127,7 +127,7 @@ def render_error_plot(
         f'stroke="black" stroke-width="1"/>'
     )
 
-    ys = py(np.asarray(errors, dtype=float))
+    ys = py(errors)
     xy = np.empty(2 * S)  # x0, y0, x1, y1, ...: one follower's points
     xy[0::2] = px(np.asarray(times, dtype=float))
     points = " ".join(["%.2f,%.2f"] * S)

@@ -16,7 +16,7 @@ from ptobs.config import load_config
 from ptobs.errors import DimensionMismatch, MalformedTrace
 from ptobs.svgplot import render_error_plot
 from ptobs.trace import header_columns, read_trace, write_trace
-from conftest import BUNDLED_CONFIG, INITIAL_ESTIMATES
+from conftest import BUNDLED_CONFIG, INITIAL_ESTIMATES, perfbench_workloads
 from oracles import read_trace_per_line, read_trace_whole_file
 
 CFG = str(BUNDLED_CONFIG)
@@ -578,10 +578,12 @@ def test_read_trace_equals_per_field_reader(tmp_path, static_run):
         assert outcome == _read_outcome(read_trace_whole_file, str(path)), text
 
 
-_SMALL_TRACE = (
-    ",".join(header_columns(1, 1)) + "\n"
-    + "0,1.5,-2e-3,0.25,1,nan\n0.001,1.5,-1e-3,0.125,0.5,inf\n0.002,-0,1E-300,+7,5e-324,0\n"
-)
+_SMALL_HEADER = ",".join(header_columns(1, 1)) + "\n"
+_SMALL_ROWS = "0,1.5,-2e-3,0.25,1,nan\n0.001,1.5,-1e-3,0.125,0.5,inf\n0.002,-0,1E-300,+7,5e-324,0\n"
+_SMALL_TRACE = _SMALL_HEADER + _SMALL_ROWS
+# What the edits start from: that trace, its header alone, and its header over
+# rows each one field short (a rectangular parse of the wrong width).
+_BASE_TRACES = [_SMALL_TRACE, _SMALL_HEADER, _SMALL_HEADER + re.sub(r",[^,\n]*\n", "\n", _SMALL_ROWS)]
 # Characters write_trace can put in a file, and the line ends of other platforms.
 _WRITER_TOKENS = [*"0123456789,.-+eE", "nan", "inf", " ", "\r", "\r\n", "\n"]
 # Those, and characters no writer produces: underscores, whitespace that
@@ -591,9 +593,9 @@ _TRACE_TOKENS = [*_WRITER_TOKENS, "_", "\t", "\x1f", "\x0b", "\x0c", "\x1c", "\x
 
 @st.composite
 def _mutated_traces(draw, tokens):
-    # One to four edits of a small valid trace: a span of up to 3 characters
+    # One to four edits of a small trace: a span of up to 3 characters
     # replaced by up to 3 tokens.
-    text = _SMALL_TRACE
+    text = draw(st.sampled_from(_BASE_TRACES))
     for _ in range(draw(st.integers(1, 4))):
         a = draw(st.integers(0, len(text)))
         b = draw(st.integers(a, min(len(text), a + 3)))
@@ -670,6 +672,24 @@ def test_read_trace_peak_memory_is_bounded_by_its_arrays(tmp_path):
     arrays = sum(getattr(data, f.name).nbytes for f in dataclasses.fields(data))
     assert arrays == S * len(header_columns(N, n)) * 8
     assert peak <= 1.5 * arrays, (peak, arrays)
+
+
+def test_report_peak_memory_is_about_its_trace(tmp_path):
+    # A dense-switching trace (5 001 rows): the report keeps only the times and
+    # errors it plots, so the rest of the trace's block goes before rendering.
+    dense = [a for pair in perfbench_workloads().DENSE_OVERRIDES for a in ("--set", pair)]
+    assert main(["run", "--config", CFG, "--out", str(tmp_path), "--quiet", *dense]) == 0
+    trace = str(tmp_path / "trace.csv")
+    arrays = len(read_trace(trace).times) * len(header_columns(3, 3)) * 8
+    argv = ["report", "--config", CFG, "--out", str(tmp_path), "--quiet", *dense, trace]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert arrays == 5001 * 26 * 8
+    assert peak <= 2.0 * arrays, (peak, arrays)
 
 
 def _polyline_points_per_point(times, errors):
@@ -862,6 +882,25 @@ def test_report_generates_deterministic_svgs(tmp_path, capsys):
         assert b"<svg" in f1 and b"time [s]" in f1
 
 
+@pytest.mark.parametrize("command", ["run", "report"])
+def test_unwritable_output_exits_1(tmp_path, capsys, command):
+    # An --out that names a file, and an output path taken by a directory,
+    # exit 1 naming the path, with no traceback.
+    src = tmp_path / "src"
+    assert main(["run", "--config", CFG, "--out", str(src), "--quiet", "--set", "sim.t_end=0.3"]) == 0
+    argv = [command, "--config", CFG, "--quiet", "--set", "sim.t_end=0.3"]
+    argv += [str(src / "trace.csv")] if command == "report" else []
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main([*argv, "--out", str(taken)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: cannot write {taken}: File exists"
+    blocked = tmp_path / "out" / ("trace.csv" if command == "run" else "stage_1_error.svg")
+    blocked.mkdir(parents=True)
+    assert main([*argv, "--out", str(blocked.parent)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: cannot write {blocked}: Is a directory"
+    assert [p.name for p in blocked.parent.iterdir()] == [blocked.name]
+
+
 def test_report_header_only_trace_exits_1(tmp_path, capsys):
     trace = tmp_path / "empty.csv"
     trace.write_text(",".join(header_columns(3, 3)) + "\n")
@@ -1012,6 +1051,13 @@ def test_error_plot_rejects_mismatched_shapes(times, errors, shapes):
     message = f"errors must be (S, N) and times (S,) with S, N >= 1, got {shapes}"
     with pytest.raises(DimensionMismatch, match=re.escape(message) + "$"):
         render_error_plot(np.array(times), errors, 1, (0.0, 1.0), "t")
+
+
+def test_error_plot_takes_lists_as_arrays():
+    times, errors = [0.0, 0.5, 1.0], [[0.0, 1.0], [0.25, -0.5], [1.0, 2.0]]
+    svg = render_error_plot(times, errors, 1, (0.0, 1.0), "t")
+    assert svg == render_error_plot(np.array(times), np.array(errors), 1, (0.0, 1.0), "t")
+    assert render_error_plot([0.0, 1.0], [[0.0], [1.0]], 1, (0, 1), "t").count("<polyline") == 1
 
 
 def test_error_plot_widens_unresolvable_ranges():

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from ptobs.errors import DimensionMismatch, Diverged, InputBoundViolated
 from ptobs.observer import dpto_rhs, leader_rhs, local_errors
 from ptobs.config import load_experiment
 from ptobs.gain import varsigma
-from ptobs.sim import decay_budget, detect_convergence
+from ptobs.sim import _step_plan, decay_budget, detect_convergence
 from ptobs.trace import TraceData
-from conftest import BUNDLED_CONFIG, ETA, INITIAL_ESTIMATES
+from conftest import BUNDLED_CONFIG, ETA, INITIAL_ESTIMATES, perfbench_workloads
 
 
 def _zero_leader(order, x0=None, bound=0.125):
@@ -583,3 +584,36 @@ def test_run_result_is_the_trace_record():
     res = ptobs.run(exp.sequence, exp.leader, exp.gains, exp.sched, exp.initial_estimates, exp.sim)
     assert isinstance(res, TraceData)
     assert (res.follower_count, res.order) == (3, 3)
+
+
+def _traced_peak(fn):
+    # fn() and the tracemalloc peak of the call, in bytes.
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_peak_memory_is_about_its_arrays():
+    # On the dense-switching overrides (5 001 samples, 5 000 switches) the
+    # diagnostics work in place and the plan is gone before they run.
+    exp = load_experiment(str(BUNDLED_CONFIG), list(perfbench_workloads().DENSE_OVERRIDES))
+    args = (exp.sequence, exp.leader, exp.gains, exp.sched, exp.initial_estimates, exp.sim)
+    ptobs.run(*args)  # warm-up: first-call allocations are not the run's
+    res, peak = _traced_peak(lambda: ptobs.run(*args))
+    arrays = sum(getattr(res, f.name).nbytes for f in dataclasses.fields(TraceData))
+    assert peak <= 2.25 * arrays, (peak, arrays)
+    assert arrays == 5001 * 26 * 8
+    assert res.estimate_errors.base is res.leader_states.base  # views of one snapshot buffer
+
+
+def test_step_plan_peak_memory_per_point():
+    # 200 001 points: 10 bytes each are kept (grid, uint8 topology, record
+    # flag), and no full-size integer temporary is built on the way.
+    exp = load_experiment(str(BUNDLED_CONFIG), ["sim.t_end=20"])
+    plan, peak = _traced_peak(lambda: _step_plan(exp.sim, exp.sched, exp.sequence))
+    points = plan[0].size
+    assert peak <= 20 * points, peak / points
+    assert points == 200_001
+    assert sum(a.nbytes for a in plan) == 10 * points
