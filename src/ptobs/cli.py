@@ -139,8 +139,6 @@ def cmd_report(args, exp: Experiment, info) -> int:
         raise MalformedTrace(
             f"trace dimensions (N={data.follower_count}, n={data.order}) do not match the config"
         )
-    if not (np.isfinite(data.times).all() and np.isfinite(data.estimate_errors).all()):
-        raise MalformedTrace("times and estimate errors must be finite to plot")
     times, errors = data.times.copy(), data.estimate_errors.copy()  # all the plots read
     del data  # and the rest of the trace's block goes
     svgs = []  # every stage renders before any file is written

@@ -309,19 +309,20 @@ def _read_topology(doc: ConfigDocument, section: str) -> DirectedTopology:
         return DirectedTopology(adjacency=adjacency, pinning=pinning)
 
 
-def _read_schedule(doc: ConfigDocument, sim: SimConfig):
-    """The [switching] schedule: t:index pairs as written, or the periodic
-    form as an (S, 2) array of (t0 + i * period, cycle[i % len(cycle)])."""
+def _read_schedule(doc: ConfigDocument, sim: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The [switching] schedule as switch times and integer topology indices:
+    the t:index pairs as written, or t0 + i * period with cycle[i % len(cycle)]."""
     raw = doc.get("switching", "schedule")
     if raw is not None:
-        pairs = []
+        times, indices = [], []
         for tok in raw.split():
             time_s, _, idx_s = tok.partition(":")
             try:
-                pairs.append((float(time_s), int(idx_s)))
+                times.append(float(time_s))
+                indices.append(int(idx_s))
             except ValueError:
                 doc._fail("switching", "schedule", f"expected t:index pairs, got '{tok}'")
-        return pairs
+        return np.array(times), np.array(indices)
     cycle = doc.get("switching", "cycle")
     if doc.get("switching", "period") is None or cycle is None:
         raise ConfigError(
@@ -333,8 +334,8 @@ def _read_schedule(doc: ConfigDocument, sim: SimConfig):
     if period < sim.dt:  # it would only add grid points, and its schedule can fill memory
         doc._fail("switching", "period", f"must be at least sim.dt = {sim.dt:g}, got {period:g}")
     try:
-        indices = np.array([int(tok) for tok in cycle.split()], dtype=float)
-    except (ValueError, OverflowError):
+        indices = np.array([int(tok) for tok in cycle.split()])
+    except ValueError:
         doc._fail("switching", "cycle", f"expected integer indices, got '{cycle}'")
     if not indices.size:
         doc._fail("switching", "cycle", "must list at least one topology index")
@@ -347,7 +348,8 @@ def _read_schedule(doc: ConfigDocument, sim: SimConfig):
     except MemoryError:
         doc._fail("switching", "period", f"plans {count:g} switches, too many to hold in memory")
     times = times[: times.searchsorted(sim.t_end)]
-    return np.column_stack((times, indices[np.arange(times.size) % indices.size]))
+    # np.tile repeats whole cycles in one copy (np.resize concatenates one array per cycle).
+    return times, np.tile(indices, -(-times.size // indices.size))[: times.size]
 
 
 def build_experiment(doc: ConfigDocument) -> Experiment:
@@ -398,19 +400,17 @@ def build_experiment(doc: ConfigDocument) -> Experiment:
         )
 
     common_H = None
-    schedule = [(t0, 1)]
+    times, indices = [t0], [1]
     if "switching" in doc.sections:
         if doc.get("switching", "common_h") is not None:
             common_H = doc.vector("switching", "common_h", N)
-        schedule = _read_schedule(doc, sim_cfg)
-        if len(schedule) == 0 or schedule[0][0] != t0:
+        times, indices = _read_schedule(doc, sim_cfg)
+        if len(times) == 0 or times[0] != t0:
             raise ConfigError("[switching]: schedule must start at the cascade t0", doc.path)
     elif len(topologies) > 1:
         raise ConfigError("several topologies defined but no [switching] section", doc.path)
     with doc._section_errors("switching" if "switching" in doc.sections else "topology.1"):
-        sequence = TopologySequence(
-            topologies=topologies, schedule=schedule, common_H=common_H
-        )
+        sequence = TopologySequence(topologies, times, indices, common_H)
 
     mode = doc.choice("gains", "mode", ("explicit", "synthesize"))
     gains = margins = None

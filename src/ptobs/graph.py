@@ -213,7 +213,8 @@ def _sigma_min_certificate(L0: np.ndarray) -> tuple[np.ndarray | None, float]:
 def _rho(L0: np.ndarray) -> np.ndarray:
     # rho = L0^-T 1 once L0 is shown not numerically singular: sigma_min(L0)
     # above tol = 1e-12 ||L0^T||_inf, by the certificate when it clears tol by
-    # _CERTIFICATE_MARGIN, else by the SVD.
+    # _CERTIFICATE_MARGIN, else by the SVD; either way rho is the certificate's
+    # own solve when it has one.
     tol = _SINGULAR_RTOL * np.linalg.norm(L0.T, np.inf)
     if tol == np.inf:  # finite entries whose column sums overflow: scale by 2^-64
         tol = _SINGULAR_RTOL * np.linalg.norm(np.ldexp(L0.T, -64), np.inf) * 2.0**64
@@ -227,7 +228,7 @@ def _rho(L0: np.ndarray) -> np.ndarray:
             f"reachability check passed (smallest singular value {sigma_min:.3e} "
             f"below tolerance {tol:.3e})"
         )
-    return np.linalg.solve(L0.T, np.ones(L0.shape[0]))
+    return np.linalg.solve(L0.T, np.ones(L0.shape[0])) if rho is None else rho
 
 
 def _analysis(topo: DirectedTopology, eta: np.ndarray | None) -> GraphAnalysis:
@@ -284,61 +285,57 @@ def mirror_with_H(topo: DirectedTopology, eta: np.ndarray) -> GraphAnalysis:
     return _analysis(topo, eta)
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class TopologySequence:
     """Piecewise-constant, right-continuous switching signal over p topologies.
 
-    schedule takes (switch_time, topology_index) pairs or an (S, 2) array,
-    with 1-based integer indices and strictly increasing finite times.  It is
-    stored as two read-only arrays, switch_times (float) and indices (int),
-    without the entries that do not change the active index, so a p = 1
-    sequence behaves exactly like a static topology.  common_H supplies the
-    diagonal weights eta shared by every topology and is required when p > 1.
-    Construction reaches the feasibility verdict (see analyses):
-    NoSpanningTree or InfeasibleTopology (lambda_min not positive) names the
-    first topology that fails.
+    Topology indices[i] (1-based, an integer) is active from switch_times[i]
+    on; the times are finite and strictly increasing.  Both are stored as
+    read-only copies without the entries that do not change the active
+    index, so a p = 1 sequence behaves exactly like a static topology.
+    common_H supplies the diagonal weights eta shared by every topology and
+    is required when p > 1.  Construction reaches the feasibility verdict
+    (see analyses): NoSpanningTree or InfeasibleTopology (lambda_min not
+    positive) names the first topology that fails.
     """
 
     topologies: tuple[DirectedTopology, ...]
-    common_H: np.ndarray | None
     switch_times: np.ndarray
     indices: np.ndarray
+    common_H: np.ndarray | None = None
 
-    def __init__(self, topologies, schedule, common_H: np.ndarray | None = None):
-        topos = tuple(topologies)
+    def __post_init__(self):
+        topos = tuple(self.topologies)
         if not topos:
             raise DimensionMismatch("at least one topology is required")
         counts = {t.follower_count for t in topos}
         if len(counts) != 1:
             raise DimensionMismatch(f"follower counts differ across topologies: {counts}")
-        if common_H is None and len(topos) > 1:
+        if self.common_H is None and len(topos) > 1:
             raise DimensionMismatch("common_h is required when switching over several topologies")
-        try:
-            entries = np.asarray(schedule, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            raise DimensionMismatch("schedule must be (time, index) pairs") from None
-        if entries.size == 0:
+        times, idx = np.asarray(self.switch_times, dtype=float), np.asarray(self.indices)
+        if times.ndim != 1 or times.shape != idx.shape:
+            shapes = f"got shapes {times.shape} and {idx.shape}"
+            raise DimensionMismatch(f"switch times and indices must be 1-D and of one length, {shapes}")
+        if times.size == 0:
             raise DimensionMismatch("schedule must contain at least one entry")
-        if entries.ndim != 2 or entries.shape[1] != 2:
-            raise DimensionMismatch(f"schedule must be (time, index) pairs, got shape {entries.shape}")
-        times, idx = entries.T
         if not np.isfinite(times).all():
             raise DimensionMismatch("switch times must be finite")
         if not (times[1:] > times[:-1]).all():
             raise DimensionMismatch("switch times must be strictly increasing")
-        bad = idx != np.floor(idx)  # NaN too
-        bad |= idx < 1.0
-        bad |= idx > len(topos)
+        bad = (idx < 1) | (idx > len(topos))
+        if idx.dtype.kind == "f":  # checked in the dtype it came in; NaN is no integer
+            bad |= idx != np.floor(idx)
         if bad.any():
-            j = float(idx[bad.argmax()])
+            j = idx[bad.argmax(), ...].item()  # a Python int or float, from any dtype
             raise DimensionMismatch(
                 f"topology index must be an integer in [1, {len(topos)}], "
-                f"got {int(j) if j.is_integer() else j}"
+                f"got {int(j) if isinstance(j, float) and j.is_integer() else j}"
             )
         keep = np.concatenate(([True], idx[1:] != idx[:-1]))
-        times, idx = times[keep], idx[keep].astype(int)
+        times, idx = times[keep], idx[keep].astype(int, copy=False)  # the one copy
         times.flags.writeable = idx.flags.writeable = False
-        H = None if common_H is None else _as_readonly(np.atleast_1d(common_H))
+        H = None if self.common_H is None else _as_readonly(np.atleast_1d(self.common_H))
         object.__setattr__(self, "topologies", topos)
         object.__setattr__(self, "common_H", H)
         object.__setattr__(self, "switch_times", times)
@@ -359,7 +356,7 @@ class TopologySequence:
 
     @classmethod
     def static(cls, topo: DirectedTopology, t0: float) -> "TopologySequence":
-        return cls(topologies=(topo,), schedule=((t0, 1),))
+        return cls((topo,), [t0], [1])
 
     @property
     def topology_count(self) -> int:

@@ -228,18 +228,19 @@ def _event_grid(cfg: SimConfig, sched: CascadeSchedule, topos: TopologySequence)
     events = np.sort(np.concatenate((base, s[inserted])))
     # 1 + the latest switch that landed on or before each event (0: none).
     last = target.searchsorted(events, side="right")
-    return events, np.concatenate(([indices[0] - 1], j))[last]
+    # The least unsigned type holding the topology count: no arithmetic on it can wrap.
+    small = np.min_scalar_type(len(topos.topologies))
+    return events, np.concatenate(([indices[0] - 1], j))[last].astype(small)
 
 
-def _step_plan(cfg: SimConfig, sched: CascadeSchedule, topos: TopologySequence):
-    """Grid points, the 0-based topology at each, and which are recorded.
+def _step_plan(cfg: SimConfig, events: np.ndarray, active: np.ndarray):
+    """Grid points of _event_grid's events, the 0-based topology at each, and which are recorded.
 
     Step P runs grid[P] -> grid[P + 1] under topo[P]; segment s's points are
     events[s] + j * dt for j below its step count: round(span / dt) when
     that many dt land within 1e-9 dt of the next event, else one more than
     the whole dt that fit.  Events and every record_stride-th point are
     recorded; a stride of at least the point count records the events alone."""
-    events, active = _event_grid(cfg, sched, topos)
     span = np.diff(events) / cfg.dt
     m = np.rint(span)  # round half to even, as round() does
     fits = (m >= 1) & (np.abs(events[:-1] + m * cfg.dt - events[1:]) <= 1e-9 * cfg.dt)
@@ -252,8 +253,7 @@ def _step_plan(cfg: SimConfig, sched: CascadeSchedule, topos: TopologySequence):
         grid -= np.repeat(starts, counts)
         grid *= cfg.dt
         grid += np.repeat(events, counts)
-        # The least unsigned type holding the topology count: no arithmetic on it can wrap.
-        topo = np.repeat(active.astype(np.min_scalar_type(len(topos.topologies))), counts)
+        topo = np.repeat(active, counts)
         rec = np.zeros(grid.size, dtype=bool)
         rec[:: min(cfg.record_stride, grid.size)] = rec[starts] = True
         return grid, topo, rec
@@ -298,13 +298,15 @@ def run(
         for t, what in ((w.start, "opens"), (w.end, "closes"))
         if cfg.t0 <= t <= cfg.t_end
     ]
-    grid, topo, rec = _step_plan(cfg, sched, topos)
-    # A switch is logged where the plan's topology changes, so a merged switch
-    # is logged at the event it merged into and a cancelled one not at all.
-    switched = np.flatnonzero(np.concatenate(([topo[0] != topos.indices[0] - 1], topo[1:] != topo[:-1])))
+    events, active = _event_grid(cfg, sched, topos)
+    # A switch is logged at each event where the active topology changes, so a
+    # merged switch is logged at the event it merged into and a cancelled one
+    # not at all; "+ 0.0" logs an event at -0.0 as the plan's point +0.0.
+    switched = np.flatnonzero(np.concatenate(([active[0] != topos.indices[0] - 1], active[1:] != active[:-1])))
     labels = [f"switch to topology {j}" for j in range(1, len(analyses) + 1)]  # one string each
-    event_log += [(t, labels[j]) for t, j in zip(grid[switched].tolist(), topo[switched].tolist())]
+    event_log += [(t, labels[j]) for t, j in zip((events[switched] + 0.0).tolist(), active[switched].tolist())]
     event_log.sort(key=lambda item: item[0])  # stable: stage entries first at a shared time
+    grid, topo, rec = _step_plan(cfg, events, active)
 
     L0s = [a.sub_laplacian for a in analyses]
 
@@ -382,14 +384,15 @@ def run(
     psi = np.empty_like(errors)
     for j, analysis in enumerate(analyses):
         psi[active == j] = np.matmul(analysis.sub_laplacian, errors[active == j])
-    V = _weighted_energy(np.array([a.rho for a in analyses])[active], psi)
+    # Several topologies share common_H, so every analysis carries one rho.
+    V = _weighted_energy(analyses[0].rho, psi)
     # The envelope at every sample whose stage has a sample at its window start.
     start = np.array([w.start for w in windows])
     at = np.minimum(times.searchsorted(start), times.size - 1)  # the sample at each start
     has_v0 = times[at] == start
     v0 = V[at, np.arange(n)]
-    # The active stage is the first opened window: stage 1 opens last, stage n at t0.
-    stage = (start <= times[:, None]).argmax(axis=1)
+    # The active stage: n minus the count of opened windows (stage n opens at t0, stage 1 last).
+    stage = n - start[::-1].searchsorted(times, side="right")
     s = np.flatnonzero(has_v0[stage])
     budget = np.full(times.shape, np.inf)
     budget[s] = decay_budget(worst, gains, sched, stage[s] + 1, v0[stage[s]], times[s], cfg.guard)

@@ -196,7 +196,8 @@ def test_criterion_7_switching_degeneracy(digraph1, sine_leader, cascade):
     static = ptobs.TopologySequence.static(digraph1, 0.0)
     p1 = ptobs.TopologySequence(
         topologies=(digraph1,),
-        schedule=tuple((round(0.1 * i, 10), 1) for i in range(8)),
+        switch_times=[round(0.1 * i, 10) for i in range(8)],
+        indices=[1] * 8,
     )
     r1 = ptobs.run(static, sine_leader, gains, cascade, E0, cfg)
     r2 = ptobs.run(p1, sine_leader, gains, cascade, E0, cfg)

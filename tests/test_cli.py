@@ -999,11 +999,17 @@ def test_model_error_lists_every_override_of_its_section(tmp_path, capsys):
     )
 
 
-@pytest.mark.parametrize("bad_row", ["nan-row", "inf-time"])
+@pytest.mark.parametrize("bad_row", ["nan-row", "inf-time", "inf-stage-3-error"])
 def test_report_non_finite_trace_exits_1(tmp_path, capsys, bad_row):
+    # The plot rejects the trace; stages 1 and 2 of the last case render, but
+    # no stage is written before every stage has rendered.
     cols = header_columns(3, 3)
     row = ["0"] * len(cols)
-    bad = ["nan"] * len(cols) if bad_row == "nan-row" else ["inf"] + ["0"] * (len(cols) - 1)
+    bad = {
+        "nan-row": ["nan"] * len(cols),
+        "inf-time": ["inf"] + ["0"] * (len(cols) - 1),
+        "inf-stage-3-error": ["1" if c == "time" else "inf" if c == "xt_3_3" else "0" for c in cols],
+    }[bad_row]
     trace = tmp_path / "t.csv"
     trace.write_text("\n".join(",".join(r) for r in (cols, row, bad)) + "\n")
     out = tmp_path / "out"
@@ -1011,7 +1017,7 @@ def test_report_non_finite_trace_exits_1(tmp_path, capsys, bad_row):
         warnings.simplefilter("always")
         assert main(["report", "--config", CFG, "--out", str(out), str(trace)]) == 1
     assert capsys.readouterr().err == (
-        "error: malformed trace: times and estimate errors must be finite to plot\n"
+        "error: times and errors must be finite, over ranges that ticks can resolve\n"
     )
     assert [str(w.message) for w in caught] == []
     assert not list(tmp_path.rglob("*.svg"))

@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -235,6 +236,25 @@ def test_periodic_schedule_equals_one_entry_at_a_time(t0, period, multiple, nudg
     exp = load_experiment(str(BUNDLED_CONFIG), overrides)
     expected = dedup_schedule(periodic_schedule(t0, t_end, period, cycle))
     assert schedule_pairs(exp.sequence) == tuple(expected)
+
+
+@pytest.mark.parametrize("cycle, bound", [("1 2", 36), ("1 2 2 1", 28)])
+def test_periodic_schedule_load_peak_per_switch(cycle, bound):
+    # 500 001 switches: the times and the tiled cycle pass as two arrays to
+    # TopologySequence, which keeps one copy of the switches that change the
+    # topology, 16 bytes each; no (S, 2) array is built on the way.
+    overrides = ["sim.dt=1e-7", "switching.period=1e-7", "sim.t_end=0.05", f"switching.cycle={cycle}"]
+    load_experiment(str(BUNDLED_CONFIG), overrides)  # warm-up: first-call allocations are not the load's
+    tracemalloc.start()
+    try:
+        seq = load_experiment(str(BUNDLED_CONFIG), overrides).sequence
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    switches = 500_001
+    assert seq.switch_times.size == (switches if cycle == "1 2" else (switches + 1) // 2)
+    assert seq.switch_times.nbytes + seq.indices.nbytes == 16 * seq.switch_times.size
+    assert peak <= bound * switches, peak / switches
 
 
 def test_leader_input_parsing():

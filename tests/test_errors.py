@@ -162,26 +162,29 @@ _LIBRARY_CASES = [
     ("min-eig-asymmetry-overflows",
      lambda: ptobs.min_eig_symmetric(np.array([[0.0, 1e308], [-1e308, 0.0]])), NotSymmetric,
      "asymmetry inf exceeds 1e-10"),
-    ("no-topologies", lambda: ptobs.TopologySequence(topologies=(), schedule=((0.0, 1),)),
+    ("no-topologies", lambda: ptobs.TopologySequence(topologies=(), switch_times=[0.0], indices=[1]),
      DimensionMismatch, "at least one topology is required"),
     ("follower-counts-differ",
-     lambda: ptobs.TopologySequence(topologies=(_TOPO1, _TOPO3), schedule=((0.0, 1),)),
+     lambda: ptobs.TopologySequence(topologies=(_TOPO1, _TOPO3), switch_times=[0.0], indices=[1]),
      DimensionMismatch, "follower counts differ across topologies: {1, 3}"),
-    ("empty-schedule", lambda: ptobs.TopologySequence(topologies=(_TOPO1,), schedule=()),
+    ("empty-schedule", lambda: ptobs.TopologySequence(topologies=(_TOPO1,), switch_times=[], indices=[]),
      DimensionMismatch, "schedule must contain at least one entry"),
     ("fractional-topology-index",
-     lambda: ptobs.TopologySequence(topologies=(_TOPO1,) * 3, schedule=((0.0, 1), (0.1, 2.9)),
+     lambda: ptobs.TopologySequence(topologies=(_TOPO1,) * 3, switch_times=[0.0, 0.1], indices=[1, 2.9],
                                     common_H=[1.0]),
      DimensionMismatch, "topology index must be an integer in [1, 3], got 2.9"),
     ("nan-topology-index",
-     lambda: ptobs.TopologySequence(topologies=(_TOPO1,), schedule=((0.0, 1), (0.1, np.nan))),
+     lambda: ptobs.TopologySequence(topologies=(_TOPO1,), switch_times=[0.0, 0.1], indices=[1, np.nan]),
      DimensionMismatch, "topology index must be an integer in [1, 1], got nan"),
     ("topology-index-out-of-range",
-     lambda: ptobs.TopologySequence(topologies=(_TOPO1,), schedule=((0.0, 2),)),
+     lambda: ptobs.TopologySequence(topologies=(_TOPO1,), switch_times=[0.0], indices=[2]),
      DimensionMismatch, "topology index must be an integer in [1, 1], got 2"),
-    ("schedule-not-pairs",
-     lambda: ptobs.TopologySequence(topologies=(_TOPO1,), schedule=((0.0, 1, 0.5),)),
-     DimensionMismatch, "schedule must be (time, index) pairs, got shape (1, 3)"),
+    ("integer-topology-index-past-float",
+     lambda: ptobs.TopologySequence(topologies=(_TOPO1,), switch_times=[0.0], indices=[2**53 + 1]),
+     DimensionMismatch, "topology index must be an integer in [1, 1], got 9007199254740993"),
+    ("switch-lengths-differ",
+     lambda: ptobs.TopologySequence(topologies=(_TOPO1,), switch_times=[0.0, 0.1], indices=[1]),
+     DimensionMismatch, "switch times and indices must be 1-D and of one length, got shapes (2,) and (1,)"),
     ("leader-order", lambda: _leader(0), DimensionMismatch, "leader order must be >= 1, got 0"),
     ("leader-state-length",
      lambda: ptobs.LeaderModel(3, ptobs.input_by_name("zero"), 0.0, [1.0, 0.0]),

@@ -216,11 +216,23 @@ def test_underflowing_mirror_raises_and_tiny_weights_keep_the_bound(digraph1, di
     # normal, and a subnormal entry is reported rather than computed with.
     for k in (0, 500, 1000, 1022):
         seq = ptobs.TopologySequence(
-            topologies=(digraph1, digraph2), schedule=((0.0, 1), (0.1, 2)), common_H=ETA * 2.0**-k
+            topologies=(digraph1, digraph2), switch_times=[0.0, 0.1], indices=[1, 2], common_H=ETA * 2.0**-k
         )
         assert ptobs.beta_lower_bound(seq.analyses()) == 10.404782557797311
     with pytest.raises(DimensionMismatch, match="mirror matrix underflows"):
         ptobs.mirror_with_H(digraph1, [1e-320, 1e-320, 1e-320])
+
+
+def test_svd_fallback_takes_rho_from_the_certificate(monkeypatch):
+    # The weak edge 2 -> 3 (1e-10) keeps the certificate's bound short of its
+    # margin, so the SVD decides; rho is then the certificate's own solve.
+    topo = ptobs.DirectedTopology(adjacency=[[0, 0, 0], [1, 0, 0], [0, 1e-10, 0]], pinning=[1, 0, 0])
+    solve, svd, calls = np.linalg.solve, np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append("solve") or solve(*a))
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append("svd") or svd(*a, **k))
+    rho = ptobs.build_analysis(topo).rho
+    assert calls == ["solve", "solve", "svd"]
+    assert rho.tobytes() == solve(ptobs.sub_laplacian(topo).T, np.ones(3)).tobytes()
 
 
 def test_mirror_with_H_digraph1(digraph1):
@@ -320,27 +332,28 @@ def test_topology_validation():
 
 def test_sequence_drops_noop_switches(digraph1):
     seq = ptobs.TopologySequence(
-        topologies=(digraph1,), schedule=((0.0, 1), (0.1, 1), (0.2, 1))
+        topologies=(digraph1,), switch_times=[0.0, 0.1, 0.2], indices=[1, 1, 1]
     )
     assert schedule_pairs(seq) == ((0.0, 1),)
 
 
 def test_sequence_stores_the_schedule_as_readonly_arrays(digraph1, digraph2):
-    pairs = ((0.0, 1), (0.1, 2), (0.2, 2), (0.3, 1))
-    seq = ptobs.TopologySequence(topologies=(digraph1, digraph2), schedule=pairs, common_H=ETA)
-    same = ptobs.TopologySequence(
-        topologies=(digraph1, digraph2), schedule=np.array(pairs), common_H=ETA
-    )
-    for s in (seq, same):
-        assert schedule_pairs(s) == ((0.0, 1), (0.1, 2), (0.3, 1))
-        assert s.switch_times.dtype == float and s.indices.dtype == int
-        assert not s.switch_times.flags.writeable and not s.indices.flags.writeable
+    times, indices = np.array([0.0, 0.1, 0.2, 0.3]), np.array([1, 2, 2, 1])
+    seq = ptobs.TopologySequence((digraph1, digraph2), times, indices, ETA)
+    assert schedule_pairs(seq) == ((0.0, 1), (0.1, 2), (0.3, 1))
+    assert seq.switch_times.dtype == float and seq.indices.dtype == int
+    assert not seq.switch_times.flags.writeable and not seq.indices.flags.writeable
+    # Copies even when no switch is dropped: the caller's arrays stay theirs.
+    kept = ptobs.TopologySequence((digraph1, digraph2), times[:2], indices[:2], ETA)
+    assert not np.shares_memory(kept.switch_times, times)
+    assert not np.shares_memory(kept.indices, indices)
+    assert times.flags.writeable and indices.flags.writeable
 
 
 def test_sequence_active_index(digraph1, digraph2):
     seq = ptobs.TopologySequence(
         topologies=(digraph1, digraph2),
-        schedule=((0.0, 1), (0.1, 2), (0.2, 1)),
+        switch_times=[0.0, 0.1, 0.2], indices=[1, 2, 1],
         common_H=ETA,
     )
     assert seq.active_index(0.0) == 1
@@ -351,30 +364,30 @@ def test_sequence_active_index(digraph1, digraph2):
 
 def test_sequence_validation(digraph1, digraph2):
     with pytest.raises(DimensionMismatch):
-        ptobs.TopologySequence(topologies=(digraph1,), schedule=((0.0, 2),))
+        ptobs.TopologySequence(topologies=(digraph1,), switch_times=[0.0], indices=[2])
     with pytest.raises(DimensionMismatch):
         ptobs.TopologySequence(
-            topologies=(digraph1,), schedule=((0.1, 1), (0.1, 1))
+            topologies=(digraph1,), switch_times=[0.1, 0.1], indices=[1, 1]
         )
     for bad in (np.nan, np.inf):
         with pytest.raises(DimensionMismatch, match="finite"):
-            ptobs.TopologySequence(topologies=(digraph1,), schedule=((0.0, 1), (bad, 1)))
+            ptobs.TopologySequence(topologies=(digraph1,), switch_times=[0.0, bad], indices=[1, 1])
         with pytest.raises(DimensionMismatch, match="finite"):
             ptobs.TopologySequence(
-                topologies=(digraph1,), schedule=((0.0, 1),), common_H=[1.0, bad, 1.0]
+                topologies=(digraph1,), switch_times=[0.0], indices=[1], common_H=[1.0, bad, 1.0]
             )
     # an H that makes digraph 2's mirror indefinite must be rejected up front
     with pytest.raises(InfeasibleTopology):
         ptobs.TopologySequence(
             topologies=(digraph1, digraph2),
-            schedule=((0.0, 1), (0.1, 2)),
+            switch_times=[0.0, 0.1], indices=[1, 2],
             common_H=[1.0, 100.0, 1.0],
         )
 
 
 def test_sequence_analyses_weight_source(digraph1, digraph2):
     seq = ptobs.TopologySequence(
-        topologies=(digraph1, digraph2), schedule=((0.0, 1), (0.1, 2)), common_H=ETA
+        topologies=(digraph1, digraph2), switch_times=[0.0, 0.1], indices=[1, 2], common_H=ETA
     )
     analyses = seq.analyses()
     assert all(a.weight_source == "user_H" for a in analyses)
@@ -391,7 +404,7 @@ def test_sequence_analyses_computed_once(digraph1, digraph2, monkeypatch):
             ptobs.graph, name, lambda *a, _f=original: calls.append(a[0]) or _f(*a)
         )
     seq = ptobs.TopologySequence(
-        topologies=(digraph1, digraph2), schedule=((0.0, 1), (0.1, 2)), common_H=ETA
+        topologies=(digraph1, digraph2), switch_times=[0.0, 0.1], indices=[1, 2], common_H=ETA
     )
     assert len(calls) == 2  # the construction-time verdict
     assert seq.analyses() is seq.analyses()
@@ -408,7 +421,7 @@ def test_sequence_of_several_topologies_requires_common_H(digraph1, digraph2, mo
     # together, so construction refuses before analysing any topology.
     monkeypatch.setattr(ptobs.graph, "build_analysis", lambda topo: pytest.fail("analysed"))
     with pytest.raises(DimensionMismatch, match="^common_h is required when switching"):
-        ptobs.TopologySequence(topologies=(digraph1, digraph2), schedule=((0.0, 1),))
+        ptobs.TopologySequence(topologies=(digraph1, digraph2), switch_times=[0.0], indices=[1])
 
 
 def test_unreachable_static_sequence_raises_on_every_analyses_call():
@@ -424,11 +437,11 @@ def test_sequence_verdict_names_the_topology(digraph1, monkeypatch):
     )
     with pytest.raises(NoSpanningTree, match="topology 2"):
         ptobs.TopologySequence(
-            topologies=(digraph1, triangle), schedule=((0.0, 1), (0.1, 2)), common_H=ETA
+            topologies=(digraph1, triangle), switch_times=[0.0, 0.1], indices=[1, 2], common_H=ETA
         )
     # A NaN lambda_min is not positive: the check fails it too.
     monkeypatch.setattr(ptobs.graph, "min_eig_symmetric", lambda M: float("nan"))
     with pytest.raises(InfeasibleTopology, match="topology 1.*nan"):
-        ptobs.TopologySequence(topologies=(digraph1,), schedule=((0.0, 1),), common_H=ETA)
+        ptobs.TopologySequence(topologies=(digraph1,), switch_times=[0.0], indices=[1], common_H=ETA)
     with pytest.raises(InfeasibleTopology, match="topology 1"):
         ptobs.TopologySequence.static(digraph1, 0.0).analyses()

@@ -55,8 +55,8 @@ def _scan_event_grid(cfg, sched, topos):
 
 def _switching(t0, times):
     # Topology 1 from t0, then 2, 1, 2, ... at the sorted switch times.
-    schedule = [(t0, 1)] + [(t, 1 + i % 2) for i, t in enumerate(times, start=1)]
-    return ptobs.TopologySequence(topologies=(_TOPO, _TOPO), schedule=tuple(schedule), common_H=[1.0])
+    indices = [1 + i % 2 for i in range(len(times) + 1)]
+    return ptobs.TopologySequence((_TOPO, _TOPO), [t0, *times], indices, common_H=[1.0])
 
 
 def _cluster_case(times):
@@ -154,7 +154,7 @@ def test_event_grid_equals_quadratic_scan(case):
 @given(st.one_of(_schedules(), _long_schedules()))
 def test_step_plan_topology_and_records(case):
     cfg, sched, seq = case
-    grid, topo, rec = _step_plan(cfg, sched, seq)
+    grid, topo, rec = _step_plan(cfg, *_event_grid(cfg, sched, seq))
     events, moved = _scan_event_grid(cfg, sched, seq)
     # Every point (so every step's start and every sample) runs under the
     # schedule's topology once each switch is moved to the event it merged into.
@@ -241,7 +241,7 @@ def test_event_grid_far_from_zero(case):
         grid[-1] = e2
         assert np.all(np.diff(grid) > 0.0)
     # The whole step plan strictly increases and records every event.
-    grid, _, rec = _step_plan(cfg, sched, seq)
+    grid, _, rec = _step_plan(cfg, *_event_grid(cfg, sched, seq))
     assert np.all(np.diff(grid) > 0.0)
     assert np.all(np.diff(grid[rec]) > 0.0)
     assert set(events) <= set(grid[rec].tolist())
@@ -271,10 +271,10 @@ def _off_grid_runs(draw):
     ticks = draw(st.lists(st.integers(0, steps - 2), min_size=1, max_size=12, unique=True))
     fracs = draw(st.lists(st.floats(0.05, 0.95), min_size=len(ticks), max_size=len(ticks)))
     times = sorted(t0 + (i + f) * dt for i, f in zip(ticks, fracs))
-    schedule = [(t0, 1)] + [(t, 1 + i % 2) for i, t in enumerate(times, start=1)]
     topos = ptobs.TopologySequence(
         topologies=(_TOPO, ptobs.DirectedTopology(adjacency=[[0.0]], pinning=[2.0])),
-        schedule=tuple(schedule),
+        switch_times=[t0, *times],
+        indices=[1 + i % 2 for i in range(len(times) + 1)],
         common_H=[1.0],
     )
     durations = tuple(draw(st.lists(st.floats(0.05, 0.4), min_size=1, max_size=3)))

@@ -9,7 +9,7 @@ from ptobs.errors import DimensionMismatch, Diverged, InputBoundViolated
 from ptobs.observer import dpto_rhs, leader_rhs, local_errors
 from ptobs.config import load_experiment
 from ptobs.gain import varsigma
-from ptobs.sim import _step_plan, decay_budget, detect_convergence
+from ptobs.sim import _event_grid, _step_plan, decay_budget, detect_convergence
 from ptobs.trace import TraceData
 from conftest import BUNDLED_CONFIG, ETA, INITIAL_ESTIMATES, perfbench_workloads
 
@@ -51,7 +51,8 @@ def test_single_follower_linear_decay_matches_exponential():
 def test_determinism_bit_identical(digraph1, digraph2, sine_leader, cascade):
     seq = ptobs.TopologySequence(
         topologies=(digraph1, digraph2),
-        schedule=tuple((round(0.1 * i, 10), 1 + i % 2) for i in range(4)),
+        switch_times=[round(0.1 * i, 10) for i in range(4)],
+        indices=[1 + i % 2 for i in range(4)],
         common_H=ETA,
     )
     gains = ptobs.ObserverGains(alpha=1.05, beta=5.692, sigma=0.125)
@@ -72,7 +73,8 @@ def test_event_alignment(digraph1, digraph2, sine_leader, cascade):
     switch_times = tuple(round(0.1 * i, 10) for i in range(7))
     seq = ptobs.TopologySequence(
         topologies=(digraph1, digraph2),
-        schedule=tuple((t, 1 + i % 2) for i, t in enumerate(switch_times)),
+        switch_times=switch_times,
+        indices=[1 + i % 2 for i in range(len(switch_times))],
         common_H=ETA,
     )
     gains = ptobs.ObserverGains(alpha=1.05, beta=5.692, sigma=0.125)
@@ -99,7 +101,7 @@ def test_switch_merged_into_boundary_takes_effect_there(digraph1, digraph2, casc
 
     def run(switch):
         seq = ptobs.TopologySequence(
-            topologies=(digraph1, digraph2), schedule=((0.0, 1), (switch, 2)), common_H=ETA
+            topologies=(digraph1, digraph2), switch_times=[0.0, switch], indices=[1, 2], common_H=ETA
         )
         return ptobs.run(seq, leader, gains, cascade, np.full((3, 3), 0.5), cfg)
 
@@ -120,7 +122,7 @@ def test_switch_cluster_that_cancels_out_logs_no_switch(digraph1, digraph2, casc
     cfg = ptobs.SimConfig(t0=0.0, t_end=1.0, dt=1e-3, record_stride=1)
     seq = ptobs.TopologySequence(
         topologies=(digraph1, digraph2),
-        schedule=((0.0, 1), (0.3, 2), (0.3 + 4e-13, 1)),
+        switch_times=[0.0, 0.3, 0.3 + 4e-13], indices=[1, 2, 1],
         common_H=ETA,
     )
     res = ptobs.run(seq, leader, gains, cascade, np.full((3, 3), 0.5), cfg)
@@ -129,13 +131,27 @@ def test_switch_cluster_that_cancels_out_logs_no_switch(digraph1, digraph2, casc
     assert np.array_equal(res.local_errors, np.matmul(L0, res.estimate_errors))
 
 
+def test_switch_at_negative_zero_is_logged_at_the_plan_point():
+    # The plan's point for an event at -0.0 is 0 * dt + (-0.0) = +0.0, and
+    # the event log names that point: the switch times compare by their bits.
+    overrides = ["cascade.t0=-1", "switching.schedule=-1:1 -0:2 0.5:1",
+                 "sim.dt=1e-3", "sim.guard=1e-2", "sim.t_end=0.7"]
+    exp = load_experiment(str(BUNDLED_CONFIG), overrides)
+    assert exp.sequence.switch_times[1].hex() == "-0x0.0p+0"
+    res = ptobs.run(exp.sequence, exp.leader, exp.gains, exp.sched, exp.initial_estimates, exp.sim)
+    switches = [(t.hex(), label) for t, label in res.event_log if label.startswith("switch")]
+    assert switches == [("0x0.0p+0", "switch to topology 2"), ("0x1.0000000000000p-1", "switch to topology 1")]
+    assert [t.hex() for t in res.times.tolist() if t == 0.0] == ["0x0.0p+0"]
+
+
 def test_switching_degenerate_p1_bit_identical(digraph1, sine_leader, cascade):
     gains = ptobs.ObserverGains(alpha=1.05, beta=5.692, sigma=0.125)
     cfg = ptobs.SimConfig(t0=0.0, t_end=0.5, dt=1e-4, guard=1e-3)
     static = ptobs.TopologySequence.static(digraph1, 0.0)
     noop = ptobs.TopologySequence(
         topologies=(digraph1,),
-        schedule=tuple((round(0.1 * i, 10), 1) for i in range(5)),
+        switch_times=[round(0.1 * i, 10) for i in range(5)],
+        indices=[1] * 5,
     )
     r1 = ptobs.run(static, sine_leader, gains, cascade, INITIAL_ESTIMATES, cfg)
     r2 = ptobs.run(noop, sine_leader, gains, cascade, INITIAL_ESTIMATES, cfg)
@@ -261,7 +277,8 @@ def test_recorded_energy_and_budget_equal_public_forms(digraph1, digraph2, sine_
     # stage boundaries alike.
     seq = ptobs.TopologySequence(
         topologies=(digraph1, digraph2),
-        schedule=tuple((0.0137 * i, 1 + i % 2) for i in range(50)),
+        switch_times=0.0137 * np.arange(50),
+        indices=1 + np.arange(50) % 2,
         common_H=ETA,
     )
     gains = ptobs.ObserverGains(alpha=1.05, beta=5.692, sigma=0.125)
@@ -463,7 +480,8 @@ def test_integrator_matches_public_rhs_exactly(digraph1, digraph2, sine_leader, 
     if case == "switching":
         seq = ptobs.TopologySequence(
             topologies=(digraph1, digraph2),
-            schedule=tuple((round(0.05 * i, 10), 1 + i % 2) for i in range(7)),
+            switch_times=[round(0.05 * i, 10) for i in range(7)],
+            indices=[1 + i % 2 for i in range(7)],
             common_H=ETA,
         )
     elif case == "switch-every-0.0137":
@@ -471,7 +489,8 @@ def test_integrator_matches_public_rhs_exactly(digraph1, digraph2, sine_leader, 
         # h differ in the last ulp: the loop's reused h/2, h, h/6 must follow.
         seq = ptobs.TopologySequence(
             topologies=(digraph1, digraph2),
-            schedule=tuple((0.0137 * i, 1 + i % 2) for i in range(22)),
+            switch_times=0.0137 * np.arange(22),
+            indices=1 + np.arange(22) % 2,
             common_H=ETA,
         )
     elif case in _SWEEP:
@@ -520,7 +539,7 @@ def test_sim_config_validation():
 
 def test_switching_requires_common_H(digraph1, digraph2):
     with pytest.raises(DimensionMismatch, match="common_h is required"):
-        ptobs.TopologySequence(topologies=(digraph1, digraph2), schedule=((0.0, 1), (0.1, 2)))
+        ptobs.TopologySequence(topologies=(digraph1, digraph2), switch_times=[0.0, 0.1], indices=[1, 2])
 
 
 def test_run_validates_estimates(digraph1, sine_leader, cascade):
@@ -612,7 +631,8 @@ def test_step_plan_peak_memory_per_point():
     # 200 001 points: 10 bytes each are kept (grid, uint8 topology, record
     # flag), and no full-size integer temporary is built on the way.
     exp = load_experiment(str(BUNDLED_CONFIG), ["sim.t_end=20"])
-    plan, peak = _traced_peak(lambda: _step_plan(exp.sim, exp.sched, exp.sequence))
+    cfg = exp.sim
+    plan, peak = _traced_peak(lambda: _step_plan(cfg, *_event_grid(cfg, exp.sched, exp.sequence)))
     points = plan[0].size
     assert peak <= 20 * points, peak / points
     assert points == 200_001
