@@ -15,13 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (
-    Experiment,
-    apply_overrides,
-    load_config,
-    load_experiment,
-    serialize_config,
-)
+from .config import ConfigDocument, Experiment, load_experiment, serialize_config
 from .errors import (
     ConfigError,
     Diverged,
@@ -86,9 +80,7 @@ def cmd_synthesize(args, exp: Experiment, info) -> int:
         f"x factor {margins.sigma_factor:g})"
     )
     if args.emit_config:
-        doc = load_config(args.config)
-        apply_overrides(doc, args.set or [])
-        doc.sections["gains"] = {}
+        doc = ConfigDocument(exp.document.path, {**exp.document.sections, "gains": {}})
         doc.set("gains", "mode", "explicit")
         for key in ("alpha", "beta", "sigma"):
             doc.set("gains", key, f"{getattr(gains, key):.17g}")

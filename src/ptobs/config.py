@@ -262,6 +262,7 @@ class Experiment:
     initial_estimates: np.ndarray
     sim: SimConfig
     output: OutputOptions
+    document: ConfigDocument  # what it was built from, overrides applied
 
     @property
     def gains_mode(self) -> str:
@@ -446,6 +447,7 @@ def build_experiment(doc: ConfigDocument) -> Experiment:
         initial_estimates=estimates,
         sim=sim_cfg,
         output=output,
+        document=doc,
     )
 
 

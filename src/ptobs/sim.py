@@ -10,8 +10,8 @@ steps and samples take) and the record points.  The loop steps one stacked
 state in place through the observer kernel's stage functions (7 numpy calls
 each), with each block's extended gain rows from one vector expression, and
 writes [x0; estimates] into one snapshot array at record points.  The plan
-goes, the errors overwrite the estimates there, and psi, V and (in one
-decay_budget call) the envelope at every sample follow as arrays.  A numpy
+goes, the errors overwrite the estimates there, and psi, V and the envelope
+(one decay_budget call per stage, over its run of samples) follow.  A numpy
 call on these small arrays costs its dispatch, so every call passes out
 positionally, rk4 sums its stages with three adds, and each step's
 divergence check is one bound BLAS dot, Zf.dot(Zf), against threshold
@@ -126,18 +126,19 @@ def decay_budget(
     analysis: GraphAnalysis,
     gains: ObserverGains,
     sched: CascadeSchedule,
-    stage_k: int | np.ndarray,
-    V_at_window_start: float | np.ndarray,
+    stage_k: int,
+    V_at_window_start: float,
     t: float | np.ndarray,
     guard: float,
 ) -> float | np.ndarray:
     """Theoretical Lyapunov envelope for stage k from its window start:
     varsigma(t)^-2 exp(-c (t - window_start)) V_at_window_start, where
     c = 2 alpha lambda_min / max(weights) and varsigma is clamped at guard as
-    in the dynamics.  Scalars, or arrays of one shape, in and out.  The two
-    powers are libm's, per sample (numpy's SIMD pow differs in the last bit),
-    saturating to 0 where varsigma overflows and to inf where it underflows
-    to 0; a zero V_at_window_start gives 0.
+    in the dynamics.  One stage and a scalar V_at_window_start; t is a scalar
+    or an array, and the result has its shape.  The two powers are libm's, per
+    sample (numpy's SIMD pow differs in the last bit), saturating to 0 where
+    varsigma overflows and to inf where it underflows to 0; a zero
+    V_at_window_start gives 0.
     """
     def inverse_square_power(base: float) -> float:
         # (base ** h) ** -2.0 as libm's pow rounds it; where Python raises, the
@@ -147,19 +148,16 @@ def decay_budget(
         except (OverflowError, ZeroDivisionError):
             return 0.0 if base > 1.0 else math.inf
 
-    shape = np.broadcast(stage_k, V_at_window_start, t).shape
-    k, V0, t = (np.broadcast_to(a, shape).ravel() for a in (stage_k, V_at_window_start, t))
-    for j in (k.min(initial=1), k.max(initial=1)):  # a stage out of range raises
-        sched.window(int(j))
-    table = [(w.start, w.end, w.duration) for w in map(sched.window, range(1, sched.order + 1))]
-    start, end, duration = np.array(table).T[:, k - 1]
-    inside = (start <= t) & (t < end)
-    base = duration[inside] / np.maximum(end[inside] - t[inside], guard)
+    w = sched.window(stage_k)  # a stage out of range raises
+    t = np.asarray(t, dtype=float)
+    inside = (w.start <= t) & (t < w.end)
+    base = w.duration / np.maximum(w.end - t[inside], guard)
     vs2 = np.ones(t.shape)  # varsigma^-2
     vs2[inside] = np.fromiter(map(inverse_square_power, map(float, base)), float, base.size)
     c = 2.0 * gains.alpha * analysis.lambda_min / analysis.max_weight
-    budget = np.multiply(vs2 * np.exp(-c * (t - start)), V0, out=np.zeros(t.shape), where=V0 != 0)
-    return budget.reshape(shape)[()]
+    V0 = V_at_window_start
+    budget = np.multiply(vs2 * np.exp(-c * (t - w.start)), V0, out=np.zeros(t.shape), where=V0 != 0)
+    return budget[()]
 
 
 def detect_convergence(
@@ -376,26 +374,25 @@ def run(
                         raise Diverged(tn if np.isfinite(K[stage_rows, N:]).all() else t)
                 if keep:
                     next(rows)[...] = Z[N - 1 :]
+            # The rows ga, gm, gn are views: the block's gain arrays go only with them.
+            del g_at, g_mid, t_mid, ts, step, ga, gm, gn
 
     # Diagnostics under the plan's topology at each sample; snaps becomes [x0; errors].
     times, active = grid[rec], topo[rec]
-    del grid, topo, rec, g_at, g_mid, t_mid, ts, step
+    del grid, topo, rec
     errors = np.subtract(snaps[:, 1:], snaps[:, :1], out=snaps[:, 1:])
     psi = np.empty_like(errors)
     for j, analysis in enumerate(analyses):
         psi[active == j] = np.matmul(analysis.sub_laplacian, errors[active == j])
     # Several topologies share common_H, so every analysis carries one rho.
     V = _weighted_energy(analyses[0].rho, psi)
-    # The envelope at every sample whose stage has a sample at its window start.
-    start = np.array([w.start for w in windows])
-    at = np.minimum(times.searchsorted(start), times.size - 1)  # the sample at each start
-    has_v0 = times[at] == start
-    v0 = V[at, np.arange(n)]
-    # The active stage: n minus the count of opened windows (stage n opens at t0, stage 1 last).
-    stage = n - start[::-1].searchsorted(times, side="right")
-    s = np.flatnonzero(has_v0[stage])
+    # Stage k's samples run from its window start to stage k - 1's (stage 1's
+    # to the end); its envelope needs a sample at that start, else it stays inf.
+    at = times.searchsorted([w.start for w in windows])
     budget = np.full(times.shape, np.inf)
-    budget[s] = decay_budget(worst, gains, sched, stage[s] + 1, v0[stage[s]], times[s], cfg.guard)
+    for k, (w, a, b) in enumerate(zip(windows, at, [times.size, *at[:-1]]), start=1):
+        if a < b and times[a] == w.start:
+            budget[a:b] = decay_budget(worst, gains, sched, k, V[a, k - 1], times[a:b], cfg.guard)
 
     return SimResult(
         times=times,

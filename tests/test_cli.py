@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import re
 import tracemalloc
 import warnings
@@ -385,6 +386,30 @@ def test_synthesize_emit_config(tmp_path, capsys):
     assert exp.gains_mode == "explicit"
     assert exp.gains.beta == pytest.approx(10.404782557797308)
     assert exp.gains.sigma == 0.125
+
+
+def test_synthesize_emit_config_reads_a_read_once_config(tmp_path):
+    # A pipe yields its text once: the emitted copy is the document the
+    # experiment was built from, with every section and the --set overrides.
+    emitted = tmp_path / "explicit.cfg"
+    r, w = os.pipe()
+    try:
+        os.write(w, BUNDLED_CONFIG.read_bytes())
+        os.close(w)
+        assert main([
+            "synthesize", "--config", f"/dev/fd/{r}", "--emit-config", str(emitted), "--quiet",
+            "--set", "sim.t_end=1.5",
+        ]) == 0
+    finally:
+        os.close(r)
+    bundled, written = load_config(CFG).sections, load_config(str(emitted)).sections
+    assert list(written) == list(bundled)
+    assert written["sim"]["t_end"][0] == "1.5"
+    assert written["gains"]["mode"][0] == "explicit"
+    for section in bundled.keys() - {"gains", "sim"}:
+        assert {k: v for k, (v, _) in written[section].items()} == {
+            k: v for k, (v, _) in bundled[section].items()
+        }
 
 
 def test_synthesize_emit_config_into_missing_directory_exits_1(tmp_path, capsys):
