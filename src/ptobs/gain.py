@@ -101,36 +101,38 @@ class CascadeSchedule:
         return [w.start for w in reversed(self._windows)] + [self.t_star]
 
 
-def varsigma(w: ScalingWindow, t: float, guard: float = 0.0) -> float:
-    """Scaling function value at t: (T / max(start+T-t, guard))^h on the window,
-    else 1; inf where the power overflows.  The dynamics clamp at their guard."""
-    if w.start <= t < w.end:
+def varsigma(w: ScalingWindow, t: float | np.ndarray, guard: float = 0.0) -> float | np.ndarray:
+    """Scaling function at t: (T / max(start+T-t, guard))^h on the window, else 1
+    (guard 0 leaves it unclamped); t is a scalar or an array, and the result has
+    its shape.  The power is libm's pow per in-window sample (numpy's SIMD pow
+    differs in the last bit), inf where it overflows."""
+    if not guard >= 0.0:
+        raise DimensionMismatch(f"guard must be non-negative, got {guard}")
+
+    def power(base: float) -> float:
         try:
-            return (w.duration / max(w.end - t, guard)) ** w.exponent
+            return base ** w.exponent
         except OverflowError:
             return math.inf
-    return 1.0
+
+    t = np.asarray(t, dtype=float)
+    inside = (w.start <= t) & (t < w.end)
+    base = w.duration / np.maximum(w.end - t[inside], guard)
+    v = np.ones(t.shape)
+    v[inside] = [power(b) for b in base.tolist()]
+    return v[()]
 
 
-def rate_ratio(w: ScalingWindow, t: float, guard: float) -> float:
-    """varsigma'/varsigma at t: h / max(start+T-t, guard) on the window, else 0."""
-    if guard <= 0.0:
+def rate_ratio(w: ScalingWindow, t: float | np.ndarray, guard: float) -> float | np.ndarray:
+    """varsigma'/varsigma at t: h / max(start+T-t, guard) on the window, else 0;
+    t is a scalar or an array, and the result has its shape."""
+    if not guard > 0.0:
         raise DimensionMismatch(f"guard must be positive, got {guard}")
-    if w.start <= t < w.end:
-        return w.exponent / max(w.end - t, guard)
-    return 0.0
+    t = np.asarray(t, dtype=float)
+    inside = (w.start <= t) & (t < w.end)
+    return np.where(inside, w.exponent / np.maximum(w.end - t, guard), 0.0)[()]
 
 
 def stage_gain(sched: CascadeSchedule, stage_k: int, t: float, guard: float) -> float:
     """Rate ratio of stage k's window at time t (the observer scales it by beta)."""
     return rate_ratio(sched.window(stage_k), t, guard)
-
-
-def stage_rates(sched: CascadeSchedule, times: np.ndarray, guard: float) -> np.ndarray:
-    """Rate ratios of all stages at each time, shape (len(times), n): entry
-    [i, k-1] is the same float as stage_gain(sched, k, times[i], guard).
-    Unchecked: the integrator passes SimConfig.guard, which is at least dt."""
-    t = np.asarray(times, dtype=float)[:, None]
-    start, end, exponent = np.array([(w.start, w.end, w.exponent) for w in sched._windows]).T
-    inside = (start <= t) & (t < end)
-    return np.where(inside, exponent / np.maximum(end - t, guard), 0.0)

@@ -8,12 +8,12 @@ switching signal's arrays (O(steps) memory: 10 bytes a step, 16 while it is
 built), holds the grid points, the right-continuous topology at each (which
 steps and samples take) and the record points.  The loop steps one stacked
 state in place through the observer kernel's stage functions (7 numpy calls
-each), with each block's extended gain rows from one vector expression, and
-writes [x0; estimates] into one snapshot array at record points.  The plan
-goes, the errors overwrite the estimates there, and psi, V and the envelope
-(one decay_budget call per stage, over its run of samples) follow.  A numpy
-call on these small arrays costs its dispatch, so every call passes out
-positionally, rk4 sums its stages with three adds, and each step's
+each), with each block's extended gain rows from one rate_ratio call per
+stage window, and writes [x0; estimates] into one snapshot array at record
+points.  The plan goes, the errors overwrite the estimates there, and psi, V
+and the envelope (one decay_budget call per stage, over its run of samples)
+follow.  A numpy call on these small arrays costs its dispatch, so every call
+passes out positionally, rk4 sums its stages with three adds, and each step's
 divergence check is one bound BLAS dot, Zf.dot(Zf), against threshold
 squared; the exact max |Z| test runs only when that fails, so both stop a
 run at the same step.  Bit-identical to stepping leader_rhs and dpto_rhs.
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, Diverged
-from .gain import CascadeSchedule, stage_rates
+from .gain import CascadeSchedule, rate_ratio, varsigma
 from .graph import GraphAnalysis, TopologySequence
 from .observer import LeaderModel, ObserverGains, _gain_row, _stacked_kernel, _weighted_energy
 from .observer import dpto_rhs, leader_rhs, local_errors  # noqa: F401  (public forms, wrapped by perfbench)
@@ -132,28 +132,24 @@ def decay_budget(
     guard: float,
 ) -> float | np.ndarray:
     """Theoretical Lyapunov envelope for stage k from its window start:
-    varsigma(t)^-2 exp(-c (t - window_start)) V_at_window_start, where
-    c = 2 alpha lambda_min / max(weights) and varsigma is clamped at guard as
-    in the dynamics.  One stage and a scalar V_at_window_start; t is a scalar
-    or an array, and the result has its shape.  The two powers are libm's, per
-    sample (numpy's SIMD pow differs in the last bit), saturating to 0 where
-    varsigma overflows and to inf where it underflows to 0; a zero
-    V_at_window_start gives 0.
+    varsigma(t, guard)^-2 exp(-c (t - window_start)) V_at_window_start, where
+    c = 2 alpha lambda_min / max(weights).  One stage and a scalar
+    V_at_window_start; t is a scalar or an array, and the result has its shape.
+    varsigma^-2 is Python's pow per sample where varsigma is not 1: 0 where
+    varsigma is inf, inf where it is 0.  A zero V_at_window_start gives 0.
     """
-    def inverse_square_power(base: float) -> float:
-        # (base ** h) ** -2.0 as libm's pow rounds it; where Python raises, the
-        # result lies past the doubles: below them if base > 1, else above.
+    def inverse_square(v: float) -> float:
+        # Where Python raises, v ** -2.0 lies above the doubles (v is 0 or tiny).
         try:
-            return (base ** sched.exponent) ** -2.0
+            return v ** -2.0
         except (OverflowError, ZeroDivisionError):
-            return 0.0 if base > 1.0 else math.inf
+            return math.inf
 
     w = sched.window(stage_k)  # a stage out of range raises
     t = np.asarray(t, dtype=float)
-    inside = (w.start <= t) & (t < w.end)
-    base = w.duration / np.maximum(w.end - t[inside], guard)
-    vs2 = np.ones(t.shape)  # varsigma^-2
-    vs2[inside] = np.fromiter(map(inverse_square_power, map(float, base)), float, base.size)
+    vs2 = np.asarray(varsigma(w, t, guard))  # varsigma, squared and inverted in place
+    scaled = vs2 != 1.0
+    vs2[scaled] = [inverse_square(v) for v in vs2[scaled].tolist()]
     c = 2.0 * gains.alpha * analysis.lambda_min / analysis.max_weight
     V0 = V_at_window_start
     budget = np.multiply(vs2 * np.exp(-c * (t - w.start)), V0, out=np.zeros(t.shape), where=V0 != 0)
@@ -172,7 +168,7 @@ def detect_convergence(
     if not tol > 0.0:
         raise DimensionMismatch("tolerance must be positive")
     n = estimate_errors.shape[2]
-    worst = np.max(np.abs(estimate_errors), axis=1)  # (S, n)
+    worst = np.maximum(estimate_errors.max(axis=1), -estimate_errors.min(axis=1))  # (S, n)
     out: list[float | None] = []
     for k in range(n):
         bad = np.flatnonzero(~(worst[:, k] <= tol))
@@ -309,7 +305,8 @@ def run(
     L0s = [a.sub_laplacian for a in analyses]
 
     def gain_rows(times: np.ndarray) -> np.ndarray:
-        return _gain_row(gains.alpha + gains.beta * stage_rates(sched, times, cfg.guard), N, gains.sigma)
+        rates = np.stack([rate_ratio(w, times, cfg.guard) for w in windows], axis=1)  # g overwrites it
+        return _gain_row(np.add(gains.alpha, gains.beta * rates, out=rates), N, gains.sigma)
 
     # rk4 evaluates k1..k4 into K[0], K[4], K[5], K[3] and writes 2 k2, 2 k3
     # into K[1], K[2], so three adds sum ((k1 + 2 k2) + 2 k3) + k4.

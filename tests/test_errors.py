@@ -9,7 +9,7 @@ import pytest
 import ptobs
 from ptobs.config import apply_overrides, build_experiment, parse_config
 from ptobs.errors import ConfigError, DimensionMismatch, MalformedTrace, NonFinite, NotSymmetric
-from ptobs.gain import rate_ratio
+from ptobs.gain import rate_ratio, varsigma
 from ptobs.observer import dpto_rhs, local_errors
 from ptobs.sim import detect_convergence
 from ptobs.trace import header_columns, read_trace
@@ -147,6 +147,10 @@ _LIBRARY_CASES = [
     ("stage-out-of-range", lambda: _SCHED.window(0), DimensionMismatch, "stage 0 out of range [1, 3]"),
     ("rate-ratio-guard", lambda: rate_ratio(_SCHED.window(1), 0.0, 0.0), DimensionMismatch,
      "guard must be positive, got 0.0"),
+    ("rate-ratio-nan-guard", lambda: rate_ratio(_SCHED.window(3), 0.1, np.nan), DimensionMismatch,
+     "guard must be positive, got nan"),
+    ("varsigma-nan-guard", lambda: varsigma(_SCHED.window(3), 0.1, np.nan), DimensionMismatch,
+     "guard must be non-negative, got nan"),
     ("adjacency-not-square", lambda: ptobs.DirectedTopology(adjacency=np.zeros((2, 3)), pinning=[1, 0]),
      DimensionMismatch, "adjacency must be square, got (2, 3)"),
     ("no-followers", lambda: ptobs.DirectedTopology(adjacency=np.zeros((0, 0)), pinning=np.zeros(0)),

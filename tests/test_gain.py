@@ -147,11 +147,20 @@ def test_cascade_validation():
             ptobs.CascadeSchedule(t0=0.0, stage_durations=(0.2,), exponent=bad)
 
 
-def _varsigma_closed_form(w, t):
-    # The unclamped closed form: varsigma at its default guard of 0.
+def _varsigma_closed_form(w, t, guard=0.0):
+    # The law in Python floats; guard 0 leaves it unclamped, as varsigma's default.
     if w.start <= t < w.end:
-        return (w.duration / (w.end - t)) ** w.exponent
+        try:
+            return (w.duration / max(w.end - t, guard)) ** w.exponent
+        except OverflowError:
+            return np.inf
     return 1.0
+
+
+def _rate_ratio_closed_form(w, t, guard):
+    if w.start <= t < w.end:
+        return w.exponent / max(w.end - t, guard)
+    return 0.0
 
 
 @settings(max_examples=300, deadline=None)
@@ -162,6 +171,39 @@ def test_varsigma_equals_closed_form_bitwise(start, duration, exponent, u):
     w = ScalingWindow(start=start, duration=duration, exponent=exponent)
     t = start + u * duration
     assert varsigma(w, t).hex() == _varsigma_closed_form(w, t).hex()
+
+
+def _edge_time(w, guard, pick):
+    # A time relative to w: a window fraction, or a named edge of the law.
+    if isinstance(pick, float):
+        return w.start + pick * w.duration
+    return {"start": w.start, "end": w.end, "below-end": np.nextafter(w.end, -np.inf),
+            "clamp": w.end - guard / 2, "nan": np.nan}[pick]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([ScalingWindow(0.0, 0.2, 2.01), ScalingWindow(-1.0, 0.25, 200.0),
+                     ScalingWindow(1e3, 0.1, 3.5)]),
+    st.sampled_from([0.0, 1e-9, 1e-3, 0.05, 1e300]),
+    st.lists(st.one_of(st.floats(-0.5, 1.5), st.sampled_from(["start", "end", "below-end", "clamp", "nan"])),
+             min_size=1, max_size=12),
+)
+def test_gain_law_on_an_array_is_the_scalar_law_per_element(w, guard, picks):
+    # Window edges, the guard clamp, overflow (exponent 200), guard 1e300
+    # (varsigma underflows to 0) and NaN t: each element is the scalar call,
+    # and each scalar call the law in Python floats, bit for bit.
+    t = np.array([_edge_time(w, guard, p) for p in picks])
+    laws = [(varsigma, _varsigma_closed_form)]
+    if guard > 0.0:
+        laws.append((rate_ratio, _rate_ratio_closed_form))
+    for law, closed_form in laws:
+        scalars = [law(w, s, guard) for s in t.tolist()]
+        assert [x.hex() for x in scalars] == [closed_form(w, s, guard).hex() for s in t.tolist()]
+        for shape in (t.shape, (1, t.size)):
+            got = law(w, t.reshape(shape), guard)
+            assert got.shape == shape
+            assert [x.hex() for x in got.ravel().tolist()] == [x.hex() for x in scalars]
 
 
 @settings(max_examples=300, deadline=None)
