@@ -3,7 +3,7 @@
 The leader is an order-n integrator chain driven by a bounded scalar input at
 the top:
 
-    x0_1' = x0_2,  ...,  x0_{n-1}' = x0_n,  x0_n' = f0(x0, t),  |f0| <= f0_bar.
+    x0_1' = x0_2,  ...,  x0_{n-1}' = x0_n,  x0_n' = f0(t),  |f0| <= f0_bar.
 
 Each follower i keeps an estimate row (xhat_i1, ..., xhat_in) and measures only
 the local disagreement
@@ -44,14 +44,14 @@ from .errors import (
 from .gain import CascadeSchedule, stage_gain
 from .graph import GraphAnalysis
 
-InputFn = Callable[[np.ndarray, float], float]
+InputFn = Callable[[float], float]  # the leader's top-stage input f0(t), a function of time alone
 
 _BOUND_SLACK = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
 class LeaderModel:
-    """Order-n integrator-chain leader with a bounded top-stage input."""
+    """Order-n integrator-chain leader with a bounded top-stage input f0(t)."""
 
     order: int
     input_fn: InputFn
@@ -106,18 +106,18 @@ class GainMargins:
 
 # ---------------------------------------------------------------------------
 # Leader inputs selectable by name (see also the experiment config format).
-# Additional inputs can be registered by adding a factory here.
+# Each factory returns a function of t alone; register more by adding one here.
 
 def _make_zero() -> InputFn:
-    return lambda x0, t: 0.0
+    return lambda t: 0.0
 
 
 def _make_constant(c: float) -> InputFn:
-    return lambda x0, t: c
+    return lambda t: c
 
 
 def _make_sine(amplitude: float, angular_frequency: float) -> InputFn:
-    return lambda x0, t: amplitude * math.sin(angular_frequency * t)
+    return lambda t: amplitude * math.sin(angular_frequency * t)
 
 
 LEADER_INPUTS: dict[str, Callable[..., InputFn]] = {
@@ -144,9 +144,9 @@ def input_by_name(name: str, *params: float) -> InputFn:
 # ---------------------------------------------------------------------------
 
 
-def _leader_input(model: LeaderModel, x0: np.ndarray, t: float) -> float:
-    # Written as "not <=" so a NaN input fails the bound check too.
-    f0 = float(model.input_fn(x0, t))
+def _leader_input(model: LeaderModel, t: float, f0: float | None = None) -> float:
+    # f0(t), or the value already sampled there; "not <=" so a NaN input fails the bound check too.
+    f0 = float(model.input_fn(t)) if f0 is None else f0
     if not abs(f0) <= model.input_bound + _BOUND_SLACK:
         raise InputBoundViolated(
             f"|f0| = {abs(f0):.6g} exceeds declared bound {model.input_bound:.6g} at t={t:.6g}"
@@ -160,7 +160,7 @@ def leader_rhs(model: LeaderModel, x0: np.ndarray, t: float) -> np.ndarray:
     Monitors the input bound at every evaluation and raises
     InputBoundViolated when |f0| exceeds it beyond slack or is NaN.
     """
-    return np.append(x0[1:], _leader_input(model, x0, t))
+    return np.append(x0[1:], _leader_input(model, t))
 
 
 def local_errors(analysis: GraphAnalysis, estimates: np.ndarray, x0: np.ndarray) -> np.ndarray:
@@ -179,43 +179,43 @@ def local_errors(analysis: GraphAnalysis, estimates: np.ndarray, x0: np.ndarray)
     return analysis.sub_laplacian @ (estimates - np.asarray(x0, dtype=float)[None, :])
 
 
-def _gain_row(g: np.ndarray, N: int, sigma: float) -> np.ndarray:
-    # [g per follower | -sigma per follower] for stage gains g, (n,) or (times, n).
-    return np.concatenate([np.tile(g, N), np.full((*g.shape[:-1], N), -sigma)], axis=-1)
+def _gain_row(g: np.ndarray, f0: np.ndarray, N: int, sigma: float) -> np.ndarray:
+    # [g per follower | f0 per leader copy | -sigma per follower]: g (n,) or (times, n), f0 (1,) or (times, 1).
+    return np.concatenate([g] * N + [f0] * N + [np.full_like(f0, -sigma)] * N, axis=-1)
 
 
-def _stacked_kernel(N: int, n: int, smoothing: float | None, leader: LeaderModel,
-                    out_rows: tuple[int, ...] = (0,)):
+def _stacked_kernel(N: int, n: int, smoothing: float | None, out_rows: tuple[int, ...] = (0,)):
     """Work area (X, K) of the stacked observer and one stage function per stage.
 
     A stage input X[s], (2N, n), stacks N copies of the leader state above the
     N estimates: the copies evolve identically and make estimates - x0 one
-    same-shape subtraction.  stages[s](L0, g, t), bound once to its views,
-    writes the derivative of X[s] at t into K[out_rows[s]] in 7 numpy calls
-    (hard sign) with g a _gain_row of alpha + beta r_k(t): one multiply of
-    [psi | sign(psi_n)] by g gives g * psi and -sigma sign(psi_n).  It allocates
-    nothing and checks no shapes.  Calls pass out positionally and scalars as
-    0-d arrays, the cheaper forms.  psi is a BLAS dot, the same dgemm as
-    L0 @ D (checked bit for bit).
+    same-shape subtraction.  stages[s](L0_dot, g), bound once to its views,
+    writes the derivative of X[s] into K[out_rows[s]] in 6 numpy calls (hard
+    sign).  L0_dot is the active L0's bound BLAS dot, L0.dot (the dgemm of
+    np.dot and L0 @ D, checked bit for bit); g is a _gain_row of the stage
+    gains alpha + beta r_k(t) and the input f0(t), both sampled by the caller,
+    so one multiply of [psi | ones | sign(psi_n)] by g gives g * psi, f0 and
+    -sigma sign(psi_n).  It allocates nothing, checks no shapes and calls no
+    input.  Calls pass out positionally and scalars as 0-d arrays.
     """
     X = np.zeros((len(out_rows), 2 * N, n))
     K = np.zeros((max(out_rows) + 1, 2 * N, n))
-    Nn, D, PS, G = N * n, np.empty((N, n)), np.empty(N * n + N), np.zeros(2 * N * n + N)
-    psi, sign = PS[:Nn].reshape(N, n), PS[Nn:]  # PS = [psi.flat | sign(psi_n)]
-    # G = [zero leader rows | g * psi | -sigma sign]: K.flat[:-1] = X.flat[1:] -
-    # G[:2Nn - 1] is then every shift term, exactly x0[1:] in leader rows.
-    GP, gp_flat, gp_top, sliding = G[Nn:], G[: 2 * Nn - 1], G[Nn + n - 1 : 2 * Nn : n], G[2 * Nn :]
-    psi_top, subtract, dot, multiply, sign_of = psi[:, -1], np.subtract, np.dot, np.multiply, np.sign
+    Nn, D, PS, G = N * n, np.empty((N, n)), np.ones(N * n + 2 * N), np.zeros(2 * (N * n + N))
+    psi, sign = PS[:Nn].reshape(N, n), PS[Nn + N :]  # PS = [psi.flat | ones(N) | sign(psi_n)]
+    # G = [zero leader rows | g * psi | f0 | -sigma sign]: K.flat[:-1] = X.flat[1:]
+    # - G[:2Nn - 1] is then every shift term, exactly x0[1:] in leader rows, and
+    # K[:, -1] = [f0 | -sigma sign] - [0 | g_n psi_n] every top column (f0 - 0.0 is f0).
+    GP, gp_flat, gp_top, tops = G[Nn:], G[: 2 * Nn - 1], G[n - 1 : 2 * Nn : n], G[2 * Nn :]
+    psi_top, subtract, multiply, sign_of = psi[:, -1], np.subtract, np.multiply, np.sign
     eps, absolute, add, divide = np.array(smoothing or 0.0, dtype=float), np.abs, np.add, np.divide
-    input_fn, bound = leader.input_fn, leader.input_bound + _BOUND_SLACK
 
-    def stage(Xs: np.ndarray, Ks: np.ndarray):  # estimates, leader copies and row, flat shift, tops
-        F, L, x0, X_shift = Xs[N:], Xs[:N], Xs[N - 1], Xs.reshape(-1)[1:]
-        K_flat, K_top, K_input = Ks.reshape(-1)[:-1], Ks[N:, -1], Ks[:N, -1]
+    def stage(Xs: np.ndarray, Ks: np.ndarray):  # estimates, leader copies, flat shift, tops
+        F, L, X_shift = Xs[N:], Xs[:N], Xs.reshape(-1)[1:]
+        K_flat, K_top = Ks.reshape(-1)[:-1], Ks[:, -1]
 
-        def rhs(L0: np.ndarray, g: np.ndarray, t: float):
+        def rhs(L0_dot, g: np.ndarray):
             subtract(F, L, D)
-            dot(L0, D, psi)
+            L0_dot(D, psi)
             # Top column -sigma sign(psi_n) - g_n psi_n: hard sign (sign(0) =
             # 0) or the boundary layer psi / (|psi| + eps) for chattering studies.
             if smoothing is None:
@@ -224,9 +224,7 @@ def _stacked_kernel(N: int, n: int, smoothing: float | None, leader: LeaderModel
                 divide(psi_top, add(absolute(psi_top, sign), eps, sign), sign)
             multiply(PS, g, GP)
             subtract(X_shift, gp_flat, K_flat)
-            subtract(sliding, gp_top, K_top)
-            f0 = float(input_fn(x0, t))  # _leader_input inline; called again only to raise
-            K_input.fill(f0 if abs(f0) <= bound else _leader_input(leader, x0, t))
+            subtract(tops, gp_top, K_top)
 
         return rhs
 
@@ -253,12 +251,11 @@ def dpto_rhs(
     if estimates.shape != (N, n) or x0.shape != (n,):
         raise DimensionMismatch(f"need estimates ({N}, {n}) and x0 ({n},)")
     rates = [stage_gain(sched, k, t, guard) for k in range(1, n + 1)]
-    g = _gain_row(gains.alpha + gains.beta * np.array(rates), N, gains.sigma)
-    # out is the estimate rows alone; a zero-input leader fills the copies' rows.
-    leader = LeaderModel(order=n, input_fn=_make_zero(), input_bound=0.0, initial_state=np.zeros(n))
-    X, K, (rhs,) = _stacked_kernel(N, n, sign_smoothing, leader)  # fresh: out owns K
+    # out is the estimate rows alone; the leader copies' rows read a zero input.
+    g = _gain_row(gains.alpha + gains.beta * np.array(rates), np.zeros(1), N, gains.sigma)
+    X, K, (rhs,) = _stacked_kernel(N, n, sign_smoothing)  # fresh: out owns K
     X[0, :N], X[0, N:] = x0, estimates
-    rhs(analysis_at_t.sub_laplacian, g, t)
+    rhs(analysis_at_t.sub_laplacian.dot, g)
     out = K[0, N:]
     if not np.all(np.isfinite(out)):
         raise NonFinite(f"observer derivative is non-finite at t={t:.6g}")

@@ -7,29 +7,33 @@ takes effect at that event.  One step plan, built before the loop from the
 switching signal's arrays (O(steps) memory: 10 bytes a step, 16 while it is
 built), holds the grid points, the right-continuous topology at each (which
 steps and samples take) and the record points.  The loop steps one stacked
-state in place through the observer kernel's stage functions (7 numpy calls
-each), with each block's extended gain rows from one rate_ratio call per
-stage window, and writes [x0; estimates] into one snapshot array at record
-points.  The plan goes, the errors overwrite the estimates there, and psi, V
-and the envelope (one decay_budget call per stage, over its run of samples)
-follow.  A numpy call on these small arrays costs its dispatch, so every call
-passes out positionally, rk4 sums its stages with three adds, and each step's
-divergence check is one bound BLAS dot, Zf.dot(Zf), against threshold
-squared; the exact max |Z| test runs only when that fails, so both stop a
-run at the same step.  Bit-identical to stepping leader_rhs and dpto_rhs.
+state in place through the observer kernel's stage functions (6 numpy calls
+each).  A block's extended gain rows hold the stage gains (one rate_ratio
+call per stage window) and f0(t) (one input call per time); the first step
+that reads f0 past its bound raises.  The loop writes [x0; estimates] into
+one snapshot array at record points.  The plan goes, the errors overwrite the
+estimates there, and psi, V and the envelope (one decay_budget call per
+stage, over its run of samples) follow.  A numpy call on these small arrays
+costs its dispatch, so every call passes out positionally, rk4 sums its
+stages with three adds, and each step's divergence check is one bound BLAS
+dot, Zf.dot(Zf), against threshold squared; the exact max |Z| test runs only
+when that fails, so both stop a run at the same step.  Bit-identical to
+stepping leader_rhs and dpto_rhs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .errors import DimensionMismatch, Diverged
 from .gain import CascadeSchedule, rate_ratio, varsigma
 from .graph import GraphAnalysis, TopologySequence
-from .observer import LeaderModel, ObserverGains, _gain_row, _stacked_kernel, _weighted_energy
+from .observer import _BOUND_SLACK, LeaderModel, ObserverGains, _gain_row, _leader_input, _stacked_kernel
+from .observer import _weighted_energy
 from .observer import dpto_rhs, leader_rhs, local_errors  # noqa: F401  (public forms, wrapped by perfbench)
 
 _EVENT_MERGE_TOL = 1e-12  # absolute part of the event-merge tolerance
@@ -302,17 +306,20 @@ def run(
     event_log.sort(key=lambda item: item[0])  # stable: stage entries first at a shared time
     grid, topo, rec = _step_plan(cfg, events, active)
 
-    L0s = [a.sub_laplacian for a in analyses]
+    L0s = [a.sub_laplacian.dot for a in analyses]  # bound BLAS dots: no np.dot dispatch per stage
 
-    def gain_rows(times: np.ndarray) -> np.ndarray:
+    def gain_rows(times: np.ndarray):
+        # The gain rows at times, with f0(t) from one input call per time, and where f0 breaks its bound.
         rates = np.stack([rate_ratio(w, times, cfg.guard) for w in windows], axis=1)  # g overwrites it
-        return _gain_row(np.add(gains.alpha, gains.beta * rates, out=rates), N, gains.sigma)
+        f0 = np.fromiter((float(leader.input_fn(t)) for t in times.tolist()), float, times.size)[:, None]
+        g = _gain_row(np.add(gains.alpha, gains.beta * rates, out=rates), f0, N, gains.sigma)
+        return g, ~(np.abs(f0[:, 0]) <= leader.input_bound + _BOUND_SLACK)  # "not <=": NaN breaks it
 
     # rk4 evaluates k1..k4 into K[0], K[4], K[5], K[3] and writes 2 k2, 2 k3
     # into K[1], K[2], so three adds sum ((k1 + 2 k2) + 2 k3) + k4.
     rk4 = cfg.method == "rk4"
     stage_rows = (0, 4, 5, 3) if rk4 else (0,)
-    X, K, stages = _stacked_kernel(N, n, cfg.sign_smoothing, leader, stage_rows)
+    X, K, stages = _stacked_kernel(N, n, cfg.sign_smoothing, stage_rows)
     Z, K0 = X[0], K[0]  # the state, N leader copies over the estimates; stage 1 reads it in place
     Z[:N], Z[N:] = leader.initial_state, E
     rhs0 = stages[0]
@@ -336,26 +343,28 @@ def run(
     with np.errstate(over="ignore", invalid="ignore"):
         for P0 in range(0, grid.size - 1, block):
             P = slice(P0, min(P0 + block, grid.size - 1) + 1)  # the block's steps and end point
-            g_at, ts = gain_rows(grid[P]), grid[P].tolist()
+            (g_at, over), ts = gain_rows(grid[P]), grid[P].tolist()
             t_mid = grid[P][:-1] + 0.5 * np.diff(grid[P])  # the same floats as t + 0.5 h
-            g_mid = gain_rows(t_mid) if rk4 else g_at  # euler reads no midpoint
-            step = zip(ts, ts[1:], t_mid.tolist(), [L0s[j] for j in topo[P].tolist()],
+            g_mid, over_mid = gain_rows(t_mid) if rk4 else (g_at, over)  # euler reads no midpoint
+            # Steps before the first that reads f0 past its bound (rk4 at t, t + h/2, t + h; euler at t).
+            stop = np.append(over[:-1] | over[1:] | over_mid if rk4 else over[:-1], True).argmax()
+            step = zip(ts, ts[1:], [L0s[j] for j in topo[P].tolist()],
                        g_at, g_mid, g_at[1:], rec[P][1:].tolist())
-            for t, tn, tm, L0, ga, gm, gn, keep in step:
+            for t, tn, L0, ga, gm, gn, keep in islice(step, stop):
                 h = tn - t
                 if h != h_set:
                     half[()], full[()], sixth[()], h_set = 0.5 * h, h, h / 6.0, h
-                rhs0(L0, ga, t)
+                rhs0(L0, ga)
                 if rk4:  # stage inputs Z + (h/2) k1, Z + (h/2) k2, Z + h k3
                     multiply(K0, half, X1)
                     add(Z, X1, X1)
-                    rhs1(L0, gm, tm)
+                    rhs1(L0, gm)
                     multiply(K1, half, X2)
                     add(Z, X2, X2)
-                    rhs2(L0, gm, tm)
+                    rhs2(L0, gm)
                     multiply(K2, full, X3)
                     add(Z, X3, X3)
-                    rhs3(L0, gn, tn)
+                    rhs3(L0, gn)
                     multiply(K_mid, two, K_doubled)
                     add(K0, K1_doubled, T)
                     add(T, K2_doubled, T)
@@ -371,6 +380,10 @@ def run(
                         raise Diverged(tn if np.isfinite(K[stage_rows, N:]).all() else t)
                 if keep:
                     next(rows)[...] = Z[N - 1 :]
+            if stop < len(ts) - 1:  # that step's samples in its order: the first bad one raises
+                for t, f0 in [(ts[stop], g_at[stop, N * n]), (float(t_mid[stop]), g_mid[stop, N * n]),
+                              (ts[stop + 1], g_at[stop + 1, N * n])][: 3 if rk4 else 1]:
+                    _leader_input(leader, t, float(f0))
             # The rows ga, gm, gn are views: the block's gain arrays go only with them.
             del g_at, g_mid, t_mid, ts, step, ga, gm, gn
 

@@ -849,6 +849,36 @@ def test_run_nan_leader_input_exits_1(tmp_path, capsys):
     assert "exceeds declared bound" in capsys.readouterr().err
 
 
+_SINE_PAST_BOUND = ("leader.input=sine(1.0, 0.5)", "leader.input_bound=0.1")
+
+
+@pytest.mark.parametrize(
+    "overrides, code, tail",
+    [
+        # The first time past the bound is a midpoint t + h/2.
+        ((*_SINE_PAST_BOUND, "sim.dt=1e-3", "sim.guard=1e-2"), 1,
+         "|f0| = 0.100082 exceeds declared bound 0.1 at t=0.2005\n"),
+        # The same time, now a step end t + h.
+        ((*_SINE_PAST_BOUND, "sim.dt=5e-4", "sim.guard=1e-2"), 1,
+         "|f0| = 0.100082 exceeds declared bound 0.1 at t=0.2005\n"),
+        ((*_SINE_PAST_BOUND, "sim.dt=7e-4", "sim.guard=1e-2"), 1,
+         "|f0| = 0.100008 exceeds declared bound 0.1 at t=0.20035\n"),
+        # euler reads the input at step starts alone.
+        ((*_SINE_PAST_BOUND, "sim.method=euler", "sim.dt=1e-3", "sim.guard=1e-2"), 1,
+         "|f0| = 0.100331 exceeds declared bound 0.1 at t=0.201\n"),
+        (("leader.input=constant(0.2)",), 1, "|f0| = 0.2 exceeds declared bound 0.125 at t=0\n"),
+        # The run diverges before its input leaves the bound.
+        ((*_SINE_PAST_BOUND, "gains.beta=600", "sim.guard=1e-4"), 3,
+         "error: simulation diverged at t = 0.1633 s\n"),
+    ],
+    ids=["midpoint", "step-end", "dt-7e-4", "euler", "constant", "diverges-first"],
+)
+def test_run_stops_at_the_first_time_the_input_leaves_its_bound(tmp_path, capsys, overrides, code, tail):
+    args = ["run", "--config", CFG, "--quiet", "--out", str(tmp_path)]
+    assert main(args + [a for o in overrides for a in ("--set", o)]) == code
+    assert capsys.readouterr().err.endswith(tail)
+
+
 def test_run_unbuildable_step_plan_exits_1(tmp_path, capsys):
     # 2e300 steps, each rounding to zero length: rejected before any plan is built.
     code = main(["run", "--config", CFG, "--quiet", "--out", str(tmp_path), "--set", "sim.dt=1e-300"])

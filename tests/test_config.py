@@ -260,8 +260,8 @@ def test_periodic_schedule_load_peak_per_switch(cycle, bound):
 def test_leader_input_parsing():
     exp = load_experiment(str(BUNDLED_CONFIG))
     fn = exp.leader.input_fn
-    assert fn(None, 0.0) == 0.0
-    assert fn(None, np.pi) == pytest.approx(0.125 * np.sin(np.pi / 2))
+    assert fn(0.0) == 0.0
+    assert fn(np.pi) == pytest.approx(0.125 * np.sin(np.pi / 2))
 
 
 def test_unreadable_file():

@@ -83,8 +83,8 @@ def test_psi_matches_componentwise_definition():
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("N", [1, 2, 3, 5, 40, 120])
 def test_kernel_dot_equals_matmul_bit_for_bit(N, n):
-    # The integrator's kernel computes psi as np.dot(L0, D, psi), while
-    # local_errors and the recorded psi use L0 @ D.  The exact-replay test in
+    # The integrator's kernel computes psi as L0.dot(D, psi), the dgemm of
+    # np.dot, while local_errors and the recorded psi use L0 @ D.  The exact-replay test in
     # test_sim.py replays through the kernel too, so only this test sees the
     # two products disagree on the BLAS this runs on.
     rng = np.random.default_rng(100 * N + n)
@@ -94,8 +94,9 @@ def test_kernel_dot_equals_matmul_bit_for_bit(N, n):
         np.fill_diagonal(A, 0.0)
         L0 = np.diag(A.sum(axis=1) + rng.uniform(0.0, 2.0, N)) - A
         D = rng.normal(size=(N, n)) * 10.0 ** rng.integers(-6, 7, size=(N, n))
-        np.dot(L0, D, out=out)
+        L0.dot(D, out)
         assert np.array_equal(out, L0 @ D)
+        assert np.array_equal(np.dot(L0, D), out)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e154, 1e-160, 1e-170])

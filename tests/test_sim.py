@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ from ptobs.errors import DimensionMismatch, Diverged, InputBoundViolated
 from ptobs.observer import dpto_rhs, leader_rhs, local_errors
 from ptobs.config import load_experiment
 from ptobs.gain import varsigma
-from ptobs.sim import _event_grid, _step_plan, decay_budget, detect_convergence
+from ptobs.sim import _GAIN_BLOCK, _event_grid, _step_plan, decay_budget, detect_convergence
 from ptobs.trace import TraceData
 from conftest import BUNDLED_CONFIG, ETA, INITIAL_ESTIMATES, perfbench_workloads
 
@@ -529,6 +530,69 @@ def test_input_bound_violation_propagates(digraph1, cascade):
             ptobs.TopologySequence.static(digraph1, 0.0), leader, gains, cascade,
             INITIAL_ESTIMATES, cfg,
         )
+
+
+def _input_from(t_bad, value=1.0):
+    # A leader input of time alone (t is its last argument): value from t_bad on, else 0.
+    return lambda *args: value if args[-1] >= t_bad else 0.0
+
+
+def _bundled_args(*overrides):
+    exp = load_experiment(str(BUNDLED_CONFIG), list(overrides))
+    return [exp.sequence, exp.leader, exp.gains, exp.sched, exp.initial_estimates, exp.sim]
+
+
+def _plan_grid(args):
+    seq, _, _, sched, _, cfg = args
+    return _step_plan(cfg, *_event_grid(cfg, sched, seq))[0]
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+def test_input_past_its_bound_from_a_gain_block_end_raises_there(method):
+    # rk4 reads the first gain block's last point as its last step's end,
+    # euler as the next block's first step start.
+    args = _bundled_args("sim.t_end=0.2", f"sim.method={method}")
+    t_bad = _plan_grid(args)[_GAIN_BLOCK // 3]
+    args[1] = dataclasses.replace(args[1], input_fn=_input_from(t_bad))
+    message = f"|f0| = 1 exceeds declared bound 0.125 at t={t_bad:.6g}"
+    with pytest.raises(InputBoundViolated, match=f"^{re.escape(message)}$"):
+        ptobs.run(*args)
+
+
+@pytest.mark.parametrize("block_ends_there", [False, True])
+def test_input_past_its_bound_in_the_diverging_step_raises_first(monkeypatch, block_ends_there):
+    # beta 600 at guard 1e-4 diverges at a step's end.  An input that leaves
+    # its bound at that end is read by the step's stage 4, before its update;
+    # one that leaves it later comes second.
+    args = _bundled_args("gains.beta=600", "sim.guard=1e-4")
+    with pytest.raises(Diverged) as diverged:
+        ptobs.run(*args)
+    t_end = diverged.value.time
+    if block_ends_there:
+        monkeypatch.setattr(ptobs.sim, "_GAIN_BLOCK", 3 * int(_plan_grid(args).searchsorted(t_end)))
+    leader = args[1]
+    args[1] = dataclasses.replace(leader, input_fn=_input_from(t_end))
+    with pytest.raises(InputBoundViolated, match=re.escape(f"at t={t_end:.6g}")):
+        ptobs.run(*args)
+    args[1] = dataclasses.replace(leader, input_fn=_input_from(np.nextafter(t_end, np.inf)))
+    with pytest.raises(Diverged) as diverged:
+        ptobs.run(*args)
+    assert diverged.value.time == t_end
+
+
+def test_run_samples_the_input_once_per_plan_time():
+    # rk4 reads f0 at each step's ends and midpoint, euler at each step's
+    # start, and each gain block samples its last point again as the next
+    # block's first.
+    for method, reads_per_step in (("rk4", 2), ("euler", 1)):
+        args = _bundled_args("sim.t_end=0.15", f"sim.method={method}")
+        f0, times = args[1].input_fn, []
+        args[1] = dataclasses.replace(args[1], input_fn=lambda *a: times.append(a[-1]) or f0(*a))
+        ptobs.run(*args)
+        steps = _plan_grid(args).size - 1
+        blocks = -(-steps // (_GAIN_BLOCK // 3))
+        assert (steps, blocks) == (1500, 2)
+        assert len(times) <= reads_per_step * steps + blocks, method
 
 
 def test_sim_config_validation():
