@@ -8,10 +8,12 @@ switching signal's arrays (O(steps) memory: 10 bytes a step, 16 while it is
 built), holds the grid points, the right-continuous topology at each (which
 steps and samples take) and the record points.  The loop steps one stacked
 state in place through the observer kernel's stage functions (6 numpy calls
-each).  A block's extended gain rows hold the stage gains (one rate_ratio
-call per stage window) and f0(t) (one input call per time); the first step
-that reads f0 past its bound raises.  The loop writes [x0; estimates] into
-one snapshot array at record points.  The plan goes, the errors overwrite the
+each).  Each gain block samples its times once, in time order (rk4 puts
+each t + h/2 between t and t + h), into one array of extended gain rows of
+about _GAIN_BLOCK doubles: the stage gains (one rate_ratio call per stage
+window) and f0(t) (one input call per time).  The first step that reads f0
+past its bound raises.  The loop writes [x0; estimates] into one snapshot
+array at record points.  The plan goes, the errors overwrite the
 estimates there, and psi, V and the envelope (one decay_budget call per
 stage, over its run of samples) follow.  A numpy call on these small arrays
 costs its dispatch, so every call passes out positionally, rk4 sums its
@@ -37,7 +39,7 @@ from .observer import _weighted_energy
 from .observer import dpto_rhs, leader_rhs, local_errors  # noqa: F401  (public forms, wrapped by perfbench)
 
 _EVENT_MERGE_TOL = 1e-12  # absolute part of the event-merge tolerance
-_GAIN_BLOCK = 4096  # gain rows (steps x followers) one block computes; caps memory
+_GAIN_BLOCK = 32768  # doubles of gain rows per block, give or take a row; caps memory
 
 
 @dataclass(frozen=True)
@@ -46,8 +48,8 @@ class SimConfig:
 
     dt must exceed 2 ulp(t), twice the float spacing at the larger of |t0|
     and |t_end|, so no step rounds to zero length.  guard clamps the time-varying gain denominator
-    and must cover at least one step (guard >= dt).  record_stride keeps
-    every m-th accepted step; events are always recorded.
+    and must cover at least one step (guard >= dt).  record_stride, a positive
+    integer, keeps every m-th accepted step; events are always recorded.
     """
 
     t0: float
@@ -79,7 +81,8 @@ class SimConfig:
         object.__setattr__(self, "guard", guard)
         if self.sign_smoothing is not None and not 0.0 < self.sign_smoothing < np.inf:
             raise DimensionMismatch("sign smoothing must be finite and positive when given")
-        if self.record_stride < 1:
+        # A slice step: of a type with __index__ (int, np.int64), so not a float or NaN.
+        if not (hasattr(self.record_stride, "__index__") and self.record_stride >= 1):
             raise DimensionMismatch("record_stride must be a positive integer")
         if not 0.0 < self.convergence_tolerance < np.inf:
             raise DimensionMismatch("convergence tolerance must be finite and positive")
@@ -309,11 +312,11 @@ def run(
     L0s = [a.sub_laplacian.dot for a in analyses]  # bound BLAS dots: no np.dot dispatch per stage
 
     def gain_rows(times: np.ndarray):
-        # The gain rows at times, with f0(t) from one input call per time, and where f0 breaks its bound.
+        # The gain rows and f0 at times (one input call each), and the first f0 "not <=" its bound, else size.
         rates = np.stack([rate_ratio(w, times, cfg.guard) for w in windows], axis=1)  # g overwrites it
-        f0 = np.fromiter((float(leader.input_fn(t)) for t in times.tolist()), float, times.size)[:, None]
-        g = _gain_row(np.add(gains.alpha, gains.beta * rates, out=rates), f0, N, gains.sigma)
-        return g, ~(np.abs(f0[:, 0]) <= leader.input_bound + _BOUND_SLACK)  # "not <=": NaN breaks it
+        f0 = np.fromiter((float(leader.input_fn(t)) for t in times.tolist()), float, times.size)
+        g = _gain_row(np.add(gains.alpha, gains.beta * rates, out=rates), f0[:, None], N, gains.sigma)
+        return g, f0, np.append(~(np.abs(f0) <= leader.input_bound + _BOUND_SLACK), True).argmax()
 
     # rk4 evaluates k1..k4 into K[0], K[4], K[5], K[3] and writes 2 k2, 2 k3
     # into K[1], K[2], so three adds sum ((k1 + 2 k2) + 2 k3) + k4.
@@ -338,18 +341,19 @@ def run(
     snaps = np.empty((np.count_nonzero(rec), N + 1, n))  # [x0; estimates] per recorded point
     snaps[0] = Z[N - 1 :]
     rows = iter(snaps[1:])  # the rows the loop fills, in order
-    block = max(1, _GAIN_BLOCK // N)  # steps whose gain rows are computed at once
+    per = 2 if rk4 else 1  # step i reads gain rows per i (t), per i + 1 (rk4's t + h/2) and per i + per (t + h)
+    block = max(1, _GAIN_BLOCK // (per * N * (n + 2)))  # steps per block: rows of N (n + 2) doubles
     # Every overflow or NaN in a step leaves Z non-finite, and Diverged reports it.
     with np.errstate(over="ignore", invalid="ignore"):
         for P0 in range(0, grid.size - 1, block):
             P = slice(P0, min(P0 + block, grid.size - 1) + 1)  # the block's steps and end point
-            (g_at, over), ts = gain_rows(grid[P]), grid[P].tolist()
-            t_mid = grid[P][:-1] + 0.5 * np.diff(grid[P])  # the same floats as t + 0.5 h
-            g_mid, over_mid = gain_rows(t_mid) if rk4 else (g_at, over)  # euler reads no midpoint
-            # Steps before the first that reads f0 past its bound (rk4 at t, t + h/2, t + h; euler at t).
-            stop = np.append(over[:-1] | over[1:] | over_mid if rk4 else over[:-1], True).argmax()
+            ts = grid[P]  # rk4 also samples t + 0.5 h between t and t + h: one gain row per time, in order
+            samples = np.insert(ts, np.arange(1, ts.size), ts[:-1] + 0.5 * np.diff(ts)) if rk4 else ts
+            g, f0, bad = gain_rows(samples)
+            stop = max(bad - 1, 0) // 2 if rk4 else bad  # steps before the first that reads sample bad
+            ts = ts.tolist()
             step = zip(ts, ts[1:], [L0s[j] for j in topo[P].tolist()],
-                       g_at, g_mid, g_at[1:], rec[P][1:].tolist())
+                       g[::per], g[1::per], g[per::per], rec[P][1:].tolist())
             for t, tn, L0, ga, gm, gn, keep in islice(step, stop):
                 h = tn - t
                 if h != h_set:
@@ -380,12 +384,10 @@ def run(
                         raise Diverged(tn if np.isfinite(K[stage_rows, N:]).all() else t)
                 if keep:
                     next(rows)[...] = Z[N - 1 :]
-            if stop < len(ts) - 1:  # that step's samples in its order: the first bad one raises
-                for t, f0 in [(ts[stop], g_at[stop, N * n]), (float(t_mid[stop]), g_mid[stop, N * n]),
-                              (ts[stop + 1], g_at[stop + 1, N * n])][: 3 if rk4 else 1]:
-                    _leader_input(leader, t, float(f0))
+            if stop < len(ts) - 1:  # that step raises: sample bad is the first bad one it reads
+                _leader_input(leader, float(samples[bad]), float(f0[bad]))
             # The rows ga, gm, gn are views: the block's gain arrays go only with them.
-            del g_at, g_mid, t_mid, ts, step, ga, gm, gn
+            del g, f0, samples, ts, step, ga, gm, gn
 
     # Diagnostics under the plan's topology at each sample; snaps becomes [x0; errors].
     times, active = grid[rec], topo[rec]

@@ -1,5 +1,6 @@
 import importlib.util
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -34,6 +35,15 @@ def perfbench_workloads():
         sys.modules[name] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(sys.modules[name])
     return sys.modules[name]
+
+
+def traced_peak(fn):
+    """fn() and the tracemalloc peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def schedule_pairs(seq):

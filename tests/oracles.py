@@ -3,12 +3,12 @@
 These deliberately avoid the library's own linear algebra: the inverse is
 assembled from cofactors, the smallest eigenvalue comes from closed-form
 roots of the characteristic polynomial (sizes up to 3 only), and the
-singularity verdict from a plain SVD.  The switching schedule and step-count
-oracles work one entry at a time, in plain Python, and reachability comes
-from a boolean transitive closure.  Two trace readers: the whole-file
-reader `read_trace` used before it streamed rows, kept verbatim, and a
-per-line reference of the reader's specification that parses numbers with
-float() rather than numpy.
+singularity verdict from a plain SVD.  The switching schedule, step-count and
+input-read oracles work one entry at a time, in plain Python, and
+reachability comes from a boolean transitive closure.  Two trace readers:
+the whole-file reader `read_trace` used before it streamed rows, kept
+verbatim, and a per-line reference of the reader's specification that
+parses numbers with float() rather than numpy.
 """
 
 import math
@@ -204,6 +204,16 @@ def segment_steps(e1, e2, dt):
     if m >= 1 and abs(e1 + m * dt - e2) <= 1e-9 * dt:
         return m
     return int(np.floor(span / dt)) + 1
+
+
+def input_reads(grid, method):
+    """Every leader-input read of a step plan in step order, as (step, time):
+    rk4 step i reads t, t + h/2 and t + h, euler step i reads t (h = the
+    next point - t).  Scalar, one step at a time."""
+    reads = []
+    for i, (t, tn) in enumerate(zip(grid, grid[1:])):
+        reads += [(i, t), (i, t + 0.5 * (tn - t)), (i, tn)] if method == "rk4" else [(i, t)]
+    return reads
 
 
 def periodic_schedule(t0, t_end, period, cycle):

@@ -1,7 +1,6 @@
 import dataclasses
 import os
 import re
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,7 +16,7 @@ from ptobs.config import load_config
 from ptobs.errors import DimensionMismatch, MalformedTrace
 from ptobs.svgplot import render_error_plot
 from ptobs.trace import header_columns, read_trace, write_trace
-from conftest import BUNDLED_CONFIG, INITIAL_ESTIMATES, perfbench_workloads
+from conftest import BUNDLED_CONFIG, INITIAL_ESTIMATES, perfbench_workloads, traced_peak
 from oracles import read_trace_per_line, read_trace_whole_file
 
 CFG = str(BUNDLED_CONFIG)
@@ -688,12 +687,7 @@ def test_read_trace_peak_memory_is_bounded_by_its_arrays(tmp_path):
     path = str(tmp_path / "trace.csv")
     write_trace(result, path)
     del result
-    tracemalloc.start()
-    try:
-        data = read_trace(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    data, peak = traced_peak(lambda: read_trace(path))
     arrays = sum(getattr(data, f.name).nbytes for f in dataclasses.fields(data))
     assert arrays == S * len(header_columns(N, n)) * 8
     assert peak <= 1.5 * arrays, (peak, arrays)
@@ -707,12 +701,8 @@ def test_report_peak_memory_is_about_its_trace(tmp_path):
     trace = str(tmp_path / "trace.csv")
     arrays = len(read_trace(trace).times) * len(header_columns(3, 3)) * 8
     argv = ["report", "--config", CFG, "--out", str(tmp_path), "--quiet", *dense, trace]
-    tracemalloc.start()
-    try:
-        assert main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(lambda: main(argv))
+    assert code == 0
     assert arrays == 5001 * 26 * 8
     assert peak <= 2.0 * arrays, (peak, arrays)
 

@@ -1,5 +1,4 @@
 import copy
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,7 +17,7 @@ from ptobs.config import (
 )
 from ptobs.errors import ConfigError, InfeasibleTopology
 from ptobs.trace import read_trace, write_trace
-from conftest import BUNDLED_CONFIG, perfbench_workloads, schedule_pairs
+from conftest import BUNDLED_CONFIG, perfbench_workloads, schedule_pairs, traced_peak
 from oracles import dedup_schedule, periodic_schedule
 
 MINIMAL = """\
@@ -245,12 +244,7 @@ def test_periodic_schedule_load_peak_per_switch(cycle, bound):
     # topology, 16 bytes each; no (S, 2) array is built on the way.
     overrides = ["sim.dt=1e-7", "switching.period=1e-7", "sim.t_end=0.05", f"switching.cycle={cycle}"]
     load_experiment(str(BUNDLED_CONFIG), overrides)  # warm-up: first-call allocations are not the load's
-    tracemalloc.start()
-    try:
-        seq = load_experiment(str(BUNDLED_CONFIG), overrides).sequence
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    seq, peak = traced_peak(lambda: load_experiment(str(BUNDLED_CONFIG), overrides).sequence)
     switches = 500_001
     assert seq.switch_times.size == (switches if cycle == "1 2" else (switches + 1) // 2)
     assert seq.switch_times.nbytes + seq.indices.nbytes == 16 * seq.switch_times.size

@@ -1,10 +1,13 @@
 """Property tests: the event grid and the switch lookup against their plain scans,
 the event grid far from t = 0, the step plan's topologies and record points,
-sim.run's step grid against a per-segment one, and the exact symmetry of the
-mirror matrix."""
+sim.run's step grid against a per-segment one, where a run stops for an
+input past its bound against a plain scan of the plan's reads, and the exact
+symmetry of the mirror matrix."""
 
 import dataclasses
+import functools
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -14,10 +17,12 @@ from hypothesis import strategies as st
 
 import ptobs
 import ptobs.sim
-from ptobs.errors import DimensionMismatch, SingularLaplacian
+from ptobs.config import load_experiment
+from ptobs.errors import DimensionMismatch, InputBoundViolated, SingularLaplacian
+from ptobs.observer import _stacked_kernel
 from ptobs.sim import _EVENT_MERGE_TOL, _event_grid, _step_plan
-from conftest import schedule_pairs
-from oracles import segment_steps, svd_singular_verdict
+from conftest import BUNDLED_CONFIG, schedule_pairs
+from oracles import input_reads, segment_steps, svd_singular_verdict
 
 _TOPO = ptobs.DirectedTopology(adjacency=[[0.0]], pinning=[1.0])
 
@@ -307,12 +312,72 @@ def test_step_grid_equals_per_segment_grid(case):
         grid[-1] = e2
         expected += grid[1:].tolist()
     assert np.array_equal(res.times, expected)
-    # Gain blocks that span segment boundaries change nothing.
-    with mock.patch.object(ptobs.sim, "_GAIN_BLOCK", block):
+    # Gain blocks that span segment boundaries change nothing.  A block of
+    # `block` steps holds per * block + 1 gain rows of N (n + 2) doubles.
+    per = 2 if cfg.method == "rk4" else 1
+    f0, seen = args[1].input_fn, []
+    args[1] = dataclasses.replace(args[1], input_fn=lambda t: seen.append(t) or f0(t))
+    with mock.patch.object(ptobs.sim, "_GAIN_BLOCK", block * per * (sched.order + 2)):
         small = ptobs.run(*args)
     for field in dataclasses.fields(res):
         a, b = getattr(res, field.name), getattr(small, field.name)
         assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+    # The input is sampled in time order, each block's last time again as the
+    # next block's first: so the blocks are `block` steps, the last one fewer.
+    assert seen == sorted(seen)
+    sizes = np.diff([0, *(np.flatnonzero(np.diff(seen) == 0) + 1), len(seen)])
+    full, rest = divmod(res.times.size - 1, block)  # record_stride 1 records every point
+    assert sizes.tolist() == [per * block + 1] * full + [per * rest + 1] * (rest > 0)
+
+
+@functools.cache
+def _short_bundled_run(method):
+    # The bundled config's first 100 steps (dt 1e-4) and its plan's grid.
+    exp = load_experiment(str(BUNDLED_CONFIG), ["sim.t_end=0.01", f"sim.method={method}"])
+    args = [exp.sequence, exp.leader, exp.gains, exp.sched, exp.initial_estimates, exp.sim]
+    return args, _step_plan(exp.sim, *_event_grid(exp.sim, exp.sched, exp.sequence))[0].tolist()
+
+
+def _counting_kernel(begun):
+    # _stacked_kernel whose first stage, called once per step, appends to begun.
+    def kernel(*args):
+        X, K, (first, *rest) = _stacked_kernel(*args)
+        return X, K, [lambda *a: begun.append(None) or first(*a), *rest]
+    return kernel
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["rk4", "euler"]), st.sampled_from([1, 2, 7, None]),
+       st.sampled_from([1.0, np.nan]), st.integers(0, 200))
+@example("euler", None, 1.0, 200)  # t_end: no euler step reads it
+@example("euler", 2, 1.0, 199)  # the last midpoint, past the last euler read
+@example("euler", 7, 1.0, 14)  # a block end: the next block's first step reads it
+@example("rk4", 7, 1.0, 14)  # a block end: its last step reads it
+@example("rk4", 1, np.nan, 1)  # the first midpoint
+def test_input_bound_stop_equals_plain_scan(method, block, value, pick):
+    # The input leaves its bound at the pick-th of the 201 plan points and
+    # midpoints (blocks of `block` steps, None: the default).  The run raises
+    # for the first read past the bound in step order, before that step, and
+    # finishes when no step reads one.
+    args, grid = _short_bundled_run(method)
+    times = sorted({t for _, t in input_reads(grid, "rk4")})
+    assert len(times) == 201
+    t_bad = times[pick]
+    leader = dataclasses.replace(args[1], input_fn=lambda t: value if t >= t_bad else 0.0)
+    run_args = [args[0], leader, *args[2:]]
+    first = next(((i, t) for i, t in input_reads(grid, method) if t >= t_bad), None)
+    # A block of `block` steps: 2 (rk4) or 1 (euler) gain rows a step, of N (n + 2) = 15 doubles.
+    cap = ptobs.sim._GAIN_BLOCK if block is None else block * (2 if method == "rk4" else 1) * 15
+    begun = []
+    with mock.patch.object(ptobs.sim, "_GAIN_BLOCK", cap), \
+            mock.patch.object(ptobs.sim, "_stacked_kernel", _counting_kernel(begun)):
+        if first is None:
+            ptobs.run(*run_args)
+            assert (method, len(begun)) == ("euler", 100)  # past the last step's start
+        else:
+            with pytest.raises(InputBoundViolated, match=re.escape(f"at t={first[1]:.6g}") + "$"):
+                ptobs.run(*run_args)
+            assert len(begun) == first[0]
 
 
 _WEIGHT = st.floats(1e-2, 1e2)

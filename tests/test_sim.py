@@ -1,6 +1,5 @@
 import dataclasses
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from ptobs.config import load_experiment
 from ptobs.gain import varsigma
 from ptobs.sim import _GAIN_BLOCK, _event_grid, _step_plan, decay_budget, detect_convergence
 from ptobs.trace import TraceData
-from conftest import BUNDLED_CONFIG, ETA, INITIAL_ESTIMATES, perfbench_workloads
+from conftest import BUNDLED_CONFIG, ETA, INITIAL_ESTIMATES, perfbench_workloads, traced_peak
 
 
 def _zero_leader(order, x0=None, bound=0.125):
@@ -547,12 +546,18 @@ def _plan_grid(args):
     return _step_plan(cfg, *_event_grid(cfg, sched, seq))[0]
 
 
+def _block_steps(method):
+    # The steps of one bundled gain block: _GAIN_BLOCK doubles of rows of
+    # N (n + 2) = 15, two rows a step for rk4 (t + h/2, t + h), one for euler.
+    return _GAIN_BLOCK // ((2 if method == "rk4" else 1) * 15)
+
+
 @pytest.mark.parametrize("method", ["rk4", "euler"])
 def test_input_past_its_bound_from_a_gain_block_end_raises_there(method):
     # rk4 reads the first gain block's last point as its last step's end,
     # euler as the next block's first step start.
-    args = _bundled_args("sim.t_end=0.2", f"sim.method={method}")
-    t_bad = _plan_grid(args)[_GAIN_BLOCK // 3]
+    args = _bundled_args("sim.t_end=0.3", f"sim.method={method}")
+    t_bad = _plan_grid(args)[_block_steps(method)]
     args[1] = dataclasses.replace(args[1], input_fn=_input_from(t_bad))
     message = f"|f0| = 1 exceeds declared bound 0.125 at t={t_bad:.6g}"
     with pytest.raises(InputBoundViolated, match=f"^{re.escape(message)}$"):
@@ -568,8 +573,8 @@ def test_input_past_its_bound_in_the_diverging_step_raises_first(monkeypatch, bl
     with pytest.raises(Diverged) as diverged:
         ptobs.run(*args)
     t_end = diverged.value.time
-    if block_ends_there:
-        monkeypatch.setattr(ptobs.sim, "_GAIN_BLOCK", 3 * int(_plan_grid(args).searchsorted(t_end)))
+    if block_ends_there:  # rk4 blocks of the steps up to t_end: 2 rows of 15 doubles each
+        monkeypatch.setattr(ptobs.sim, "_GAIN_BLOCK", 2 * 15 * int(_plan_grid(args).searchsorted(t_end)))
     leader = args[1]
     args[1] = dataclasses.replace(leader, input_fn=_input_from(t_end))
     with pytest.raises(InputBoundViolated, match=re.escape(f"at t={t_end:.6g}")):
@@ -584,14 +589,14 @@ def test_run_samples_the_input_once_per_plan_time():
     # rk4 reads f0 at each step's ends and midpoint, euler at each step's
     # start, and each gain block samples its last point again as the next
     # block's first.
-    for method, reads_per_step in (("rk4", 2), ("euler", 1)):
-        args = _bundled_args("sim.t_end=0.15", f"sim.method={method}")
+    for method, reads_per_step, block_count in (("rk4", 2, 3), ("euler", 1, 2)):
+        args = _bundled_args("sim.t_end=0.25", f"sim.method={method}")
         f0, times = args[1].input_fn, []
         args[1] = dataclasses.replace(args[1], input_fn=lambda *a: times.append(a[-1]) or f0(*a))
         ptobs.run(*args)
         steps = _plan_grid(args).size - 1
-        blocks = -(-steps // (_GAIN_BLOCK // 3))
-        assert (steps, blocks) == (1500, 2)
+        blocks = -(-steps // _block_steps(method))
+        assert (steps, blocks) == (2500, block_count)
         assert len(times) <= reads_per_step * steps + blocks, method
 
 
@@ -646,6 +651,7 @@ def test_nan_leader_input_violates_bound(digraph1, cascade):
         ("guard", np.inf), ("guard", np.nan), ("sign_smoothing", np.nan),
         ("sign_smoothing", 0.0), ("convergence_tolerance", np.nan),
         ("convergence_tolerance", np.inf), ("divergence_threshold", np.nan),
+        ("record_stride", 2.5), ("record_stride", np.nan),
     ],
 )
 def test_sim_config_rejects_non_finite(field, value):
@@ -672,22 +678,13 @@ def test_run_result_is_the_trace_record():
     assert (res.follower_count, res.order) == (3, 3)
 
 
-def _traced_peak(fn):
-    # fn() and the tracemalloc peak of the call, in bytes.
-    tracemalloc.start()
-    try:
-        return fn(), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_run_peak_memory_is_about_its_arrays():
     # On the dense-switching overrides (5 001 samples, 5 000 switches) the
     # diagnostics work in place and the plan is gone before they run.
     exp = load_experiment(str(BUNDLED_CONFIG), list(perfbench_workloads().DENSE_OVERRIDES))
     args = (exp.sequence, exp.leader, exp.gains, exp.sched, exp.initial_estimates, exp.sim)
     ptobs.run(*args)  # warm-up: first-call allocations are not the run's
-    res, peak = _traced_peak(lambda: ptobs.run(*args))
+    res, peak = traced_peak(lambda: ptobs.run(*args))
     arrays = sum(getattr(res, f.name).nbytes for f in dataclasses.fields(TraceData))
     assert peak <= 1.85 * arrays, (peak, arrays)
     assert arrays == 5001 * 26 * 8
@@ -700,7 +697,7 @@ def test_run_peak_memory_on_bundled_is_about_its_arrays():
     exp = load_experiment(str(BUNDLED_CONFIG))
     args = (exp.sequence, exp.leader, exp.gains, exp.sched, exp.initial_estimates, exp.sim)
     ptobs.run(*args)  # warm-up: first-call allocations are not the run's
-    res, peak = _traced_peak(lambda: ptobs.run(*args))
+    res, peak = traced_peak(lambda: ptobs.run(*args))
     arrays = sum(getattr(res, f.name).nbytes for f in dataclasses.fields(TraceData))
     assert peak <= 2.5 * arrays, (peak, arrays)
     assert arrays == 2001 * 26 * 8
@@ -711,7 +708,7 @@ def test_step_plan_peak_memory_per_point():
     # flag), and no full-size integer temporary is built on the way.
     exp = load_experiment(str(BUNDLED_CONFIG), ["sim.t_end=20"])
     cfg = exp.sim
-    plan, peak = _traced_peak(lambda: _step_plan(cfg, *_event_grid(cfg, exp.sched, exp.sequence)))
+    plan, peak = traced_peak(lambda: _step_plan(cfg, *_event_grid(cfg, exp.sched, exp.sequence)))
     points = plan[0].size
     assert peak <= 20 * points, peak / points
     assert points == 200_001
