@@ -184,22 +184,21 @@ def _gain_row(g: np.ndarray, f0: np.ndarray, N: int, sigma: float) -> np.ndarray
     return np.concatenate([g] * N + [f0] * N + [np.full_like(f0, -sigma)] * N, axis=-1)
 
 
-def _stacked_kernel(N: int, n: int, smoothing: float | None, out_rows: tuple[int, ...] = (0,)):
+def _stacked_kernel(N: int, n: int, smoothing: float | None, stage_count: int = 1):
     """Work area (X, K) of the stacked observer and one stage function per stage.
 
     A stage input X[s], (2N, n), stacks N copies of the leader state above the
     N estimates: the copies evolve identically and make estimates - x0 one
     same-shape subtraction.  stages[s](L0_dot, g), bound once to its views,
-    writes the derivative of X[s] into K[out_rows[s]] in 6 numpy calls (hard
-    sign).  L0_dot is the active L0's bound BLAS dot, L0.dot (the dgemm of
-    np.dot and L0 @ D, checked bit for bit); g is a _gain_row of the stage
-    gains alpha + beta r_k(t) and the input f0(t), both sampled by the caller,
-    so one multiply of [psi | ones | sign(psi_n)] by g gives g * psi, f0 and
+    writes the derivative of X[s] into K[s] in 6 numpy calls (hard sign).
+    L0_dot is the active L0's bound BLAS dot, L0.dot (the dgemm of np.dot and
+    L0 @ D, checked bit for bit); g is a _gain_row of the stage gains
+    alpha + beta r_k(t) and the input f0(t), both sampled by the caller, so
+    one multiply of [psi | ones | sign(psi_n)] by g gives g * psi, f0 and
     -sigma sign(psi_n).  It allocates nothing, checks no shapes and calls no
     input.  Calls pass out positionally and scalars as 0-d arrays.
     """
-    X = np.zeros((len(out_rows), 2 * N, n))
-    K = np.zeros((max(out_rows) + 1, 2 * N, n))
+    X, K = np.zeros((stage_count, 2 * N, n)), np.zeros((stage_count, 2 * N, n))
     Nn, D, PS, G = N * n, np.empty((N, n)), np.ones(N * n + 2 * N), np.zeros(2 * (N * n + N))
     psi, sign = PS[:Nn].reshape(N, n), PS[Nn + N :]  # PS = [psi.flat | ones(N) | sign(psi_n)]
     # G = [zero leader rows | g * psi | f0 | -sigma sign]: K.flat[:-1] = X.flat[1:]
@@ -228,7 +227,7 @@ def _stacked_kernel(N: int, n: int, smoothing: float | None, out_rows: tuple[int
 
         return rhs
 
-    return X, K, [stage(Xs, K[r]) for Xs, r in zip(X, out_rows)]
+    return X, K, [stage(Xs, Ks) for Xs, Ks in zip(X, K)]
 
 
 def dpto_rhs(

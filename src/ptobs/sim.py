@@ -318,17 +318,18 @@ def run(
         g = _gain_row(np.add(gains.alpha, gains.beta * rates, out=rates), f0[:, None], N, gains.sigma)
         return g, f0, np.append(~(np.abs(f0) <= leader.input_bound + _BOUND_SLACK), True).argmax()
 
-    # rk4 evaluates k1..k4 into K[0], K[4], K[5], K[3] and writes 2 k2, 2 k3
-    # into K[1], K[2], so three adds sum ((k1 + 2 k2) + 2 k3) + k4.
+    # rk4 evaluates k1..k4 into K[0..3] and writes 2 k2, 2 k3 into a scratch
+    # of its own (K keeps the slopes Diverged reads), so three adds sum
+    # ((k1 + 2 k2) + 2 k3) + k4.
     rk4 = cfg.method == "rk4"
-    stage_rows = (0, 4, 5, 3) if rk4 else (0,)
-    X, K, stages = _stacked_kernel(N, n, cfg.sign_smoothing, stage_rows)
+    X, K, stages = _stacked_kernel(N, n, cfg.sign_smoothing, 4 if rk4 else 1)
     Z, K0 = X[0], K[0]  # the state, N leader copies over the estimates; stage 1 reads it in place
     Z[:N], Z[N:] = leader.initial_state, E
     rhs0 = stages[0]
     if rk4:
         X1, X2, X3 = X[1:]
-        K1, K2, K3, K_doubled, K_mid = K[4], K[5], K[3], K[1:3], K[4:]
+        K1, K2, K3 = K[1:]
+        K_mid, K_doubled = K[1:3], np.empty_like(K[1:3])
         K1_doubled, K2_doubled = K_doubled
         _, rhs1, rhs2, rhs3 = stages
     T, A, Zf = np.empty_like(Z), np.empty_like(Z), Z.reshape(-1)  # step increment; |Z|; Z flat
@@ -381,7 +382,7 @@ def run(
                 if not sum_sq(Zf) < thr2:  # exact max |Z| test only past the pre-check
                     peak = np.maximum.reduce(np.abs(Z, A), axis=None)
                     if not (math.isfinite(peak) and peak <= cfg.divergence_threshold):
-                        raise Diverged(tn if np.isfinite(K[stage_rows, N:]).all() else t)
+                        raise Diverged(tn if np.isfinite(K[:, N:]).all() else t)
                 if keep:
                     next(rows)[...] = Z[N - 1 :]
             if stop < len(ts) - 1:  # that step raises: sample bad is the first bad one it reads

@@ -20,6 +20,7 @@ from oracles import (
     cofactor_inverse,
     leader_reaches_all,
     random_spanning_topology,
+    svd_singular_verdict,
 )
 
 
@@ -233,6 +234,20 @@ def test_svd_fallback_takes_rho_from_the_certificate(monkeypatch):
     rho = ptobs.build_analysis(topo).rho
     assert calls == ["solve", "solve", "svd"]
     assert rho.tobytes() == solve(ptobs.sub_laplacian(topo).T, np.ones(3)).tobytes()
+
+
+def test_subnormal_rho_proves_nothing_and_the_svd_decides(monkeypatch):
+    # One follower pinned at 1e308: rho = 1e-308 is subnormal, so the
+    # certificate proves nothing and the SVD decides, as the oracle does.
+    topo = ptobs.DirectedTopology(adjacency=[[0.0]], pinning=[1e308])
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append("svd") or svd(*a, **k))
+    a = ptobs.build_analysis(topo)
+    assert calls == ["svd"]
+    monkeypatch.undo()
+    assert a.rho.tolist() == [1e-308]
+    assert abs(a.lambda_min - 1.0) <= 4 * np.spacing(1.0)
+    assert not svd_singular_verdict(a.sub_laplacian)[1]
 
 
 def test_mirror_with_H_digraph1(digraph1):

@@ -117,20 +117,6 @@ def test_divergence_precheck_dot_equals_vdot_bit_for_bit(N, scale):
                 assert not y.dot(y) < thr2 and not np.vdot(y, y) < thr2
 
 
-@pytest.mark.parametrize("N", [3, 40, 120])
-def test_rk4_stage_sum_equals_reduce_bit_for_bit(N):
-    # sim.run sums K[0] .. K[3] (k1, 2 k2, 2 k3, k4) with three positional
-    # adds; np.add.reduce(K[:4], axis=0) gave ((k1 + 2 k2) + 2 k3) + k4 too.
-    rng = np.random.default_rng(7 + N)
-    T = np.empty((2 * N, 3))
-    for _ in range(20):
-        K = rng.normal(size=(6, 2 * N, 3)) * 10.0 ** rng.integers(-8, 9, size=(6, 2 * N, 3))
-        np.add(K[0], K[1], T)
-        np.add(T, K[2], T)
-        np.add(T, K[3], T)
-        assert T.tobytes() == np.add.reduce(K[:4], axis=0).tobytes()
-
-
 @pytest.mark.parametrize("smoothing", [None, 0.05])
 @pytest.mark.parametrize("n", [1, 3])
 @pytest.mark.parametrize("N", [1, 4, 40])

@@ -372,6 +372,23 @@ def test_divergence_by_overflow_reports_step_time(digraph1, cascade, method, whe
     assert info.value.time == pytest.approx(when, abs=1e-12)
 
 
+def test_divergence_from_a_doubled_slope_reports_step_end():
+    # Every rk4 slope is finite (about -1.5e308) but 2 k2 overflows, so the
+    # first step's state turns non-finite from a finite derivative and the
+    # run reports the step's end.  Doubling k2 and k3 where the slopes are
+    # kept would read as a non-finite derivative and report its start.
+    topo = ptobs.DirectedTopology(adjacency=[[0.0]], pinning=[1.0])
+    sched = ptobs.CascadeSchedule(t0=0.0, stage_durations=(0.2,), exponent=2.01)
+    gains = ptobs.ObserverGains(alpha=1.0, beta=0.0, sigma=0.0)
+    cfg = ptobs.SimConfig(t0=0.0, t_end=0.2, dt=1e-3, method="rk4")
+    with pytest.raises(Diverged) as info:  # and no numpy warning
+        ptobs.run(
+            ptobs.TopologySequence.static(topo, 0.0), _zero_leader(1, x0=np.zeros(1), bound=0.0),
+            gains, sched, np.array([[1.5e308]]), cfg,
+        )
+    assert info.value.time == 0.001
+
+
 @pytest.mark.parametrize("method", ["rk4", "euler"])
 @pytest.mark.parametrize("scale", [1.0, 1e154, 1e-160, 1e-170])
 def test_divergence_threshold_boundary_is_exact(digraph1, cascade, method, scale):
