@@ -29,8 +29,8 @@ Sections and keys:
     [output]            directory, csv = on|off
 
 A value that does not convert, a key its section does not hold, and a few
-range checks no model can place (order, followers, sign_smoothing, period,
-non-finite initial estimates), name the key's line.  Every other
+range checks no model can place (order, followers, period, non-finite
+initial estimates), name the key's line.  Every other
 check belongs to the model a section builds, and is reported under that
 section: non-finite or out-of-range values for the leader, the cascade (t0,
 stage durations, exponent), the switching signal (switch times, common_h),
@@ -385,9 +385,6 @@ def build_experiment(doc: ConfigDocument) -> Experiment:
             exponent=doc.scalar("cascade", "exponent", 2.01),
         )
 
-    smoothing = doc.scalar("sim", "sign_smoothing", None)
-    if smoothing is not None and not 0.0 < smoothing < np.inf:
-        doc._fail("sim", "sign_smoothing", "must be finite and positive when given")
     with doc._section_errors("sim"):
         sim_cfg = SimConfig(
             t0=t0,
@@ -397,7 +394,7 @@ def build_experiment(doc: ConfigDocument) -> Experiment:
             guard=doc.scalar("sim", "guard", SimConfig.guard),
             convergence_tolerance=doc.scalar("sim", "tolerance", SimConfig.convergence_tolerance),
             record_stride=doc.integer("sim", "record_stride", SimConfig.record_stride),
-            sign_smoothing=smoothing,
+            sign_smoothing=doc.scalar("sim", "sign_smoothing", None),
         )
 
     common_H = None

@@ -133,6 +133,6 @@ def rate_ratio(w: ScalingWindow, t: float | np.ndarray, guard: float) -> float |
     return np.where(inside, w.exponent / np.maximum(w.end - t, guard), 0.0)[()]
 
 
-def stage_gain(sched: CascadeSchedule, stage_k: int, t: float, guard: float) -> float:
-    """Rate ratio of stage k's window at time t (the observer scales it by beta)."""
+def stage_gain(sched: CascadeSchedule, stage_k: int, t: float | np.ndarray, guard: float) -> float | np.ndarray:
+    """Rate ratio of stage k's window at t, a scalar or an array (the observer scales it by beta)."""
     return rate_ratio(sched.window(stage_k), t, guard)

@@ -24,7 +24,8 @@ the rho weights).
 
 One kernel evaluates this right-hand side for the integrator and for dpto_rhs,
 over preallocated buffers: the integrator allocates them once per run,
-dpto_rhs afresh per call.
+dpto_rhs afresh per call.  One gain-row sampler, _gain_rows, gives both their
+stage gains, at one time or at an array of times.
 """
 
 from __future__ import annotations
@@ -179,9 +180,12 @@ def local_errors(analysis: GraphAnalysis, estimates: np.ndarray, x0: np.ndarray)
     return analysis.sub_laplacian @ (estimates - np.asarray(x0, dtype=float)[None, :])
 
 
-def _gain_row(g: np.ndarray, f0: np.ndarray, N: int, sigma: float) -> np.ndarray:
-    # [g per follower | f0 per leader copy | -sigma per follower]: g (n,) or (times, n), f0 (1,) or (times, 1).
-    return np.concatenate([g] * N + [f0] * N + [np.full_like(f0, -sigma)] * N, axis=-1)
+def _gain_rows(gains: ObserverGains, sched: CascadeSchedule, guard: float, t, f0: np.ndarray, N: int):
+    # [alpha + beta r_k(t) per follower | f0 per leader copy | -sigma per follower] at t, a time or
+    # an array of times; the caller samples f0(t) as (1,) or (times, 1).
+    rates = np.array([stage_gain(sched, k, t, guard) for k in range(1, sched.order + 1)]).T
+    g = np.add(gains.alpha, gains.beta * rates, rates)
+    return np.concatenate([g] * N + [f0] * N + [np.full_like(f0, -gains.sigma)] * N, axis=-1)
 
 
 def _stacked_kernel(N: int, n: int, smoothing: float | None, stage_count: int = 1):
@@ -192,7 +196,7 @@ def _stacked_kernel(N: int, n: int, smoothing: float | None, stage_count: int = 
     same-shape subtraction.  stages[s](L0_dot, g), bound once to its views,
     writes the derivative of X[s] into K[s] in 6 numpy calls (hard sign).
     L0_dot is the active L0's bound BLAS dot, L0.dot (the dgemm of np.dot and
-    L0 @ D, checked bit for bit); g is a _gain_row of the stage gains
+    L0 @ D, checked bit for bit); g is a _gain_rows row of the stage gains
     alpha + beta r_k(t) and the input f0(t), both sampled by the caller, so
     one multiply of [psi | ones | sign(psi_n)] by g gives g * psi, f0 and
     -sigma sign(psi_n).  It allocates nothing, checks no shapes and calls no
@@ -249,9 +253,8 @@ def dpto_rhs(
     estimates, x0 = np.asarray(estimates, dtype=float), np.asarray(x0, dtype=float)
     if estimates.shape != (N, n) or x0.shape != (n,):
         raise DimensionMismatch(f"need estimates ({N}, {n}) and x0 ({n},)")
-    rates = [stage_gain(sched, k, t, guard) for k in range(1, n + 1)]
     # out is the estimate rows alone; the leader copies' rows read a zero input.
-    g = _gain_row(gains.alpha + gains.beta * np.array(rates), np.zeros(1), N, gains.sigma)
+    g = _gain_rows(gains, sched, guard, t, np.zeros(1), N)
     X, K, (rhs,) = _stacked_kernel(N, n, sign_smoothing)  # fresh: out owns K
     X[0, :N], X[0, N:] = x0, estimates
     rhs(analysis_at_t.sub_laplacian.dot, g)

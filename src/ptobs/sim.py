@@ -10,12 +10,12 @@ steps and samples take) and the record points.  The loop steps one stacked
 state in place through the observer kernel's stage functions (6 numpy calls
 each).  Each gain block samples its times once, in time order (rk4 puts
 each t + h/2 between t and t + h), into one array of extended gain rows of
-about _GAIN_BLOCK doubles: the stage gains (one rate_ratio call per stage
-window) and f0(t) (one input call per time).  The first step that reads f0
-past its bound raises.  The loop writes [x0; estimates] into one snapshot
-array at record points.  The plan goes, the errors overwrite the
-estimates there, and psi, V and the envelope (one decay_budget call per
-stage, over its run of samples) follow.  A numpy call on these small arrays
+about _GAIN_BLOCK doubles: the stage gains (through observer._gain_rows, one
+stage_gain call per stage) and f0(t) (one input call per time).  The first
+step that reads f0 past its bound raises.  The loop writes [x0; estimates]
+into one snapshot array at record points.  The plan goes, the errors
+overwrite the estimates there, and psi, V and the envelope (one decay_budget
+call per stage, over its run of samples) follow.  A numpy call on these small arrays
 costs its dispatch, so every call passes out positionally, rk4 sums its
 stages with three adds, and each step's divergence check is one bound BLAS
 dot, Zf.dot(Zf), against threshold squared; the exact max |Z| test runs only
@@ -32,9 +32,9 @@ from itertools import islice
 import numpy as np
 
 from .errors import DimensionMismatch, Diverged
-from .gain import CascadeSchedule, rate_ratio, varsigma
+from .gain import CascadeSchedule, varsigma
 from .graph import GraphAnalysis, TopologySequence
-from .observer import _BOUND_SLACK, LeaderModel, ObserverGains, _gain_row, _leader_input, _stacked_kernel
+from .observer import _BOUND_SLACK, LeaderModel, ObserverGains, _gain_rows, _leader_input, _stacked_kernel
 from .observer import _weighted_energy
 from .observer import dpto_rhs, leader_rhs, local_errors  # noqa: F401  (public forms, wrapped by perfbench)
 
@@ -311,13 +311,6 @@ def run(
 
     L0s = [a.sub_laplacian.dot for a in analyses]  # bound BLAS dots: no np.dot dispatch per stage
 
-    def gain_rows(times: np.ndarray):
-        # The gain rows and f0 at times (one input call each), and the first f0 "not <=" its bound, else size.
-        rates = np.stack([rate_ratio(w, times, cfg.guard) for w in windows], axis=1)  # g overwrites it
-        f0 = np.fromiter((float(leader.input_fn(t)) for t in times.tolist()), float, times.size)
-        g = _gain_row(np.add(gains.alpha, gains.beta * rates, out=rates), f0[:, None], N, gains.sigma)
-        return g, f0, np.append(~(np.abs(f0) <= leader.input_bound + _BOUND_SLACK), True).argmax()
-
     # rk4 evaluates k1..k4 into K[0..3] and writes 2 k2, 2 k3 into a scratch
     # of its own (K keeps the slopes Diverged reads), so three adds sum
     # ((k1 + 2 k2) + 2 k3) + k4.
@@ -350,7 +343,10 @@ def run(
             P = slice(P0, min(P0 + block, grid.size - 1) + 1)  # the block's steps and end point
             ts = grid[P]  # rk4 also samples t + 0.5 h between t and t + h: one gain row per time, in order
             samples = np.insert(ts, np.arange(1, ts.size), ts[:-1] + 0.5 * np.diff(ts)) if rk4 else ts
-            g, f0, bad = gain_rows(samples)
+            f0 = np.fromiter((float(leader.input_fn(t)) for t in samples.tolist()), float, samples.size)
+            g = _gain_rows(gains, sched, cfg.guard, samples, f0[:, None], N)
+            # The first f0 "not <=" its bound, else the sample count.
+            bad = np.append(~(np.abs(f0) <= leader.input_bound + _BOUND_SLACK), True).argmax()
             stop = max(bad - 1, 0) // 2 if rk4 else bad  # steps before the first that reads sample bad
             ts = ts.tolist()
             step = zip(ts, ts[1:], [L0s[j] for j in topo[P].tolist()],

@@ -5,9 +5,11 @@ assembled from cofactors, the smallest eigenvalue comes from closed-form
 roots of the characteristic polynomial (sizes up to 3 only), and the
 singularity verdict from a plain SVD.  The switching schedule, step-count and
 input-read oracles work one entry at a time, in plain Python, and
-reachability comes from a boolean transitive closure.  Two trace readers:
-the whole-file reader `read_trace` used before it streamed rows, kept
-verbatim, and a per-line reference of the reader's specification that
+reachability comes from a boolean transitive closure.  `reference_rk4` steps
+the observer with the per-component derivative and the gain law written out
+inline, sharing no code with the library's kernel or gain rows.  Two trace
+readers: the whole-file reader `read_trace` used before it streamed rows,
+kept verbatim, and a per-line reference of the reader's specification that
 parses numbers with float() rather than numpy.
 """
 
@@ -134,6 +136,46 @@ def componentwise_dpto(topo, g, sigma, estimates, x0, smoothing=None):
             sgn = p / (abs(p) + smoothing)
         out[i, n - 1] = -sigma * sgn - g[n - 1] * p
     return out
+
+
+def reference_rk4(grid, topologies, leader, gains, sched, guard, estimates, smoothing=None):
+    """Classical rk4 over a given step grid, one follower and stage at a time.
+
+    Step i runs grid[i] -> grid[i + 1] under topologies[i].  The derivative is
+    componentwise_dpto's; stage k's gain is alpha + beta h / max(end - t, guard)
+    on its window [start, end) (h the schedule's exponent) and alpha elsewhere,
+    the windows laid out from t0 top stage first; the leader input f0(t) is
+    called at every rk4 stage.  Returns the leader states (points, n) and the
+    estimates (points, N, n) at every grid point.
+    """
+    n = len(sched.stage_durations)
+    windows = [None] * n  # windows[k - 1] = (start, end) of stage k
+    start = sched.t0
+    for k in range(n, 0, -1):
+        end = start + sched.stage_durations[k - 1]
+        windows[k - 1] = (start, end)
+        start = end
+
+    def f(t, x, e, topo):
+        g = [gains.alpha + gains.beta * sched.exponent / max(b - t, guard) if a <= t < b else gains.alpha
+             for a, b in windows]
+        dx = np.array([*x[1:], float(leader.input_fn(t))])
+        return dx, componentwise_dpto(topo, g, gains.sigma, e, x, smoothing)
+
+    x = np.array(leader.initial_state, dtype=float)
+    e = np.array(estimates, dtype=float)
+    xs, es = [x], [e]
+    for t, tn, topo in zip(grid, grid[1:], topologies):
+        h = tn - t
+        k1 = f(t, x, e, topo)
+        k2 = f(t + 0.5 * h, x + 0.5 * h * k1[0], e + 0.5 * h * k1[1], topo)
+        k3 = f(t + 0.5 * h, x + 0.5 * h * k2[0], e + 0.5 * h * k2[1], topo)
+        k4 = f(tn, x + h * k3[0], e + h * k3[1], topo)
+        x = x + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        e = e + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        xs.append(x)
+        es.append(e)
+    return np.array(xs), np.array(es)
 
 
 def random_spanning_topology(rng, max_followers=6):

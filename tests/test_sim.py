@@ -12,6 +12,7 @@ from ptobs.gain import varsigma
 from ptobs.sim import _GAIN_BLOCK, _event_grid, _step_plan, decay_budget, detect_convergence
 from ptobs.trace import TraceData
 from conftest import BUNDLED_CONFIG, ETA, INITIAL_ESTIMATES, perfbench_workloads, traced_peak
+from oracles import reference_rk4
 
 
 def _zero_leader(order, x0=None, bound=0.125):
@@ -530,6 +531,29 @@ def test_integrator_matches_public_rhs_exactly(digraph1, digraph2, sine_leader, 
     else:
         assert len(res.times) == 301
     _public_rhs_replay(res, seq, leader, gains, sched, estimates, cfg)
+
+
+@pytest.mark.parametrize("case", ["bundled-switch-every-0.005", "smoothing", "wide-7"])
+def test_run_matches_the_reference_stepper(tmp_path, case):
+    # The exact replay above shares _gain_rows with the loop; reference_rk4
+    # shares no code with either, so it also checks which gain each stage reads.
+    overrides = ["sim.t_end=0.02", "sim.record_stride=1"]
+    if case == "wide-7":
+        path = tmp_path / "wide.cfg"
+        path.write_text(perfbench_workloads().wide_config(5, 0, 7)[2])
+    else:
+        path = BUNDLED_CONFIG
+        overrides += ["switching.period=0.005"] + (["sim.sign_smoothing=0.05"] if case == "smoothing" else [])
+    exp = load_experiment(str(path), overrides)
+    seq, cfg = exp.sequence, exp.sim
+    gains = exp.gains or ptobs.synthesize_gains(seq.analyses(), exp.leader.input_bound, exp.margins)
+    res = ptobs.run(seq, exp.leader, gains, exp.sched, exp.initial_estimates, cfg)
+    grid, topo, _ = _step_plan(cfg, *_event_grid(cfg, exp.sched, seq))
+    assert np.array_equal(res.times, grid) and grid.size == 201
+    x0, E = reference_rk4(grid.tolist(), [seq.topologies[j] for j in topo[:-1].tolist()], exp.leader,
+                          gains, exp.sched, cfg.guard, exp.initial_estimates, cfg.sign_smoothing)
+    for got, want in ((res.leader_states, x0), (res.estimate_errors, E - x0[:, None, :])):
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 def test_input_bound_violation_propagates(digraph1, cascade):
