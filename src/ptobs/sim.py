@@ -1,26 +1,26 @@
 """Event-aligned fixed-step integration of the coupled leader/observer system.
 
-Every stage-window boundary, topology switch and t_end lands exactly on a
-step boundary (dt is shortened locally before each event), so no step
-straddles a switch; a switch within the merge tolerance of another event
-takes effect at that event.  One step plan, built before the loop from the
-switching signal's arrays (O(steps) memory: 10 bytes a step, 16 while it is
-built), holds the grid points, the right-continuous topology at each (which
-steps and samples take) and the record points.  The loop steps one stacked
-state in place through the observer kernel's stage functions (6 numpy calls
-each).  Each gain block samples its times once, in time order (rk4 puts
-each t + h/2 between t and t + h), into one array of extended gain rows of
-about _GAIN_BLOCK doubles: the stage gains (through observer._gain_rows, one
-stage_gain call per stage) and f0(t) (one input call per time).  The first
-step that reads f0 past its bound raises.  The loop writes [x0; estimates]
-into one snapshot array at record points.  The plan goes, the errors
-overwrite the estimates there, and psi, V and the envelope (one decay_budget
-call per stage, over its run of samples) follow.  A numpy call on these small arrays
-costs its dispatch, so every call passes out positionally, rk4 sums its
-stages with three adds, and each step's divergence check is one bound BLAS
-dot, Zf.dot(Zf), against threshold squared; the exact max |Z| test runs only
-when that fails, so both stop a run at the same step.  Bit-identical to
-stepping leader_rhs and dpto_rhs.
+run has three parts.  _plan builds the step plan before the loop: every
+stage-window boundary, topology switch and t_end lands exactly on a step
+boundary (dt is shortened locally before each event), so no step straddles
+a switch, and a switch within the merge tolerance of another event takes
+effect at that event.  The plan (O(steps) memory: 10 bytes a step, 16 while
+it is built) holds the grid points, the right-continuous topology at each
+(which steps and samples take) and the record points; the event log comes
+with it.  Per gain block, _block_rows samples the block's times once, in
+time order (rk4 puts each t + h/2 between t and t + h), into one array of
+about _GAIN_BLOCK doubles of observer._gain_rows rows (one stage_gain call
+per stage, one input call per time), and finds the first step that reads f0
+past its bound, which raises.  The loop steps one stacked state in place
+through the observer kernel's stage functions (6 numpy calls each) over
+those rows, writing [x0; estimates] into one snapshot array at record
+points.  Then the plan goes, the errors overwrite the estimates, and psi, V
+and the envelope (one decay_budget call per stage) follow.  A numpy call on
+these small arrays costs its dispatch, so every call passes out
+positionally, rk4 sums its stages with three adds, and each step's
+divergence check is one bound BLAS dot, Zf.dot(Zf), against threshold
+squared; the exact max |Z| test runs only when that fails, so both stop a
+run at the same step.  Bit-identical to stepping leader_rhs and dpto_rhs.
 """
 
 from __future__ import annotations
@@ -66,6 +66,8 @@ class SimConfig:
         # Written as "not ..." so a NaN setting fails the check too.
         if not -np.inf < self.t0 < self.t_end < np.inf:
             raise DimensionMismatch(f"need finite t0 < t_end, got {self.t0}, {self.t_end}")
+        if not float(self.t_end) - float(self.t0) < np.inf:  # Python floats: no overflow warning
+            raise DimensionMismatch("t_end - t0 must be finite")
         spacing = 2.0 * math.ulp(max(abs(self.t0), abs(self.t_end)))
         if not spacing < self.dt < np.inf:
             raise DimensionMismatch(
@@ -234,14 +236,26 @@ def _event_grid(cfg: SimConfig, sched: CascadeSchedule, topos: TopologySequence)
     return events, np.concatenate(([indices[0] - 1], j))[last].astype(small)
 
 
-def _step_plan(cfg: SimConfig, events: np.ndarray, active: np.ndarray):
-    """Grid points of _event_grid's events, the 0-based topology at each, and which are recorded.
+def _plan(cfg: SimConfig, sched: CascadeSchedule, topos: TopologySequence):
+    """The step plan (grid, topo, rec) over _event_grid's events, and the run's event log.
 
-    Step P runs grid[P] -> grid[P + 1] under topo[P]; segment s's points are
+    Step P runs grid[P] -> grid[P + 1] under topo[P], 0-based; segment s's points are
     events[s] + j * dt for j below its step count: round(span / dt) when
     that many dt land within 1e-9 dt of the next event, else one more than
     the whole dt that fit.  Events and every record_stride-th point are
-    recorded; a stride of at least the point count records the events alone."""
+    recorded; a stride of at least the point count records the events alone.
+    The log holds the window openings and closings in [t0, t_end] and the switches, in time order."""
+    windows = map(sched.window, range(1, sched.order + 1))
+    event_log = [(t, f"stage {k} window {what}") for k, w in enumerate(windows, start=1)
+                 for t, what in ((w.start, "opens"), (w.end, "closes")) if cfg.t0 <= t <= cfg.t_end]
+    events, active = _event_grid(cfg, sched, topos)
+    # A switch is logged at each event where the active topology changes, so a
+    # merged switch is logged at the event it merged into and a cancelled one
+    # not at all; "+ 0.0" logs an event at -0.0 as the plan's point +0.0.
+    switched = np.flatnonzero(np.concatenate(([active[0] != topos.indices[0] - 1], active[1:] != active[:-1])))
+    labels = [f"switch to topology {j}" for j in range(1, len(topos.topologies) + 1)]  # one string each
+    event_log += [(t, labels[j]) for t, j in zip((events[switched] + 0.0).tolist(), active[switched].tolist())]
+    event_log.sort(key=lambda item: item[0])  # stable: stage entries first at a shared time
     span = np.diff(events) / cfg.dt
     m = np.rint(span)  # round half to even, as round() does
     fits = (m >= 1) & (np.abs(events[:-1] + m * cfg.dt - events[1:]) <= 1e-9 * cfg.dt)
@@ -257,10 +271,30 @@ def _step_plan(cfg: SimConfig, events: np.ndarray, active: np.ndarray):
         topo = np.repeat(active, counts)
         rec = np.zeros(grid.size, dtype=bool)
         rec[:: min(cfg.record_stride, grid.size)] = rec[starts] = True
-        return grid, topo, rec
+        return grid, topo, rec, event_log
     except MemoryError:
         msg = f"dt = {cfg.dt:g} plans {steps.sum():g} steps, too many to hold in memory"
         raise DimensionMismatch(msg) from None
+
+
+def _block_rows(leader: LeaderModel, gains: ObserverGains, sched: CascadeSchedule, guard: float,
+                ts: np.ndarray, N: int, rk4: bool):
+    """The gain rows of the steps over plan points ts, how many steps run, and the bad input read.
+
+    The rows each step reads at t, t + h/2 and t + h (euler reads only the
+    first) are views of one _gain_rows array, sampled once per time in time
+    order: rk4 puts each t + h/2 between t and t + h.  The steps that run are
+    those before the first that reads an f0 past its bound; that read's
+    (time, f0), or None."""
+    samples = np.insert(ts, np.arange(1, ts.size), ts[:-1] + 0.5 * np.diff(ts)) if rk4 else ts
+    f0 = np.fromiter((float(leader.input_fn(t)) for t in samples.tolist()), float, samples.size)
+    g = _gain_rows(gains, sched, guard, samples, f0[:, None], N)
+    # The first f0 "not <=" its bound, else the sample count.
+    bad = np.append(~(np.abs(f0) <= leader.input_bound + _BOUND_SLACK), True).argmax()
+    stop = min(max(bad - 1, 0) // 2 if rk4 else bad, ts.size - 1)  # steps before the first that reads it
+    read = (float(samples[bad]), float(f0[bad])) if stop < ts.size - 1 else None
+    per = 2 if rk4 else 1  # step i reads rows per i (t), per i + 1 (rk4's t + h/2) and per i + per (t + h)
+    return (g[::per], g[1::per], g[per::per]), stop, read
 
 
 def run(
@@ -292,22 +326,7 @@ def run(
 
     analyses = topos.analyses()
     worst = min(analyses, key=lambda a: a.lambda_min)  # envelope uses the worst topology
-    windows = [sched.window(k) for k in range(1, n + 1)]
-    event_log = [
-        (t, f"stage {k} window {what}")
-        for k, w in enumerate(windows, start=1)
-        for t, what in ((w.start, "opens"), (w.end, "closes"))
-        if cfg.t0 <= t <= cfg.t_end
-    ]
-    events, active = _event_grid(cfg, sched, topos)
-    # A switch is logged at each event where the active topology changes, so a
-    # merged switch is logged at the event it merged into and a cancelled one
-    # not at all; "+ 0.0" logs an event at -0.0 as the plan's point +0.0.
-    switched = np.flatnonzero(np.concatenate(([active[0] != topos.indices[0] - 1], active[1:] != active[:-1])))
-    labels = [f"switch to topology {j}" for j in range(1, len(analyses) + 1)]  # one string each
-    event_log += [(t, labels[j]) for t, j in zip((events[switched] + 0.0).tolist(), active[switched].tolist())]
-    event_log.sort(key=lambda item: item[0])  # stable: stage entries first at a shared time
-    grid, topo, rec = _step_plan(cfg, events, active)
+    grid, topo, rec, event_log = _plan(cfg, sched, topos)
 
     L0s = [a.sub_laplacian.dot for a in analyses]  # bound BLAS dots: no np.dot dispatch per stage
 
@@ -335,22 +354,14 @@ def run(
     snaps = np.empty((np.count_nonzero(rec), N + 1, n))  # [x0; estimates] per recorded point
     snaps[0] = Z[N - 1 :]
     rows = iter(snaps[1:])  # the rows the loop fills, in order
-    per = 2 if rk4 else 1  # step i reads gain rows per i (t), per i + 1 (rk4's t + h/2) and per i + per (t + h)
-    block = max(1, _GAIN_BLOCK // (per * N * (n + 2)))  # steps per block: rows of N (n + 2) doubles
+    block = max(1, _GAIN_BLOCK // ((2 if rk4 else 1) * N * (n + 2)))  # steps per block: rows of N (n + 2) doubles
     # Every overflow or NaN in a step leaves Z non-finite, and Diverged reports it.
     with np.errstate(over="ignore", invalid="ignore"):
         for P0 in range(0, grid.size - 1, block):
             P = slice(P0, min(P0 + block, grid.size - 1) + 1)  # the block's steps and end point
-            ts = grid[P]  # rk4 also samples t + 0.5 h between t and t + h: one gain row per time, in order
-            samples = np.insert(ts, np.arange(1, ts.size), ts[:-1] + 0.5 * np.diff(ts)) if rk4 else ts
-            f0 = np.fromiter((float(leader.input_fn(t)) for t in samples.tolist()), float, samples.size)
-            g = _gain_rows(gains, sched, cfg.guard, samples, f0[:, None], N)
-            # The first f0 "not <=" its bound, else the sample count.
-            bad = np.append(~(np.abs(f0) <= leader.input_bound + _BOUND_SLACK), True).argmax()
-            stop = max(bad - 1, 0) // 2 if rk4 else bad  # steps before the first that reads sample bad
-            ts = ts.tolist()
-            step = zip(ts, ts[1:], [L0s[j] for j in topo[P].tolist()],
-                       g[::per], g[1::per], g[per::per], rec[P][1:].tolist())
+            g, stop, bad = _block_rows(leader, gains, sched, cfg.guard, grid[P], N, rk4)
+            ts = grid[P].tolist()
+            step = zip(ts, ts[1:], [L0s[j] for j in topo[P].tolist()], *g, rec[P][1:].tolist())
             for t, tn, L0, ga, gm, gn, keep in islice(step, stop):
                 h = tn - t
                 if h != h_set:
@@ -381,12 +392,13 @@ def run(
                         raise Diverged(tn if np.isfinite(K[:, N:]).all() else t)
                 if keep:
                     next(rows)[...] = Z[N - 1 :]
-            if stop < len(ts) - 1:  # that step raises: sample bad is the first bad one it reads
-                _leader_input(leader, float(samples[bad]), float(f0[bad]))
-            # The rows ga, gm, gn are views: the block's gain arrays go only with them.
-            del g, f0, samples, ts, step, ga, gm, gn
+            if bad is not None:  # the step after the last that ran reads it first
+                _leader_input(leader, *bad)
+            # The rows ga, gm, gn are views: the block's gain array goes only with them.
+            del g, ts, step, ga, gm, gn
 
     # Diagnostics under the plan's topology at each sample; snaps becomes [x0; errors].
+    windows = [sched.window(k) for k in range(1, n + 1)]
     times, active = grid[rec], topo[rec]
     del grid, topo, rec
     errors = np.subtract(snaps[:, 1:], snaps[:, :1], out=snaps[:, 1:])

@@ -7,7 +7,9 @@ topologies (the computed bound differs), so the synthesized-beta run must
 itself satisfy the criterion-1 error bands.
 """
 
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ CFG = str(BUNDLED_CONFIG)
 BANDS = {3: 0.25, 2: 0.45, 1: 0.65}
 TOL = 0.01
 PUBLISHED_BETA = 5.692
+REFERENCES = Path(__file__).resolve().parent / "data" / "references.json"  # tests/make_references.py
 
 
 def _report(num: int, ok: bool, detail: str):
@@ -73,6 +76,16 @@ def test_criterion_1_cascade_convergence(criterion1_run):
     taus = result.convergence_times
     for k, latest in BANDS.items():
         assert taus[k - 1] is not None and taus[k - 1] <= latest
+
+
+def test_convergence_times_match_the_fine_step_reference(bundled, criterion1_run):
+    # The reference ran the bundled config at dt 1e-5 and recorded every step;
+    # the default run records every 1e-3 s, so it may differ by one such step.
+    reference = json.loads(REFERENCES.read_text())["cases"]["bundled"]
+    result, _ = criterion1_run
+    step = bundled.sim.record_stride * bundled.sim.dt
+    for tau, ref in zip(result.convergence_times, reference["convergence_times"], strict=True):
+        assert tau is not None and abs(tau - ref) <= step
 
 
 def test_criterion_2_beta_synthesis(bundled):

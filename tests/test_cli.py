@@ -911,6 +911,23 @@ def test_run_non_finite_setting_exits_1(tmp_path, capsys, override, section):
     assert not (tmp_path / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["analyze", "run"])
+@pytest.mark.parametrize("override", ["switching.period=1e300", "switching.schedule=-1e308:1"])
+def test_time_span_past_the_doubles_exits_1(tmp_path, capsys, command, override):
+    # t0 and t_end are finite, but t_end - t0 = 2e308 is not: the period's
+    # switch count and the plan's event spans would overflow.
+    settings = ["cascade.t0=-1e308", "sim.t_end=1e308", "sim.dt=1e300", "sim.guard=1e300", override]
+    argv = [command, "--config", CFG, "--quiet", "--out", str(tmp_path)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv + [a for s in settings for a in ("--set", s)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert err[0].endswith("[sim]: t_end - t0 must be finite")
+    assert [str(w.message) for w in caught] == []
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def test_report_generates_deterministic_svgs(tmp_path, capsys):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"

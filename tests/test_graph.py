@@ -63,6 +63,16 @@ def test_numerically_singular_laplacian_raises():
     )
 
 
+def test_exactly_singular_laplacian_fails_the_certificate_solve():
+    # Reachable, as 1e-14 > EDGE_EPS, but 1e3 + 1e-14 == 1e3: L0 is exactly
+    # singular, so the certificate's solve fails and proves nothing.
+    topo = ptobs.DirectedTopology(adjacency=[[0, 1e3], [1e3, 0]], pinning=[1e-14, 0])
+    assert ptobs.has_spanning_tree(topo)
+    assert ptobs.graph._sigma_min_certificate(ptobs.graph.sub_laplacian(topo)) == (None, 0.0)
+    with pytest.raises(SingularLaplacian):
+        ptobs.build_analysis(topo)
+
+
 def test_singular_tolerance_does_not_overflow():
     # L0's column sums overflow although L0 is finite and sigma_min = 5e299;
     # the tolerance is taken on L0 scaled by 2^-64, so the analysis is built.

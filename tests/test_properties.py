@@ -20,7 +20,7 @@ import ptobs.sim
 from ptobs.config import load_experiment
 from ptobs.errors import DimensionMismatch, InputBoundViolated, SingularLaplacian
 from ptobs.observer import _stacked_kernel
-from ptobs.sim import _EVENT_MERGE_TOL, _event_grid, _step_plan
+from ptobs.sim import _EVENT_MERGE_TOL, _event_grid, _plan
 from conftest import BUNDLED_CONFIG, schedule_pairs
 from oracles import input_reads, segment_steps, svd_singular_verdict
 
@@ -159,7 +159,7 @@ def test_event_grid_equals_quadratic_scan(case):
 @given(st.one_of(_schedules(), _long_schedules()))
 def test_step_plan_topology_and_records(case):
     cfg, sched, seq = case
-    grid, topo, rec = _step_plan(cfg, *_event_grid(cfg, sched, seq))
+    grid, topo, rec = _plan(cfg, sched, seq)[:3]
     events, moved = _scan_event_grid(cfg, sched, seq)
     # Every point (so every step's start and every sample) runs under the
     # schedule's topology once each switch is moved to the event it merged into.
@@ -246,7 +246,7 @@ def test_event_grid_far_from_zero(case):
         grid[-1] = e2
         assert np.all(np.diff(grid) > 0.0)
     # The whole step plan strictly increases and records every event.
-    grid, _, rec = _step_plan(cfg, *_event_grid(cfg, sched, seq))
+    grid, _, rec = _plan(cfg, sched, seq)[:3]
     assert np.all(np.diff(grid) > 0.0)
     assert np.all(np.diff(grid[rec]) > 0.0)
     assert set(events) <= set(grid[rec].tolist())
@@ -335,7 +335,7 @@ def _short_bundled_run(method):
     # The bundled config's first 100 steps (dt 1e-4) and its plan's grid.
     exp = load_experiment(str(BUNDLED_CONFIG), ["sim.t_end=0.01", f"sim.method={method}"])
     args = [exp.sequence, exp.leader, exp.gains, exp.sched, exp.initial_estimates, exp.sim]
-    return args, _step_plan(exp.sim, *_event_grid(exp.sim, exp.sched, exp.sequence))[0].tolist()
+    return args, _plan(exp.sim, exp.sched, exp.sequence)[0].tolist()
 
 
 def _counting_kernel(begun):

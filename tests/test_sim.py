@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import re
 
 import numpy as np
@@ -6,10 +7,10 @@ import pytest
 
 import ptobs
 from ptobs.errors import DimensionMismatch, Diverged, InputBoundViolated
-from ptobs.observer import dpto_rhs, leader_rhs, local_errors
+from ptobs.observer import _gain_rows, dpto_rhs, leader_rhs, local_errors
 from ptobs.config import load_experiment
 from ptobs.gain import varsigma
-from ptobs.sim import _GAIN_BLOCK, _event_grid, _step_plan, decay_budget, detect_convergence
+from ptobs.sim import _GAIN_BLOCK, _block_rows, _plan, decay_budget, detect_convergence
 from ptobs.trace import TraceData
 from conftest import BUNDLED_CONFIG, ETA, INITIAL_ESTIMATES, perfbench_workloads, traced_peak
 from oracles import reference_rk4
@@ -548,12 +549,51 @@ def test_run_matches_the_reference_stepper(tmp_path, case):
     seq, cfg = exp.sequence, exp.sim
     gains = exp.gains or ptobs.synthesize_gains(seq.analyses(), exp.leader.input_bound, exp.margins)
     res = ptobs.run(seq, exp.leader, gains, exp.sched, exp.initial_estimates, cfg)
-    grid, topo, _ = _step_plan(cfg, *_event_grid(cfg, exp.sched, seq))
+    grid, topo, _ = _plan(cfg, exp.sched, seq)[:3]
     assert np.array_equal(res.times, grid) and grid.size == 201
     x0, E = reference_rk4(grid.tolist(), [seq.topologies[j] for j in topo[:-1].tolist()], exp.leader,
                           gains, exp.sched, cfg.guard, exp.initial_estimates, cfg.sign_smoothing)
     for got, want in ((res.leader_states, x0), (res.estimate_errors, E - x0[:, None, :])):
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+@functools.cache
+def _smoothed_bundled_runs():
+    # The bundled config with sign smoothing 0.05 and guard 1e-2 to t = 0.25
+    # at dt 1e-4, 5e-5, 2.5e-5 and the reference 6.25e-6; a record stride
+    # of 100 keeps t = 0.19 in each.
+    return [
+        ptobs.run(*_bundled_args("sim.sign_smoothing=0.05", "sim.guard=1e-2", "sim.t_end=0.25",
+                                 f"sim.dt={dt}", "sim.record_stride=100"))
+        for dt in (1e-4, 5e-5, 2.5e-5, 6.25e-6)
+    ]
+
+
+def _error_ratios_per_halving(t):
+    # The largest estimate-error change from the reference run at time t, as
+    # the ratio of each dt's to the next (half as long).
+    *runs, ref = _smoothed_bundled_runs()
+
+    def at(res):
+        i = int(np.abs(res.times - t).argmin())
+        assert abs(res.times[i] - t) <= 1e-12
+        return res.estimate_errors[i]
+
+    errors = [np.max(np.abs(at(res) - at(ref))) for res in runs]
+    return [a / b for a, b in zip(errors, errors[1:])]
+
+
+def test_rk4_order_before_any_window_end():
+    # t = 0.19 lies before the first window end (0.2), so no step has crossed a
+    # gain jump: 3.55e-12, 4.31e-13 and 5.08e-14, ratios 8.24 and 8.48.
+    assert min(_error_ratios_per_halving(0.19)) >= 6.0
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 15: the step that ends on a window end reads the next segment's gain in its "
+    "last stage, so rk4 is first order across it (ratios 2.14 and 2.33)"))
+def test_rk4_order_across_a_window_end():
+    assert min(_error_ratios_per_halving(0.25)) >= 6.0
 
 
 def test_input_bound_violation_propagates(digraph1, cascade):
@@ -584,7 +624,7 @@ def _bundled_args(*overrides):
 
 def _plan_grid(args):
     seq, _, _, sched, _, cfg = args
-    return _step_plan(cfg, *_event_grid(cfg, sched, seq))[0]
+    return _plan(cfg, sched, seq)[0]
 
 
 def _block_steps(method):
@@ -624,6 +664,31 @@ def test_input_past_its_bound_in_the_diverging_step_raises_first(monkeypatch, bl
     with pytest.raises(Diverged) as diverged:
         ptobs.run(*args)
     assert diverged.value.time == t_end
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+def test_block_rows_are_the_gain_rows_at_each_read_time(method):
+    # The bundled gain block that holds stage 3's window end, where the gain
+    # jumps: step i reads rows[0][i], rows[1][i] and rows[2][i], which are
+    # _gain_rows at its t, t + h/2 and t + h (euler reads only the first).
+    args = _bundled_args("sim.t_end=0.3", f"sim.method={method}")
+    _, leader, gains, sched, _, cfg = args
+    grid, block, rk4 = _plan_grid(args), _block_steps(method), method == "rk4"
+    P0 = grid.searchsorted(sched.window(3).end) // block * block
+    ts = grid[P0 : P0 + block + 1]
+    rows, stop, bad = _block_rows(leader, gains, sched, cfg.guard, ts, 3, rk4)
+    assert (stop, bad) == (block, None)
+    ts = ts.tolist()
+    reads = list(zip(ts, [t + 0.5 * (tn - t) for t, tn in zip(ts, ts[1:])], ts[1:]))
+    for j in range(3 if rk4 else 1):
+        want = [_gain_rows(gains, sched, cfg.guard, t, np.array([float(leader.input_fn(t))]), 3)
+                for t in (r[j] for r in reads)]
+        assert len(rows[j]) >= block and np.array_equal(rows[j][:block], want)
+    # An input past its bound from step 10's first read of it on: 10 steps run.
+    t_bad = reads[10][1 if rk4 else 0]
+    leader = dataclasses.replace(leader, input_fn=_input_from(t_bad))
+    _, stop, bad = _block_rows(leader, gains, sched, cfg.guard, np.array(ts), 3, rk4)
+    assert (stop, bad) == (10, (t_bad, 1.0))
 
 
 def test_run_samples_the_input_once_per_plan_time():
@@ -693,11 +758,13 @@ def test_nan_leader_input_violates_bound(digraph1, cascade):
         ("sign_smoothing", 0.0), ("convergence_tolerance", np.nan),
         ("convergence_tolerance", np.inf), ("divergence_threshold", np.nan),
         ("record_stride", 2.5), ("record_stride", np.nan),
+        # t0 and t_end finite, t_end - t0 not (dt and guard fit that span).
+        ("span", dict(t0=-1e308, t_end=1e308, dt=1e300, guard=1e300)),
     ],
 )
 def test_sim_config_rejects_non_finite(field, value):
     settings = dict(t0=0.0, t_end=1.0, dt=1e-3, guard=1e-2)
-    settings[field] = value
+    settings.update(value if field == "span" else {field: value})
     with pytest.raises(DimensionMismatch):
         ptobs.SimConfig(**settings)
 
@@ -749,7 +816,7 @@ def test_step_plan_peak_memory_per_point():
     # flag), and no full-size integer temporary is built on the way.
     exp = load_experiment(str(BUNDLED_CONFIG), ["sim.t_end=20"])
     cfg = exp.sim
-    plan, peak = traced_peak(lambda: _step_plan(cfg, *_event_grid(cfg, exp.sched, exp.sequence)))
+    plan, peak = traced_peak(lambda: _plan(cfg, exp.sched, exp.sequence)[:3])
     points = plan[0].size
     assert peak <= 20 * points, peak / points
     assert points == 200_001
