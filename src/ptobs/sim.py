@@ -17,10 +17,11 @@ those rows, writing [x0; estimates] into one snapshot array at record
 points.  Then the plan goes, the errors overwrite the estimates, and psi, V
 and the envelope (one decay_budget call per stage) follow.  A numpy call on
 these small arrays costs its dispatch, so every call passes out
-positionally, rk4 sums its stages with three adds, and each step's
-divergence check is one bound BLAS dot, Zf.dot(Zf), against threshold
-squared; the exact max |Z| test runs only when that fails, so both stop a
-run at the same step.  Bit-identical to stepping leader_rhs and dpto_rhs.
+positionally, rk4 sums its stages in one bound BLAS dot (a dgemv), and
+each step's divergence check is one bound BLAS dot, Zf.dot(Zf), against
+threshold squared; the exact max |Z| test runs only when that fails, so both
+stop a run at the same step.  Bit-identical to stepping leader_rhs and
+dpto_rhs with that dot as rk4's stage sum.
 """
 
 from __future__ import annotations
@@ -63,10 +64,16 @@ class SimConfig:
     divergence_threshold: float = 1e9
 
     def __post_init__(self):
+        try:  # to Python floats once, so 10**400 fails here; "* 1.0" keeps a str a TypeError
+            for name in "t0 t_end dt guard sign_smoothing convergence_tolerance divergence_threshold".split():
+                value = getattr(self, name)
+                object.__setattr__(self, name, value if value is None else float(value * 1.0))
+        except OverflowError:
+            raise DimensionMismatch(f"{name} lies outside the doubles") from None
         # Written as "not ..." so a NaN setting fails the check too.
         if not -np.inf < self.t0 < self.t_end < np.inf:
             raise DimensionMismatch(f"need finite t0 < t_end, got {self.t0}, {self.t_end}")
-        if not float(self.t_end) - float(self.t0) < np.inf:  # Python floats: no overflow warning
+        if not self.t_end - self.t0 < np.inf:  # Python floats: no overflow warning
             raise DimensionMismatch("t_end - t0 must be finite")
         spacing = 2.0 * math.ulp(max(abs(self.t0), abs(self.t_end)))
         if not spacing < self.dt < np.inf:
@@ -75,7 +82,7 @@ class SimConfig:
             )
         if self.method not in ("euler", "rk4"):
             raise DimensionMismatch(f"unknown method '{self.method}'")
-        guard = 10.0 * self.dt if self.guard is None else float(self.guard)
+        guard = 10.0 * self.dt if self.guard is None else self.guard
         if not self.dt <= guard < np.inf:
             raise DimensionMismatch(
                 f"guard ({guard:g}) must be finite and at least dt ({self.dt:g})"
@@ -330,26 +337,22 @@ def run(
 
     L0s = [a.sub_laplacian.dot for a in analyses]  # bound BLAS dots: no np.dot dispatch per stage
 
-    # rk4 evaluates k1..k4 into K[0..3] and writes 2 k2, 2 k3 into a scratch
-    # of its own (K keeps the slopes Diverged reads), so three adds sum
-    # ((k1 + 2 k2) + 2 k3) + k4.
     rk4 = cfg.method == "rk4"
     X, K, stages = _stacked_kernel(N, n, cfg.sign_smoothing, 4 if rk4 else 1)
     Z, K0 = X[0], K[0]  # the state, N leader copies over the estimates; stage 1 reads it in place
     Z[:N], Z[N:] = leader.initial_state, E
     rhs0 = stages[0]
     if rk4:
-        X1, X2, X3 = X[1:]
-        K1, K2, K3 = K[1:]
-        K_mid, K_doubled = K[1:3], np.empty_like(K[1:3])
-        K1_doubled, K2_doubled = K_doubled
-        _, rhs1, rhs2, rhs3 = stages
+        (X1, X2, X3), (K1, K2), (_, rhs1, rhs2, rhs3) = X[1:], K[1:3], stages
     T, A, Zf = np.empty_like(Z), np.empty_like(Z), Z.reshape(-1)  # step increment; |Z|; Z flat
     # Divergence pre-check z.z < thr^2 (BLAS ddot): rounding is monotone, so |z| > thr
     # gives fl(z^2) >= fl(thr^2) and a sum at least that; NaN and inf fail it too.
     thr2, sum_sq = cfg.divergence_threshold * cfg.divergence_threshold, Zf.dot
-    # 0-d arrays (a ufunc converts a Python float argument on every call), set when h changes.
-    half, full, sixth, two, h_set = np.empty(()), np.empty(()), np.empty(()), np.array(2.0), None
+    # 0-d arrays (a ufunc converts a Python float argument on every call) and rk4's weights
+    # (h/6, h/3, h/3, h/6), set when h changes.  stage_sum writes their dot with the
+    # slopes k1..k4 in K[0..3] (kept: Diverged reads them) into T, one dgemv.
+    half, full, wts, h_set = np.empty(()), np.empty(()), np.empty(4), None
+    stage_sum, K_rows, Tf = wts.dot, K.reshape(len(K), -1), T.reshape(-1)
     multiply, add = np.multiply, np.add  # out goes positionally: see the module docstring
     snaps = np.empty((np.count_nonzero(rec), N + 1, n))  # [x0; estimates] per recorded point
     snaps[0] = Z[N - 1 :]
@@ -365,7 +368,8 @@ def run(
             for t, tn, L0, ga, gm, gn, keep in islice(step, stop):
                 h = tn - t
                 if h != h_set:
-                    half[()], full[()], sixth[()], h_set = 0.5 * h, h, h / 6.0, h
+                    half[()], full[()], h_set = 0.5 * h, h, h
+                    wts[:] = h / 6.0, h / 3.0, h / 3.0, h / 6.0
                 rhs0(L0, ga)
                 if rk4:  # stage inputs Z + (h/2) k1, Z + (h/2) k2, Z + h k3
                     multiply(K0, half, X1)
@@ -377,11 +381,7 @@ def run(
                     multiply(K2, full, X3)
                     add(Z, X3, X3)
                     rhs3(L0, gn)
-                    multiply(K_mid, two, K_doubled)
-                    add(K0, K1_doubled, T)
-                    add(T, K2_doubled, T)
-                    add(T, K3, T)
-                    multiply(T, sixth, T)
+                    stage_sum(K_rows, Tf)
                 else:
                     multiply(K0, full, T)
                 add(Z, T, Z)

@@ -16,9 +16,14 @@ sign's division, say) into the estimate it is added to; the raw derivative
 cannot.
 
 Regenerate from the repository root, only when a change alters results on
-purpose, and list the invocations whose digests changed:
+purpose:
 
     PYTHONPATH=src python tests/bit_identity.py
+
+It prints each invocation and kernel case whose digests changed, the
+invocations with their stored and new convergence times and worst
+post-deadline errors, and how many invocations are unchanged: the size of
+the change, for its commit message.
 """
 
 from __future__ import annotations
@@ -176,6 +181,27 @@ def run_corpus(root: Path) -> dict[str, dict]:
     return {name: run_invocation(o, root / name) for name, o in INVOCATIONS.items()}
 
 
+def report_changes(stored: dict, corpus: dict) -> None:
+    """Print what differs between the stored corpus and a fresh one."""
+    unchanged = 0
+    for name, run in corpus["invocations"].items():
+        was = stored.get("invocations", {}).get(name)
+        if was is None:
+            print(f"{name}: new")
+            continue
+        changed = [key for key in run["digests"] if run["digests"][key] != was["digests"].get(key)]
+        if not changed:
+            unchanged += 1
+            continue
+        print(f"{name}: {', '.join(changed)} changed")
+        for key in ("convergence_times", "post_deadline_errors"):
+            print(f"  {key}: {was[key]} -> {run[key]}")
+    for name, case in corpus["kernel"].items():
+        if case["digest"] != stored.get("kernel", {}).get(name, {}).get("digest"):
+            print(f"{name}: dpto_rhs outputs changed")
+    print(f"{unchanged} of {len(corpus['invocations'])} invocations unchanged")
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         corpus = {
@@ -183,6 +209,8 @@ def main() -> int:
             "invocations": run_corpus(Path(tmp)),
             "kernel": run_kernel_cases(),
         }
+    if CORPUS.is_file():
+        report_changes(json.loads(CORPUS.read_text(encoding="utf-8")), corpus)
     CORPUS.parent.mkdir(exist_ok=True)
     CORPUS.write_text(json.dumps(corpus, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(INVOCATIONS)} invocations and {len(KERNEL_CASES)} kernel cases to {CORPUS}")

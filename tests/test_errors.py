@@ -216,6 +216,24 @@ _LIBRARY_CASES = [
      DimensionMismatch, "at least one graph analysis is required"),
     ("record-stride", lambda: ptobs.SimConfig(t0=0.0, t_end=1.0, dt=1e-3, record_stride=0),
      DimensionMismatch, "record_stride must be a positive integer"),
+    # An int past the doubles, in each place float() would overflow on it.
+    ("t-end-past-the-doubles", lambda: ptobs.SimConfig(t0=0.0, t_end=10**400, dt=1e-3),
+     DimensionMismatch, "t_end lies outside the doubles"),
+    ("dt-past-the-doubles", lambda: ptobs.SimConfig(t0=0, t_end=1, dt=10**400),
+     DimensionMismatch, "dt lies outside the doubles"),
+    ("t0-past-the-doubles", lambda: ptobs.SimConfig(t0=-10**400, t_end=1, dt=1e-3),
+     DimensionMismatch, "t0 lies outside the doubles"),
+    ("guard-past-the-doubles", lambda: ptobs.SimConfig(t0=0.0, t_end=1.0, dt=1e-3, guard=10**400),
+     DimensionMismatch, "guard lies outside the doubles"),
+    ("smoothing-past-the-doubles",
+     lambda: ptobs.SimConfig(t0=0.0, t_end=1.0, dt=1e-3, sign_smoothing=10**400),
+     DimensionMismatch, "sign_smoothing lies outside the doubles"),
+    ("tolerance-past-the-doubles",
+     lambda: ptobs.SimConfig(t0=0.0, t_end=1.0, dt=1e-3, convergence_tolerance=10**400),
+     DimensionMismatch, "convergence_tolerance lies outside the doubles"),
+    ("threshold-past-the-doubles",
+     lambda: ptobs.SimConfig(t0=0.0, t_end=1.0, dt=1e-3, divergence_threshold=10**400),
+     DimensionMismatch, "divergence_threshold lies outside the doubles"),
     ("convergence-tolerance", lambda: detect_convergence(np.zeros(1), np.zeros((1, 1, 1)), 0.0),
      DimensionMismatch, "tolerance must be positive"),
     ("schedule-order",

@@ -374,21 +374,25 @@ def test_divergence_by_overflow_reports_step_time(digraph1, cascade, method, whe
     assert info.value.time == pytest.approx(when, abs=1e-12)
 
 
-def test_divergence_from_a_doubled_slope_reports_step_end():
-    # Every rk4 slope is finite (about -1.5e308) but 2 k2 overflows, so the
-    # first step's state turns non-finite from a finite derivative and the
-    # run reports the step's end.  Doubling k2 and k3 where the slopes are
-    # kept would read as a non-finite derivative and report its start.
+def test_divergence_from_finite_slopes_reports_step_end():
+    # rk4 at h = 10 on e' = -e (one pinned follower, gain 1, zero leader) has
+    # stage inputs -4, 21 and -209 times the state and a step that multiplies
+    # it by 291.  From 7e305 every stage input and slope is finite (|k4| =
+    # 1.46e308) but the weighted stage sum overflows, so the first step's state
+    # turns non-finite from finite slopes and the run reports the step's end,
+    # with no threshold to stop it first.
     topo = ptobs.DirectedTopology(adjacency=[[0.0]], pinning=[1.0])
-    sched = ptobs.CascadeSchedule(t0=0.0, stage_durations=(0.2,), exponent=2.01)
+    sched = ptobs.CascadeSchedule(t0=0.0, stage_durations=(20.0,), exponent=2.01)
     gains = ptobs.ObserverGains(alpha=1.0, beta=0.0, sigma=0.0)
-    cfg = ptobs.SimConfig(t0=0.0, t_end=0.2, dt=1e-3, method="rk4")
+    cfg = ptobs.SimConfig(t0=0.0, t_end=20.0, dt=10.0, method="rk4", divergence_threshold=np.inf)
+    y = 7e305
+    assert max(abs(c) * y for c in (-4.0, 21.0, -209.0)) < np.finfo(float).max < 291.0 * y
     with pytest.raises(Diverged) as info:  # and no numpy warning
         ptobs.run(
             ptobs.TopologySequence.static(topo, 0.0), _zero_leader(1, x0=np.zeros(1), bound=0.0),
-            gains, sched, np.array([[1.5e308]]), cfg,
+            gains, sched, np.array([[y]]), cfg,
         )
-    assert info.value.time == 0.001
+    assert info.value.time == 10.0
 
 
 @pytest.mark.parametrize("method", ["rk4", "euler"])
@@ -454,8 +458,12 @@ def _public_rhs_replay(res, seq, leader, gains, sched, estimates, cfg):
             k2 = f(t + 0.5 * h, x0 + 0.5 * h * k1[0], E + 0.5 * h * k1[1], a)
             k3 = f(t + 0.5 * h, x0 + 0.5 * h * k2[0], E + 0.5 * h * k2[1], a)
             k4 = f(tn, x0 + h * k3[0], E + h * k3[1], a)
-            x0 = x0 + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-            E = E + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+            # The loop's stage sum: one dot of the weights with k1..k4, each
+            # flattened as N leader copies stacked over the estimates.
+            ks = np.array([np.vstack([np.tile(kx, (len(E), 1)), kE]).ravel() for kx, kE in (k1, k2, k3, k4)])
+            T = np.array([h / 6.0, h / 3.0, h / 3.0, h / 6.0]).dot(ks).reshape(-1, len(x0))
+            x0 = x0 + T[len(E) - 1]
+            E = E + T[len(E):]
         else:
             k1 = f(t, x0, E, a)
             x0 = x0 + h * k1[0]
@@ -767,6 +775,14 @@ def test_sim_config_rejects_non_finite(field, value):
     settings.update(value if field == "span" else {field: value})
     with pytest.raises(DimensionMismatch):
         ptobs.SimConfig(**settings)
+
+
+@pytest.mark.parametrize("field", ["t0", "dt", "guard", "divergence_threshold"])
+def test_sim_config_rejects_a_number_as_a_string(field):
+    # SimConfig converts its float settings with float(), which would parse "1e-3".
+    settings = dict(t0=0.0, t_end=1.0, dt=1e-3, guard=1e-2)
+    with pytest.raises(TypeError):
+        ptobs.SimConfig(**{**settings, field: "1e-3"})
 
 
 @pytest.mark.parametrize("bound, x0", [(np.nan, 0.0), (np.inf, 0.0), (0.1, np.nan), (0.1, np.inf)])
