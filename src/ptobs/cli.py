@@ -92,15 +92,14 @@ def cmd_synthesize(args, exp: Experiment, info) -> int:
 
 def cmd_run(args, exp: Experiment, info) -> int:
     analyses = exp.sequence.analyses()
-    gains = exp.gains or synthesize_gains(analyses, exp.leader.input_bound, exp.margins)
-    for msg in gain_condition_warnings(gains, analyses, exp.leader.input_bound):
+    for msg in gain_condition_warnings(exp.gains, analyses, exp.leader.input_bound):
         print(f"warning: {msg}", file=sys.stderr)
     shortest = min(exp.sched.stage_durations)
     if exp.sim.guard >= shortest:  # base T / max(T - t, guard) <= 1 in that window
         print(f"warning: guard {exp.sim.guard:g} s is not below the shortest stage window "
               f"({shortest:g} s): its time-varying gain never grows", file=sys.stderr)
     result = run_sim(
-        exp.sequence, exp.leader, gains, exp.sched, exp.initial_estimates, exp.sim
+        exp.sequence, exp.leader, exp.gains, exp.sched, exp.initial_estimates, exp.sim
     )
     out = _out_dir(args, exp)
     if exp.output.write_csv:

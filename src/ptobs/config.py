@@ -21,8 +21,8 @@ Sections and keys:
     [switching]         optional; common_h, and either
                         schedule = t:j t:j ...  or  period = <s> (>= dt) + cycle = j j ...
     [cascade]           t0, stage_durations, exponent
-    [gains]             mode = explicit (alpha, beta, sigma)
-                        or mode = synthesize (alpha_margin, beta_factor, sigma_factor)
+    [gains]             mode = explicit (alpha, beta, sigma), or mode = synthesize
+                        (alpha_margin, beta_factor, sigma_factor: gains synthesized on load)
     [initial_estimates] row_<i> = n values (follower i's initial estimate)
     [sim]               dt, t_end, method, guard, tolerance, record_stride,
                         optional sign_smoothing
@@ -49,7 +49,7 @@ import numpy as np
 from .errors import ConfigError, InfeasibleTopology, NoSpanningTree
 from .gain import CascadeSchedule
 from .graph import DirectedTopology, TopologySequence
-from .observer import GainMargins, LeaderModel, ObserverGains, input_by_name
+from .observer import GainMargins, LeaderModel, ObserverGains, input_by_name, synthesize_gains
 from .sim import SimConfig
 
 _SECTION_RE = re.compile(r"^\[([A-Za-z0-9_.]+)\]$")
@@ -252,13 +252,13 @@ class OutputOptions:
 
 @dataclass(frozen=True, eq=False)
 class Experiment:
-    """Everything a run needs, assembled and cross-validated from a config."""
+    """Everything a run needs, assembled and cross-validated from a config, gains resolved."""
 
     leader: LeaderModel
     sequence: TopologySequence
     sched: CascadeSchedule
-    gains: ObserverGains | None  # None: synthesize from margins
-    margins: GainMargins | None
+    gains: ObserverGains  # as written, or synthesized from margins when the config loads
+    margins: GainMargins | None  # None: explicit gains
     initial_estimates: np.ndarray
     sim: SimConfig
     output: OutputOptions
@@ -266,7 +266,7 @@ class Experiment:
 
     @property
     def gains_mode(self) -> str:
-        return "synthesize" if self.gains is None else "explicit"
+        return "synthesize" if self.margins is not None else "explicit"
 
 
 def _topology_indices(doc: ConfigDocument) -> list[int]:
@@ -304,7 +304,8 @@ def _read_topology(doc: ConfigDocument, section: str) -> DirectedTopology:
     count = doc.integer(section, "followers")
     if count < 1:
         doc._fail(section, "followers", "must be a positive integer")
-    adjacency = doc.matrix(section, [f"adjacency_row_{i}" for i in range(1, count + 1)], count)
+    rows = min(count, len(doc.sections[section]) + 1)  # a larger count leaves one of these missing
+    adjacency = doc.matrix(section, [f"adjacency_row_{i}" for i in range(1, rows + 1)], count)
     pinning = doc.vector(section, "pinning", count)
     with doc._section_errors(section):
         return DirectedTopology(adjacency=adjacency, pinning=pinning)
@@ -345,7 +346,8 @@ def _read_schedule(doc: ConfigDocument, sim: SimConfig) -> tuple[np.ndarray, np.
     # index span / period + 3.
     count = int((sim.t_end - sim.t0) / period) + 4
     try:
-        times = sim.t0 + np.arange(count, dtype=float) * period
+        with np.errstate(over="ignore"):  # an entry that overflows lies past t_end
+            times = sim.t0 + np.arange(count, dtype=float) * period
     except MemoryError:
         doc._fail("switching", "period", f"plans {count:g} switches, too many to hold in memory")
     times = times[: times.searchsorted(sim.t_end)]
@@ -411,7 +413,7 @@ def build_experiment(doc: ConfigDocument) -> Experiment:
         sequence = TopologySequence(topologies, times, indices, common_H)
 
     mode = doc.choice("gains", "mode", ("explicit", "synthesize"))
-    gains = margins = None
+    margins = None
     with doc._section_errors("gains"):
         if mode == "explicit":
             gains = ObserverGains(
@@ -425,6 +427,7 @@ def build_experiment(doc: ConfigDocument) -> Experiment:
                 beta_factor=doc.scalar("gains", "beta_factor", GainMargins.beta_factor),
                 sigma_factor=doc.scalar("gains", "sigma_factor", GainMargins.sigma_factor),
             )
+            gains = synthesize_gains(sequence.analyses(), leader.input_bound, margins)
 
     estimates = doc.matrix("initial_estimates", [f"row_{i}" for i in range(1, N + 1)], order)
     finite = np.isfinite(estimates).all(axis=1)

@@ -5,9 +5,11 @@ Per invocation the corpus holds the digest of every SimResult array, of
 convergence_times and event_log, of trace.csv, of each stage SVG, and of the
 run and report stdout and stderr (the output directory written as "<out>").
 It also keeps the convergence times and the worst post-deadline error per
-stage, which tests/test_bit_identity.py compares within 1e-9 relative on a
-host whose fingerprint (numpy version, BLAS, machine and CPU) differs from
-the one that wrote the file, since BLAS kernels may round differently there.
+stage, which tests/test_bit_identity.py compares on a host whose fingerprint
+(numpy version, BLAS, machine and CPU) differs from the one that wrote the
+file, since BLAS kernels may round differently there: convergence times
+within 1e-9 relative, hard-sign errors within sigma * dt, the scale of their
+chattering.
 
 Per kernel case it holds the digest of dpto_rhs outputs at seeded inputs,
 and their sum of magnitudes for the same fallback.  An integrator step at a

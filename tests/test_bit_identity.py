@@ -11,6 +11,7 @@ import math
 import pytest
 
 import bit_identity
+from ptobs.config import load_experiment
 
 STORED = json.loads(bit_identity.CORPUS.read_text(encoding="utf-8"))
 
@@ -26,13 +27,26 @@ def _close(a, b, rel=1e-9):
     return math.isclose(a, b, rel_tol=rel, abs_tol=0.0)
 
 
+def _error_floor(overrides):
+    # With the hard sign, the post-deadline errors are the O(sigma * dt)
+    # chattering of the sliding term -sigma * sign(.) (up to about 3 sigma dt
+    # in the corpus), and a last-bit change can shift it by a sizeable part
+    # of sigma * dt: a 1e-17 change to rk4's stage sum moved clustered-switches'
+    # stage 3 from 1.87e-5 to 1.36e-5, with sigma * dt = 1.25e-5.  So they
+    # compare within sigma * dt absolute.  A smoothed sign has no chattering:
+    # None, compared relative like the convergence times.
+    exp = load_experiment(str(bit_identity.BUNDLED_CONFIG), list(overrides))
+    return None if exp.sim.sign_smoothing is not None else exp.gains.sigma * exp.sim.dt
+
+
 def _summary_mismatches(stored, fresh):
     # The numbers a host with other BLAS rounding should still reproduce.
     bad = []
     for name, want in stored["invocations"].items():
-        got = fresh[name]
-        for key in ("convergence_times", "post_deadline_errors"):
-            if len(got[key]) != len(want[key]) or not all(map(_close, got[key], want[key])):
+        got, floor = fresh[name], _error_floor(want["overrides"])
+        errors_close = _close if floor is None else lambda a, b: abs(a - b) <= floor
+        for key, close in (("convergence_times", _close), ("post_deadline_errors", errors_close)):
+            if len(got[key]) != len(want[key]) or not all(map(close, got[key], want[key])):
                 bad.append(f"{name}: {key} {got[key]} != {want[key]}")
     return bad
 
@@ -63,7 +77,8 @@ def test_outputs_match_the_corpus(fresh, capsys):
             print(
                 f"\nbit-identity corpus: written on {STORED['fingerprint']}, this host is "
                 f"{bit_identity.fingerprint()}; digests not compared, only convergence times "
-                "and post-deadline errors within 1e-9 relative"
+                "within 1e-9 relative and post-deadline errors within sigma * dt (hard sign) "
+                "or 1e-9 relative (smoothed sign)"
             )
         assert _summary_mismatches(STORED, fresh) == []
         return
@@ -82,3 +97,9 @@ def test_summary_fallback_accepts_the_same_outputs(fresh):
     assert _summary_mismatches(STORED, {**fresh, "bundled": {
         **fresh["bundled"], "convergence_times": [0.519, *fresh["bundled"]["convergence_times"][1:]],
     }}) != []
+    # clustered-switches' errors before that stage-sum change: working code.
+    before = [2.8801488083374238e-08, 1.0845150303765197e-06, 1.866586764540188e-05]
+    tenfold = [10 * e for e in fresh["clustered-switches"]["post_deadline_errors"]]
+    for errors, mismatches in ((before, 0), (tenfold, 1)):
+        other = {**fresh, "clustered-switches": {**fresh["clustered-switches"], "post_deadline_errors": errors}}
+        assert len(_summary_mismatches(STORED, other)) == mismatches

@@ -1,6 +1,8 @@
 import dataclasses
 import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -12,14 +14,17 @@ import ptobs
 import ptobs.sim
 from ptobs.cli import main
 from ptobs import svgplot
-from ptobs.config import load_config
+from ptobs.config import load_config, load_experiment
 from ptobs.errors import DimensionMismatch, MalformedTrace
 from ptobs.svgplot import render_error_plot
 from ptobs.trace import header_columns, read_trace, write_trace
-from conftest import BUNDLED_CONFIG, INITIAL_ESTIMATES, perfbench_workloads, traced_peak
+from conftest import BUNDLED_CONFIG, INITIAL_ESTIMATES, REPO, perfbench_workloads, traced_peak
 from oracles import read_trace_per_line, read_trace_whole_file
 
 CFG = str(BUNDLED_CONFIG)
+# Overrides under which an euler step overflows: `run` ends in Diverged (exit 3).
+DIVERGING = [arg for pair in ("gains.alpha=1e8", "sim.method=euler", "sim.dt=1e-3", "sim.guard=1e-2",
+                              "sim.t_end=0.05", "output.csv=off") for arg in ("--set", pair)]
 
 NO_PINNING = """\
 [leader]
@@ -140,6 +145,48 @@ def test_periodic_schedule_too_large_for_memory_exits_1(capsys):
         "error: --set switching.period: [switching] period: "
         "plans 2e+12 switches, too many to hold in memory\n"
     )
+
+
+def _python(args, cwd):
+    """A child `python *args` with src/ on its path and one BLAS thread."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join([str(REPO / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_exits_with_mains_code(tmp_path):
+    # python -m ptobs.cli ends in sys.exit(main()): main's code is the exit status.
+    proc = _python(["-m", "ptobs.cli", "analyze"], tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: <args>: no --config given\n")
+    proc = _python(["-m", "ptobs.cli", "run", "--config", CFG, "--quiet", *DIVERGING], tmp_path)
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines()[-1].startswith("error: simulation diverged at t = ")
+
+
+def test_huge_follower_count_is_not_expanded(tmp_path):
+    # 1e11 followers and three adjacency rows: the first bad row is reported,
+    # as for followers = 100000, without listing 1e11 row keys first.  The
+    # address-space limit (2 GiB, the child's own) makes an expansion fail
+    # fast instead of filling the host's memory.
+    code = ("import resource, runpy\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "runpy.run_module('ptobs.cli', run_name='__main__')")
+    proc = _python(["-c", code, "analyze", "--config", CFG, "--set", "topology.1.followers=99999999999"],
+                   tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", f"error: {CFG}:14: [topology.1] adjacency_row_1: expected 99999999999 values, got 3\n"
+    )
+
+
+def test_huge_period_keeps_the_first_switch_alone(capsys):
+    # t0 + i * period overflows for i >= 2; those entries lie past t_end and
+    # are dropped with no overflow warning, leaving the switch at t0.
+    argv = ["analyze", "--config", CFG, "--quiet", "--set", "switching.period=1e308"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    exp = load_experiment(CFG, ["switching.period=1e308"])
+    assert exp.sequence.switch_times.tolist() == [exp.sched.t0]
 
 
 def test_diverging_run_prints_no_numpy_warning(tmp_path, capsys):
@@ -783,12 +830,7 @@ def test_run_with_synthesize_mode_gains(tmp_path, capsys):
 
 
 def test_run_divergence_exits_3(capsys):
-    code = main([
-        "run", "--config", CFG, "--quiet",
-        "--set", "gains.alpha=1e8", "--set", "sim.method=euler",
-        "--set", "sim.dt=1e-3", "--set", "sim.guard=1e-2",
-        "--set", "sim.t_end=0.05", "--set", "output.csv=off",
-    ])
+    code = main(["run", "--config", CFG, "--quiet", *DIVERGING])
     assert code == 3
     assert "diverged at t" in capsys.readouterr().err
 

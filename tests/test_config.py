@@ -190,10 +190,31 @@ def test_synthesize_mode_config_carries_margins():
     )
     exp = build_experiment(parse_config(text, "m.cfg"))
     assert exp.gains_mode == "synthesize"
-    assert exp.gains is None
+    assert exp.gains == ptobs.ObserverGains(alpha=1.5, beta=2.0, sigma=0.0)  # lambda_min = max weight = 1
     assert exp.margins.alpha == 1.5
     assert exp.margins.beta_factor == 2.0
     assert exp.margins.sigma_factor == 1.0
+
+
+def test_synthesize_mode_gains_are_resolved_on_load():
+    # The loaded experiment carries the gains synthesize_gains gives for its
+    # topologies and leader bound, so it runs as it stands in either mode.
+    exp = load_experiment(str(BUNDLED_CONFIG), [
+        "gains.mode=synthesize", "gains.alpha_margin=1.05", "gains.beta_factor=1.5", "sim.t_end=0.01",
+    ])
+    assert exp.gains_mode == "synthesize"
+    want = ptobs.synthesize_gains(exp.sequence.analyses(), exp.leader.input_bound, exp.margins)
+    assert isinstance(exp.gains, ptobs.ObserverGains) and exp.gains == want
+    result = ptobs.run(exp.sequence, exp.leader, exp.gains, exp.sched, exp.initial_estimates, exp.sim)
+    assert result.times[-1] == exp.sim.t_end
+
+
+def test_unbounded_synthesized_gain_is_a_gains_error():
+    # beta = beta_factor * 10.4 overflows; the load reports it under [gains].
+    doc = parse_config(BUNDLED_CONFIG.read_text(), "exp.cfg")
+    apply_overrides(doc, ["gains.mode=synthesize", "gains.alpha_margin=1", "gains.beta_factor=1e308"])
+    with pytest.raises(ConfigError, match=r"^exp.cfg, --set gains.mode, .*\[gains\]: beta and sigma must be finite"):
+        build_experiment(doc)
 
 
 def test_two_topologies_without_switching_section():

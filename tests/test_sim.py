@@ -555,12 +555,11 @@ def test_run_matches_the_reference_stepper(tmp_path, case):
         overrides += ["switching.period=0.005"] + (["sim.sign_smoothing=0.05"] if case == "smoothing" else [])
     exp = load_experiment(str(path), overrides)
     seq, cfg = exp.sequence, exp.sim
-    gains = exp.gains or ptobs.synthesize_gains(seq.analyses(), exp.leader.input_bound, exp.margins)
-    res = ptobs.run(seq, exp.leader, gains, exp.sched, exp.initial_estimates, cfg)
+    res = ptobs.run(seq, exp.leader, exp.gains, exp.sched, exp.initial_estimates, cfg)
     grid, topo, _ = _plan(cfg, exp.sched, seq)[:3]
     assert np.array_equal(res.times, grid) and grid.size == 201
     x0, E = reference_rk4(grid.tolist(), [seq.topologies[j] for j in topo[:-1].tolist()], exp.leader,
-                          gains, exp.sched, cfg.guard, exp.initial_estimates, cfg.sign_smoothing)
+                          exp.gains, exp.sched, cfg.guard, exp.initial_estimates, cfg.sign_smoothing)
     for got, want in ((res.leader_states, x0), (res.estimate_errors, E - x0[:, None, :])):
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 

@@ -3,10 +3,12 @@
 Runs the tier-1 suite in this process under a sys.settrace line collector
 limited to src/ptobs (coverage.py is not a dependency), then prints, as
 path:line, every statement of the package's modules that the suite never
-reached.  Statements come from each module's AST; docstrings and def,
-class and import lines are skipped.  A statement counts as reached when any
-line of it ran: the whole of a simple statement, the header of a compound
-one.  Takes about twice as long as plain tier-1.  Not collected by pytest:
+reached.  Statements come from each module's AST; docstrings, def, class
+and import lines, and the body of an `if __name__ == "__main__":` block
+(it runs only in a child process, which this tracer cannot see) are
+skipped.  A statement counts as reached when any line of it ran: the whole
+of a simple statement, the header of a compound one.  Takes about twice as
+long as plain tier-1.  Not collected by pytest:
 
     PYTHONPATH=src python tests/uncovered.py [pytest args]
 
@@ -29,9 +31,14 @@ _SKIPPED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Import, ast
 
 def statements(source: str) -> dict[int, range]:
     """First line -> the lines that count as running it, per statement."""
-    out = {}
-    for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.stmt) or isinstance(node, _SKIPPED):
+    out, tree = {}, ast.parse(source)
+    guarded = {
+        id(inner) for node in ast.walk(tree)
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        for stmt in node.body for inner in ast.walk(stmt)
+    }
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.stmt) or isinstance(node, _SKIPPED) or id(node) in guarded:
             continue
         if isinstance(node, ast.Expr) and isinstance(getattr(node.value, "value", None), str):
             continue  # a docstring (or another bare string) runs no code
