@@ -19,6 +19,7 @@ and they are validated (not assumed) here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,7 @@ from .errors import (
 EDGE_EPS = 1e-15
 
 _SYMMETRY_TOL = 1e-10
+_EPS = np.finfo(float).eps
 # L0 counts as singular when its smallest singular value is at most this
 # times ||L0^T||_inf, the matrix the rho solve factors.
 _SINGULAR_RTOL = 1e-12
@@ -160,11 +162,16 @@ def has_spanning_tree(topo: DirectedTopology) -> bool:
 def min_eig_symmetric(M: np.ndarray) -> float:
     """Smallest eigenvalue of a symmetric matrix.
 
-    LAPACK's eigh gives the lowest eigenpair (lam, v), with lam off by up to
-    a few ulp of ||A||.  One Rayleigh-quotient correction,
-    lam + v.(A v - lam v) / (v.v) with the residual in np.longdouble, brings
-    it to within about half an ulp where longdouble is wider than double (as
-    on x86-64 Linux).  Deterministic for fixed input.
+    LAPACK's eigvalsh gives lam, off by up to a few ulp of ||A||.  One step of
+    inverse iteration shifted to lam, x solving (A - lam I) x = 1 with the
+    matrix scaled by a power of two to a largest entry in [1/2, 1), gives its
+    eigenvector, and one Rayleigh-quotient correction, lam + x.(A x - lam x)
+    / (x.x) with the residual in np.longdouble, brings lam within about half
+    an ulp where longdouble is wider than double (as on x86-64 Linux).  eigh's
+    pair is corrected instead when A - lam I is exactly singular (1 x 1 or
+    diagonal A) or x overflows, or when the correction exceeds LAPACK's bound
+    n eps ||A||: then x missed the eigenvector, as 1 does for [[a, b], [b, a]]
+    with b > 0.  Deterministic for fixed input.
 
     Raises NotSymmetric unless max|M - M^T| <= 1e-10, so for NaN or inf
     entries and an overflowing asymmetry too, and DimensionMismatch for a
@@ -181,11 +188,25 @@ def min_eig_symmetric(M: np.ndarray) -> float:
     if not asymmetry <= _SYMMETRY_TOL:  # "not" so NaN fails too
         raise NotSymmetric(f"asymmetry {asymmetry:.3e} exceeds {_SYMMETRY_TOL:.0e}")
     A = M + 0.5 * D  # the symmetric part; M itself, bit for bit, when M is symmetric
-    w, V = np.linalg.eigh(A)
-    lam = w[0]
-    v = V[:, 0].astype(np.longdouble)
-    residual = A.astype(np.longdouble) @ v - lam * v
-    return float(lam + (v @ residual) / (v @ v))
+    n, lam = len(A), np.linalg.eigvalsh(A)[0]
+    S = 0.5 * A  # (A - lam I) / 2: halved, so that the shift cannot overflow
+    S.flat[:: n + 1] -= 0.5 * lam
+    s = np.abs(S).max()
+    try:
+        x = np.linalg.solve(np.ldexp(S, -math.frexp(s)[1]), np.ones(n))
+        with np.errstate(invalid="ignore"):  # an overflowed x gives NaN, rejected below
+            value = _rayleigh(A, lam, x)
+    except np.linalg.LinAlgError:
+        value = np.nan
+    if not abs(value - lam) <= n * _EPS * abs(lam) + 2 * n * n * _EPS * s:  # ||A|| <= |lam| + 2 n s
+        w, V = np.linalg.eigh(A)
+        value = _rayleigh(A, w[0], V[:, 0])
+    return float(value)
+
+
+def _rayleigh(A: np.ndarray, lam: float, v: np.ndarray) -> np.longdouble:
+    v = v.astype(np.longdouble)
+    return lam + (v @ (A.astype(np.longdouble) @ v - lam * v)) / (v @ v)
 
 
 def _sigma_min_certificate(L0: np.ndarray) -> tuple[np.ndarray | None, float]:

@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's own linear algebra: the inverse is
 assembled from cofactors, the smallest eigenvalue comes from closed-form
-roots of the characteristic polynomial (sizes up to 3 only), and the
-singularity verdict from a plain SVD.  The switching schedule, step-count and
-input-read oracles work one entry at a time, in plain Python, and
+roots of the characteristic polynomial (sizes up to 3 only) and is bracketed
+at any size by an exact inertia count, and the singularity verdict comes
+from a plain SVD.  The switching schedule, step-count and input-read
+oracles work one entry at a time, in plain Python, and
 reachability comes from a boolean transitive closure.  `reference_rk4` steps
 the observer with the per-component derivative and the gain law written out
 inline, sharing no code with the library's kernel or gain rows.  Two trace
@@ -15,6 +16,7 @@ parses numbers with float() rather than numpy.
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 
@@ -53,6 +55,35 @@ def cofactor_inverse(A):
             cof[i, j] = (-1) ** (i + j) * det3(minor)
     return cof.T / d
 
+
+def eigenvalues_below(M, x):
+    """How many eigenvalues of the symmetric M lie below x, in exact arithmetic.
+
+    Sylvester's law of inertia: a congruence keeps the count of negative
+    eigenvalues, so symmetric elimination of M - x I in Fractions counts the
+    negative pivots.  When every remaining diagonal entry is zero, adding
+    row and column j to row and column i makes the pivot 2 m_ij.
+    """
+    x = Fraction(x)
+    A = [[Fraction(float(v)) - (x if r == c else 0) for c, v in enumerate(row)] for r, row in enumerate(M)]
+    below = 0
+    while A:
+        i = next((i for i in range(len(A)) if A[i][i] != 0), None)
+        if i is None:
+            pair = next(((i, j) for i in range(len(A)) for j in range(len(A)) if A[i][j] != 0), None)
+            if pair is None:
+                break  # a zero block: its eigenvalues are 0, not below 0
+            i, j = pair
+            A[i] = [a + b for a, b in zip(A[i], A[j])]
+            for row in A:
+                row[i] += row[j]
+        p = A[i][i]
+        below += p < 0
+        A = [
+            [A[r][c] - A[r][i] * A[i][c] / p for c in range(len(A)) if c != i]
+            for r in range(len(A)) if r != i
+        ]
+    return below
 
 def char_poly_min_eig(M):
     """Smallest eigenvalue from the characteristic polynomial (n <= 3).

@@ -1,5 +1,8 @@
+import json
 import warnings
+from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,10 +21,13 @@ from conftest import ETA, perfbench_workloads, schedule_pairs
 from oracles import (
     char_poly_min_eig,
     cofactor_inverse,
+    eigenvalues_below,
     leader_reaches_all,
     random_spanning_topology,
     svd_singular_verdict,
 )
+
+LAMBDA_MIN = Path(__file__).resolve().parent / "data" / "lambda_min.json"  # tests/make_references.py
 
 
 def test_scalar_pinned_chain():
@@ -242,7 +248,8 @@ def test_svd_fallback_takes_rho_from_the_certificate(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append("solve") or solve(*a))
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append("svd") or svd(*a, **k))
     rho = ptobs.build_analysis(topo).rho
-    assert calls == ["solve", "solve", "svd"]
+    # The last solve is lambda_min's shifted inverse-iteration step on the mirror.
+    assert calls == ["solve", "solve", "svd", "solve"]
     assert rho.tobytes() == solve(ptobs.sub_laplacian(topo).T, np.ones(3)).tobytes()
 
 
@@ -309,6 +316,92 @@ def test_min_eig_bundled_mirrors_within_one_ulp(digraph1, digraph2):
     for topo, ref in zip((digraph1, digraph2), exact):
         lam = ptobs.mirror_with_H(topo, ETA).lambda_min
         assert abs(lam - ref) <= np.spacing(ref)
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Records each np.linalg.eigh call: min_eig_symmetric's fallback."""
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append("eigh") or eigh(*a, **k))
+    return calls
+
+
+def test_min_eig_wide_mirrors_within_one_ulp():
+    # 50-digit references for four 120-follower mirrors, two of them at
+    # half-ulp ties (tests/make_references.py).  The stored weights fix the
+    # matrix whatever BLAS computes rho.
+    wide_config = perfbench_workloads().wide_config
+    for case in json.loads(LAMBDA_MIN.read_text())["mirrors"]:
+        topo = ptobs.DirectedTopology(*wide_config(case["seed"], case["graph"], case["followers"])[:2])
+        lam = ptobs.mirror_with_H(topo, case["weights"]).lambda_min
+        assert abs(Fraction(lam) - Fraction(Decimal(case["lambda_min"]))) <= Fraction(np.spacing(lam))
+
+
+def test_wide_mirror_lambda_min_needs_no_eigenvectors(eigh_calls):
+    # eigvalsh and one shifted solve give lambda_min; eigh is only the fallback.
+    topo = ptobs.DirectedTopology(*perfbench_workloads().wide_config(7, 0, 120)[:2])
+    assert ptobs.build_analysis(topo).lambda_min > 0
+    assert eigh_calls == []
+
+
+@pytest.mark.filterwarnings("error")
+def test_min_eig_falls_back_to_eigh_when_the_solve_misses(eigh_calls):
+    # [[a, b], [b, a]], b > 0: 1 is the other eigenvector, so the shifted
+    # solve's x gives a + b unless the correction check rejects it.  With
+    # [[1, t], [t, 2]], lam = 1 makes A - lam I singular to 1e-340 and x
+    # overflows.  eigh's pair is corrected in both; a - b is exact here.
+    a, b = 0.6404226504432821, 0.10490011715303971
+    assert ptobs.min_eig_symmetric(np.array([[a, b], [b, a]])) == a - b
+    assert ptobs.min_eig_symmetric(np.array([[1.0, 1e-170], [1e-170, 2.0]])) == 1.0
+    assert eigh_calls == ["eigh", "eigh"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_min_eig_fast_path_at_both_ends_of_the_float_range(digraph1, eigh_calls):
+    # Scaled to a largest entry in [1/2, 1), the shifted solve stays finite
+    # on tiny matrices, so lambda_min scales exactly with 2^k; halved, the
+    # shift stays finite when ||A|| + |lam| passes the largest double.
+    mirror = ptobs.mirror_with_H(digraph1, ETA).mirror
+    lam = ptobs.min_eig_symmetric(mirror)
+    for k in (-1000, -500, 500, 1000):
+        assert ptobs.min_eig_symmetric(np.ldexp(mirror, k)) == np.ldexp(lam, k)
+    assert ptobs.min_eig_symmetric(np.array([[-1e308, 1e300], [1e300, 1.5e308]])) == -1e308
+    assert eigh_calls == []
+
+
+@st.composite
+def _scaled_symmetric(draw):
+    # (2^k B, k) for a symmetric B of size up to 5 with entries in [-4, 4].
+    n = draw(st.integers(1, 5))
+    B = np.zeros((n, n))
+    B[np.triu_indices(n)] = draw(st.lists(st.floats(-4, 4), min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
+    k = draw(st.integers(-1000, 1000))
+    return np.ldexp(B + np.triu(B, 1).T, k), k
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(_scaled_symmetric())
+def test_min_eig_within_eps_norm_at_any_scale(drawn):
+    # B is read back from A = 2^k B, so that entries lost to underflow count
+    # as zero; the exact inertia count then brackets lambda_min(B) within
+    # 2 eps ||B||_inf plus one subnormal step of A.  4000 draws showed at
+    # most 0.42 eps ||B||_inf.
+    A, k = drawn
+    B = np.ldexp(A, -k)
+    lam = Fraction(np.ldexp(ptobs.min_eig_symmetric(A), -k))
+    tol = 2 * Fraction(np.finfo(float).eps) * Fraction(np.abs(B).sum(axis=1).max()) + Fraction(2) ** (-1074 - k)
+    assert eigenvalues_below(B, lam - tol) == 0
+    assert eigenvalues_below(B, lam + tol) >= 1
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(_scaled_symmetric())
+def test_min_eig_diagonal_is_its_smallest_entry_at_any_scale(drawn):
+    # A - lam I is exactly singular here, so eigh's pair is corrected.
+    d = np.diag(drawn[0]).copy()
+    assert ptobs.min_eig_symmetric(np.diag(d)) == d.min()
 
 
 def test_min_eig_rejects_asymmetric():
