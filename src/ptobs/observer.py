@@ -180,45 +180,49 @@ def local_errors(analysis: GraphAnalysis, estimates: np.ndarray, x0: np.ndarray)
     return analysis.sub_laplacian @ (estimates - np.asarray(x0, dtype=float)[None, :])
 
 
-def _gain_rows(gains: ObserverGains, sched: CascadeSchedule, guard: float, t, f0: np.ndarray, N: int):
-    # [alpha + beta r_k(t) per follower | f0 per leader copy | -sigma per follower] at t, a time or
-    # an array of times; the caller samples f0(t) as (1,) or (times, 1).
+def _gain_rows(gains: ObserverGains, sched: CascadeSchedule, guard: float, t, f0: np.ndarray, N: int,
+               out: np.ndarray | None = None):
+    # [alpha + beta r_k(t) per follower | f0 once | -sigma per follower], N (n + 1) + 1 doubles, at t,
+    # a time or an array of times, into out if given; the caller samples f0(t) as (1,) or (times, 1).
     rates = np.array([stage_gain(sched, k, t, guard) for k in range(1, sched.order + 1)]).T
     g = np.add(gains.alpha, gains.beta * rates, rates)
-    return np.concatenate([g] * N + [f0] * N + [np.full_like(f0, -gains.sigma)] * N, axis=-1)
+    return np.concatenate([g] * N + [f0] + [np.full_like(f0, -gains.sigma)] * N, axis=-1, out=out)
+
+
+def _extended_laplacian(analysis: GraphAnalysis) -> np.ndarray:
+    # [-L0 1 | L0], (N, N + 1): times [x0; estimates] it gives psi = L0 (estimates - 1 x0^T).
+    return np.hstack((-analysis.sub_laplacian.sum(axis=1, keepdims=True), analysis.sub_laplacian))
 
 
 def _stacked_kernel(N: int, n: int, smoothing: float | None, stage_count: int = 1):
     """Work area (X, K) of the stacked observer and one stage function per stage.
 
-    A stage input X[s], (2N, n), stacks N copies of the leader state above the
-    N estimates: the copies evolve identically and make estimates - x0 one
-    same-shape subtraction.  stages[s](L0_dot, g), bound once to its views,
-    writes the derivative of X[s] into K[s] in 6 numpy calls (hard sign).
-    L0_dot is the active L0's bound BLAS dot, L0.dot (the dgemm of np.dot and
-    L0 @ D, checked bit for bit); g is a _gain_rows row of the stage gains
-    alpha + beta r_k(t) and the input f0(t), both sampled by the caller, so
-    one multiply of [psi | ones | sign(psi_n)] by g gives g * psi, f0 and
-    -sigma sign(psi_n).  It allocates nothing, checks no shapes and calls no
-    input.  Calls pass out positionally and scalars as 0-d arrays.
+    A stage input X[s], (N + 1, n), stacks the leader state's row above the
+    N estimates.  stages[s](L0e_dot, g), bound once to its views, writes the
+    derivative of X[s] into K[s] in 5 numpy calls (hard sign).  L0e_dot is
+    the active topology's bound BLAS dot (a dgemm) of _extended_laplacian's
+    [-L0 1 | L0], so L0e_dot(X[s], psi) reads the leader once, through its
+    pinning column; g is a _gain_rows row of the stage gains alpha + beta
+    r_k(t) and the input f0(t), both sampled by the caller, so one multiply
+    of [psi | 1 | sign(psi_n)] by g gives g * psi, f0 and -sigma sign(psi_n).
+    It allocates nothing, checks no shapes and calls no input.  Calls pass
+    out positionally and scalars as 0-d arrays.
     """
-    X, K = np.zeros((stage_count, 2 * N, n)), np.zeros((stage_count, 2 * N, n))
-    Nn, D, PS, G = N * n, np.empty((N, n)), np.ones(N * n + 2 * N), np.zeros(2 * (N * n + N))
-    psi, sign = PS[:Nn].reshape(N, n), PS[Nn + N :]  # PS = [psi.flat | ones(N) | sign(psi_n)]
-    # G = [zero leader rows | g * psi | f0 | -sigma sign]: K.flat[:-1] = X.flat[1:]
-    # - G[:2Nn - 1] is then every shift term, exactly x0[1:] in leader rows, and
+    X, K = np.zeros((stage_count, N + 1, n)), np.zeros((stage_count, N + 1, n))
+    Nn, PS, G = N * n, np.ones(N * n + N + 1), np.zeros(N * n + n + N + 1)
+    psi, sign = PS[:Nn].reshape(N, n), PS[Nn + 1 :]  # PS = [psi.flat | 1 | sign(psi_n)]
+    # G = [zero leader row | g * psi | f0 | -sigma sign]: K.flat[:-1] = X.flat[1:]
+    # - G[:Nn + n - 1] is then every shift term, exactly x0[1:] in the leader row, and
     # K[:, -1] = [f0 | -sigma sign] - [0 | g_n psi_n] every top column (f0 - 0.0 is f0).
-    GP, gp_flat, gp_top, tops = G[Nn:], G[: 2 * Nn - 1], G[n - 1 : 2 * Nn : n], G[2 * Nn :]
+    GP, gp_flat, gp_top, tops = G[n:], G[: Nn + n - 1], G[n - 1 : Nn + n : n], G[Nn + n :]
     psi_top, subtract, multiply, sign_of = psi[:, -1], np.subtract, np.multiply, np.sign
     eps, absolute, add, divide = np.array(smoothing or 0.0, dtype=float), np.abs, np.add, np.divide
 
-    def stage(Xs: np.ndarray, Ks: np.ndarray):  # estimates, leader copies, flat shift, tops
-        F, L, X_shift = Xs[N:], Xs[:N], Xs.reshape(-1)[1:]
-        K_flat, K_top = Ks.reshape(-1)[:-1], Ks[:, -1]
+    def stage(Xs: np.ndarray, Ks: np.ndarray):  # the stage's input, flat shift, flat slopes, tops
+        X_shift, K_flat, K_top = Xs.reshape(-1)[1:], Ks.reshape(-1)[:-1], Ks[:, -1]
 
-        def rhs(L0_dot, g: np.ndarray):
-            subtract(F, L, D)
-            L0_dot(D, psi)
+        def rhs(L0e_dot, g: np.ndarray):
+            L0e_dot(Xs, psi)
             # Top column -sigma sign(psi_n) - g_n psi_n: hard sign (sign(0) =
             # 0) or the boundary layer psi / (|psi| + eps) for chattering studies.
             if smoothing is None:
@@ -253,12 +257,12 @@ def dpto_rhs(
     estimates, x0 = np.asarray(estimates, dtype=float), np.asarray(x0, dtype=float)
     if estimates.shape != (N, n) or x0.shape != (n,):
         raise DimensionMismatch(f"need estimates ({N}, {n}) and x0 ({n},)")
-    # out is the estimate rows alone; the leader copies' rows read a zero input.
+    # out is the estimate rows alone; the leader row reads a zero input.
     g = _gain_rows(gains, sched, guard, t, np.zeros(1), N)
     X, K, (rhs,) = _stacked_kernel(N, n, sign_smoothing)  # fresh: out owns K
-    X[0, :N], X[0, N:] = x0, estimates
-    rhs(analysis_at_t.sub_laplacian.dot, g)
-    out = K[0, N:]
+    X[0, 0], X[0, 1:] = x0, estimates
+    rhs(_extended_laplacian(analysis_at_t).dot, g)
+    out = K[0, 1:]
     if not np.all(np.isfinite(out)):
         raise NonFinite(f"observer derivative is non-finite at t={t:.6g}")
     return out

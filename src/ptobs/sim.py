@@ -2,26 +2,27 @@
 
 run has three parts.  _plan builds the step plan before the loop: every
 stage-window boundary, topology switch and t_end lands exactly on a step
-boundary (dt is shortened locally before each event), so no step straddles
-a switch, and a switch within the merge tolerance of another event takes
+boundary (dt is shortened locally before each event), so no step straddles a
+switch, and a switch within the merge tolerance of another event takes
 effect at that event.  The plan (O(steps) memory: 10 bytes a step, 16 while
 it is built) holds the grid points, the right-continuous topology at each
 (which steps and samples take) and the record points; the event log comes
 with it.  Per gain block, _block_rows samples the block's times once, in
-time order (rk4 puts each t + h/2 between t and t + h), into one array of
-about _GAIN_BLOCK doubles of observer._gain_rows rows (one stage_gain call
-per stage, one input call per time), and finds the first step that reads f0
-past its bound, which raises.  The loop steps one stacked state in place
-through the observer kernel's stage functions (6 numpy calls each) over
-those rows, writing [x0; estimates] into one snapshot array at record
+time order (rk4 puts each t + h/2 between t and t + h), into one buffer of
+about _GAIN_BLOCK doubles of observer._gain_rows rows that the run allocates
+once (one stage_gain call per stage, one input call per time), and finds the
+first step that reads f0 past its bound, which raises.  The loop steps one
+stacked state in place, the leader's one row over the estimates, through the
+observer kernel's stage functions (5 numpy calls each) over those rows,
+writing that state, [x0; estimates], into one snapshot array at record
 points.  Then the plan goes, the errors overwrite the estimates, and psi, V
 and the envelope (one decay_budget call per stage) follow.  A numpy call on
 these small arrays costs its dispatch, so every call passes out
-positionally, rk4 sums its stages in one bound BLAS dot (a dgemv), and
-each step's divergence check is one bound BLAS dot, Zf.dot(Zf), against
-threshold squared; the exact max |Z| test runs only when that fails, so both
-stop a run at the same step.  Bit-identical to stepping leader_rhs and
-dpto_rhs with that dot as rk4's stage sum.
+positionally, rk4 sums its stages in one bound BLAS dot (a dgemv), and each
+step's divergence check is one bound BLAS dot, Zf.dot(Zf), against threshold
+squared; the exact max |Z| test runs only when that fails, so both stop a
+run at the same step.  Bit-identical to stepping leader_rhs and dpto_rhs
+with that dot as rk4's stage sum.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .errors import DimensionMismatch, Diverged
 from .gain import CascadeSchedule, varsigma
 from .graph import GraphAnalysis, TopologySequence
 from .observer import _BOUND_SLACK, LeaderModel, ObserverGains, _gain_rows, _leader_input, _stacked_kernel
-from .observer import _weighted_energy
+from .observer import _extended_laplacian, _weighted_energy
 from .observer import dpto_rhs, leader_rhs, local_errors  # noqa: F401  (public forms, wrapped by perfbench)
 
 _EVENT_MERGE_TOL = 1e-12  # absolute part of the event-merge tolerance
@@ -285,17 +286,17 @@ def _plan(cfg: SimConfig, sched: CascadeSchedule, topos: TopologySequence):
 
 
 def _block_rows(leader: LeaderModel, gains: ObserverGains, sched: CascadeSchedule, guard: float,
-                ts: np.ndarray, N: int, rk4: bool):
+                ts: np.ndarray, N: int, rk4: bool, out: np.ndarray | None = None):
     """The gain rows of the steps over plan points ts, how many steps run, and the bad input read.
 
     The rows each step reads at t, t + h/2 and t + h (euler reads only the
-    first) are views of one _gain_rows array, sampled once per time in time
-    order: rk4 puts each t + h/2 between t and t + h.  The steps that run are
-    those before the first that reads an f0 past its bound; that read's
-    (time, f0), or None."""
+    first) are views of one _gain_rows array (the leading rows of out, if
+    given), sampled once per time in time order: rk4 puts each t + h/2 between
+    t and t + h.  The steps that run are those before the first that reads an
+    f0 past its bound; that read's (time, f0), or None."""
     samples = np.insert(ts, np.arange(1, ts.size), ts[:-1] + 0.5 * np.diff(ts)) if rk4 else ts
     f0 = np.fromiter((float(leader.input_fn(t)) for t in samples.tolist()), float, samples.size)
-    g = _gain_rows(gains, sched, guard, samples, f0[:, None], N)
+    g = _gain_rows(gains, sched, guard, samples, f0[:, None], N, None if out is None else out[: samples.size])
     # The first f0 "not <=" its bound, else the sample count.
     bad = np.append(~(np.abs(f0) <= leader.input_bound + _BOUND_SLACK), True).argmax()
     stop = min(max(bad - 1, 0) // 2 if rk4 else bad, ts.size - 1)  # steps before the first that reads it
@@ -335,12 +336,12 @@ def run(
     worst = min(analyses, key=lambda a: a.lambda_min)  # envelope uses the worst topology
     grid, topo, rec, event_log = _plan(cfg, sched, topos)
 
-    L0s = [a.sub_laplacian.dot for a in analyses]  # bound BLAS dots: no np.dot dispatch per stage
+    L0s = [_extended_laplacian(a).dot for a in analyses]  # bound BLAS dots: no np.dot dispatch per stage
 
     rk4 = cfg.method == "rk4"
     X, K, stages = _stacked_kernel(N, n, cfg.sign_smoothing, 4 if rk4 else 1)
-    Z, K0 = X[0], K[0]  # the state, N leader copies over the estimates; stage 1 reads it in place
-    Z[:N], Z[N:] = leader.initial_state, E
+    Z, K0 = X[0], K[0]  # the state, the leader row over the estimates; stage 1 reads it in place
+    Z[0], Z[1:] = leader.initial_state, E
     rhs0 = stages[0]
     if rk4:
         (X1, X2, X3), (K1, K2), (_, rhs1, rhs2, rhs3) = X[1:], K[1:3], stages
@@ -355,14 +356,18 @@ def run(
     stage_sum, K_rows, Tf = wts.dot, K.reshape(len(K), -1), T.reshape(-1)
     multiply, add = np.multiply, np.add  # out goes positionally: see the module docstring
     snaps = np.empty((np.count_nonzero(rec), N + 1, n))  # [x0; estimates] per recorded point
-    snaps[0] = Z[N - 1 :]
+    snaps[0] = Z
     rows = iter(snaps[1:])  # the rows the loop fills, in order
-    block = max(1, _GAIN_BLOCK // ((2 if rk4 else 1) * N * (n + 2)))  # steps per block: rows of N (n + 2) doubles
+    # Steps per block as for rows of N (n + 2) doubles, though a row holds N (n + 1) + 1.  Every
+    # block fills one buffer: a fresh array per block, of these rows, raised dense-switching's peak RSS.
+    per = 2 if rk4 else 1
+    block = max(1, _GAIN_BLOCK // (per * N * (n + 2)))
+    gain_buf = np.empty((per * min(block, grid.size - 1) + 1, N * (n + 1) + 1))
     # Every overflow or NaN in a step leaves Z non-finite, and Diverged reports it.
     with np.errstate(over="ignore", invalid="ignore"):
         for P0 in range(0, grid.size - 1, block):
             P = slice(P0, min(P0 + block, grid.size - 1) + 1)  # the block's steps and end point
-            g, stop, bad = _block_rows(leader, gains, sched, cfg.guard, grid[P], N, rk4)
+            g, stop, bad = _block_rows(leader, gains, sched, cfg.guard, grid[P], N, rk4, gain_buf)
             ts = grid[P].tolist()
             step = zip(ts, ts[1:], [L0s[j] for j in topo[P].tolist()], *g, rec[P][1:].tolist())
             for t, tn, L0, ga, gm, gn, keep in islice(step, stop):
@@ -389,13 +394,14 @@ def run(
                 if not sum_sq(Zf) < thr2:  # exact max |Z| test only past the pre-check
                     peak = np.maximum.reduce(np.abs(Z, A), axis=None)
                     if not (math.isfinite(peak) and peak <= cfg.divergence_threshold):
-                        raise Diverged(tn if np.isfinite(K[:, N:]).all() else t)
+                        raise Diverged(tn if np.isfinite(K[:, 1:]).all() else t)
                 if keep:
-                    next(rows)[...] = Z[N - 1 :]
+                    next(rows)[...] = Z
             if bad is not None:  # the step after the last that ran reads it first
                 _leader_input(leader, *bad)
-            # The rows ga, gm, gn are views: the block's gain array goes only with them.
+            # The rows ga, gm, gn are views: gain_buf goes after the loop only with them.
             del g, ts, step, ga, gm, gn
+    del gain_buf
 
     # Diagnostics under the plan's topology at each sample; snaps becomes [x0; errors].
     windows = [sched.window(k) for k in range(1, n + 1)]

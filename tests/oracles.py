@@ -90,9 +90,14 @@ def char_poly_min_eig(M):
 
     A symmetric matrix has an all-real spectrum, so the smallest root of the
     cubic lies on the stretch where the polynomial rises monotonically from
-    -inf to its left local maximum; bisection on that stretch is exact to
-    rounding and, unlike the closed trigonometric formula, does not lose
-    accuracy on (near-)repeated roots.
+    -inf to its left local maximum; bisection on that stretch avoids the
+    closed trigonometric formula's cancellation.  It is not exact to
+    rounding: the cubic's coefficients and values carry rounding, and near a
+    (near-)repeated root the polynomial is flat, so its sign there is noise.
+    Over 4000 random symmetric matrices (n <= 3, entries in [-4, 4]) checked
+    by an exact inertia count (eigenvalues_below) it was up to
+    4.3e7 eps ||B||_inf off.  Use it only for loose bounds (1e-8 or so on
+    matrices of unit scale); eigenvalues_below brackets tight ones.
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[0]

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ptobs
 from ptobs.errors import DimensionMismatch, InfeasibleTopology, InputBoundViolated
@@ -109,7 +111,7 @@ def test_divergence_precheck_dot_equals_vdot_bit_for_bit(N, scale):
     thr2 = 1e9 * 1e9
     with np.errstate(over="ignore", invalid="ignore"):  # as around the loop
         for _ in range(20):
-            x = rng.normal(size=2 * N * 3) * scale
+            x = rng.normal(size=(N + 1) * 3) * scale
             assert x.dot(x).tobytes() == np.vdot(x, x).tobytes()
             for bad in (np.inf, -np.inf, np.nan):
                 y = x.copy()
@@ -138,6 +140,46 @@ def test_dpto_rhs_matches_componentwise_formula(N, n, smoothing):
         d = ptobs.dpto_rhs(a, gains, sched, 1e-3, estimates, x0, t, sign_smoothing=smoothing)
         ref = componentwise_dpto(topo, g, gains.sigma, estimates, x0, smoothing)
         assert np.max(np.abs(d - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    N=st.integers(1, 5), n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+    leader_exp=st.floats(-3.0, 8.0), error_exp=st.floats(-12.0, 0.0),
+    sigma=st.floats(0.0, 1.0), t=st.floats(0.0, 0.7), smoothing=st.sampled_from([None, 0.05]),
+)
+@example(N=5, n=3, seed=0, leader_exp=8.0, error_exp=-12.0, sigma=1.0, t=0.59, smoothing=None)
+def test_dpto_rhs_precision_far_from_the_origin(N, n, seed, leader_exp, error_exp, sigma, t, smoothing):
+    # The kernel's psi is one dot of [-L0 1 | L0] with [x0; estimates], so it
+    # rounds at the scale of x0, ||L0|| max |x0| eps, where the per-component
+    # formula subtracts first.  That is the precision at which the state
+    # stores the estimates, so the derivative may differ by at most its slope
+    # in psi (max g, plus sigma / smoothing for the smoothed sign) times that,
+    # plus rounding at the result's own scale.  C = 8: over 26 000 random
+    # draws of this kind the worst ratio was 2.24.  Where the formula's psi_n
+    # lies within that noise of 0, the hard sign may read -1, 0 or 1.
+    C, eps = 8.0, np.finfo(float).eps
+    rng = np.random.default_rng(seed)
+    A = np.where(rng.random((N, N)) < 0.5, rng.uniform(0.2, 2.0, (N, N)), 0.0)
+    np.fill_diagonal(A, 0.0)
+    topo = ptobs.DirectedTopology(adjacency=A, pinning=rng.uniform(0.5, 1.5, N))
+    a = ptobs.build_analysis(topo)
+    x0 = rng.uniform(-1.0, 1.0, n) * 10.0**leader_exp
+    estimates = x0 + rng.normal(size=(N, n)) * 10.0**error_exp
+    sched = ptobs.CascadeSchedule(t0=0.0, stage_durations=(0.2,) * n, exponent=2.01)
+    gains = ptobs.ObserverGains(alpha=1.05, beta=5.692, sigma=sigma)
+    g = [gains.alpha + gains.beta * ptobs.stage_gain(sched, k, t, 1e-3) for k in range(1, n + 1)]
+    d = ptobs.dpto_rhs(a, gains, sched, 1e-3, estimates, x0, t, sign_smoothing=smoothing)
+    ref = componentwise_dpto(topo, g, sigma, estimates, x0, smoothing)
+    slope = max(g) + (0.0 if smoothing is None else sigma / smoothing)
+    noise = np.abs(a.sub_laplacian).sum(axis=1).max() * np.abs(x0).max()  # ||L0||_inf max |x0|
+    diff = np.abs(d - ref)
+    if smoothing is None:
+        psi_n = componentwise_psi(topo, estimates, x0)[:, -1]
+        undecided = np.abs(psi_n) <= C * eps * noise
+        either = ref[:, -1, None] + sigma * (np.sign(psi_n)[:, None] - np.array([-1.0, 0.0, 1.0]))
+        diff[undecided, -1] = np.abs(d[:, -1, None] - either).min(axis=1)[undecided]
+    assert diff.max() <= C * eps * (slope * noise + np.abs(ref).max())
 
 
 def test_dpto_rhs_tracks_once_converged(digraph1, cascade):

@@ -36,6 +36,21 @@ def test_equilibrium_stays_exact(digraph1, cascade):
     assert np.max(np.abs(res.estimate_errors)) <= 1e-12
 
 
+def test_zero_input_consensus_chatters_below_sigma_dt(tmp_path):
+    # Estimates that start on the leader, under a zero input.  psi, one dot of
+    # [-L0 1 | L0] with [x0; estimates], rounds to a few ulp of x0 rather than
+    # to exactly 0, so the hard sign chatters: 2.6e-6 here, below sigma * dt
+    # = 1.25e-5.  (At the config's own guard, 1e-3, this start diverges at
+    # t = 0.1993: ROADMAP item 1's rk4 instability at a window end.)
+    path = tmp_path / "wide.cfg"
+    path.write_text(perfbench_workloads().wide_config(5, 0, 7)[2])
+    overrides = ["leader.input=zero", "leader.initial_state=0.3 0.7 -0.2", "sim.guard=5e-2", "sim.t_end=0.7"]
+    exp = load_experiment(str(path), overrides)
+    estimates = np.tile(exp.leader.initial_state, (7, 1))
+    res = ptobs.run(exp.sequence, exp.leader, exp.gains, exp.sched, estimates, exp.sim)
+    assert np.max(np.abs(res.estimate_errors)) <= exp.gains.sigma * exp.sim.dt
+
+
 def test_single_follower_linear_decay_matches_exponential():
     topo = ptobs.DirectedTopology(adjacency=[[0.0]], pinning=[1.0])
     leader = _zero_leader(1, x0=np.array([0.0]), bound=0.0)
@@ -459,11 +474,11 @@ def _public_rhs_replay(res, seq, leader, gains, sched, estimates, cfg):
             k3 = f(t + 0.5 * h, x0 + 0.5 * h * k2[0], E + 0.5 * h * k2[1], a)
             k4 = f(tn, x0 + h * k3[0], E + h * k3[1], a)
             # The loop's stage sum: one dot of the weights with k1..k4, each
-            # flattened as N leader copies stacked over the estimates.
-            ks = np.array([np.vstack([np.tile(kx, (len(E), 1)), kE]).ravel() for kx, kE in (k1, k2, k3, k4)])
+            # flattened as the leader row stacked over the estimates.
+            ks = np.array([np.vstack([kx, kE]).ravel() for kx, kE in (k1, k2, k3, k4)])
             T = np.array([h / 6.0, h / 3.0, h / 3.0, h / 6.0]).dot(ks).reshape(-1, len(x0))
-            x0 = x0 + T[len(E) - 1]
-            E = E + T[len(E):]
+            x0 = x0 + T[0]
+            E = E + T[1:]
         else:
             k1 = f(t, x0, E, a)
             x0 = x0 + h * k1[0]
