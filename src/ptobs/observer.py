@@ -195,20 +195,22 @@ def _extended_laplacian(analysis: GraphAnalysis) -> np.ndarray:
 
 
 def _stacked_kernel(N: int, n: int, smoothing: float | None, stage_count: int = 1):
-    """Work area (X, K) of the stacked observer and one stage function per stage.
+    """Work area KZ = [K0; ...; Z], stage inputs X and one stage function per stage.
 
-    A stage input X[s], (N + 1, n), stacks the leader state's row above the
-    N estimates.  stages[s](L0e_dot, g), bound once to its views, writes the
-    derivative of X[s] into K[s] in 5 numpy calls (hard sign).  L0e_dot is
-    the active topology's bound BLAS dot (a dgemm) of _extended_laplacian's
-    [-L0 1 | L0], so L0e_dot(X[s], psi) reads the leader once, through its
-    pinning column; g is a _gain_rows row of the stage gains alpha + beta
-    r_k(t) and the input f0(t), both sampled by the caller, so one multiply
-    of [psi | 1 | sign(psi_n)] by g gives g * psi, f0 and -sigma sign(psi_n).
-    It allocates nothing, checks no shapes and calls no input.  Calls pass
-    out positionally and scalars as 0-d arrays.
+    A stage input, (N + 1, n), stacks the leader state's row above the N
+    estimates.  Stage 0 reads the state Z = KZ[-1] in place, stage s > 0 reads
+    X[s - 1], and stages[s](L0e_dot, g), bound once to its views, writes the
+    derivative into KZ[s] in 5 numpy calls (hard sign); Z below the slopes
+    makes each later input c k + Z one dot over KZ's rows.  L0e_dot is the
+    active topology's bound BLAS dot (a dgemm) of _extended_laplacian's
+    [-L0 1 | L0], so it reads the leader once, through its pinning column; g
+    is a _gain_rows row of the stage gains alpha + beta r_k(t) and the input
+    f0(t), both sampled by the caller, so one multiply of [psi | 1 | sign(psi_n)]
+    by g gives g * psi, f0 and -sigma sign(psi_n).  It allocates nothing,
+    checks no shapes and calls no input.  Calls pass out positionally and
+    scalars as 0-d arrays.
     """
-    X, K = np.zeros((stage_count, N + 1, n)), np.zeros((stage_count, N + 1, n))
+    KZ, X = np.zeros((stage_count + 1, N + 1, n)), np.zeros((stage_count - 1, N + 1, n))
     Nn, PS, G = N * n, np.ones(N * n + N + 1), np.zeros(N * n + n + N + 1)
     psi, sign = PS[:Nn].reshape(N, n), PS[Nn + 1 :]  # PS = [psi.flat | 1 | sign(psi_n)]
     # G = [zero leader row | g * psi | f0 | -sigma sign]: K.flat[:-1] = X.flat[1:]
@@ -235,7 +237,7 @@ def _stacked_kernel(N: int, n: int, smoothing: float | None, stage_count: int = 
 
         return rhs
 
-    return X, K, [stage(Xs, Ks) for Xs, Ks in zip(X, K)]
+    return KZ, X, [stage(Xs, Ks) for Xs, Ks in zip([KZ[-1], *X], KZ)]
 
 
 def dpto_rhs(
@@ -259,10 +261,10 @@ def dpto_rhs(
         raise DimensionMismatch(f"need estimates ({N}, {n}) and x0 ({n},)")
     # out is the estimate rows alone; the leader row reads a zero input.
     g = _gain_rows(gains, sched, guard, t, np.zeros(1), N)
-    X, K, (rhs,) = _stacked_kernel(N, n, sign_smoothing)  # fresh: out owns K
-    X[0, 0], X[0, 1:] = x0, estimates
+    KZ, _, (rhs,) = _stacked_kernel(N, n, sign_smoothing)  # fresh: out owns KZ, [K0; Z]
+    KZ[1, 0], KZ[1, 1:] = x0, estimates
     rhs(_extended_laplacian(analysis_at_t).dot, g)
-    out = K[0, 1:]
+    out = KZ[0, 1:]
     if not np.all(np.isfinite(out)):
         raise NonFinite(f"observer derivative is non-finite at t={t:.6g}")
     return out

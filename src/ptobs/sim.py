@@ -18,11 +18,15 @@ writing that state, [x0; estimates], into one snapshot array at record
 points.  Then the plan goes, the errors overwrite the estimates, and psi, V
 and the envelope (one decay_budget call per stage) follow.  A numpy call on
 these small arrays costs its dispatch, so every call passes out
-positionally, rk4 sums its stages in one bound BLAS dot (a dgemv), and each
-step's divergence check is one bound BLAS dot, Zf.dot(Zf), against threshold
-squared; the exact max |Z| test runs only when that fails, so both stop a
-run at the same step.  Bit-identical to stepping leader_rhs and dpto_rhs
-with that dot as rk4's stage sum.
+positionally, and the kernel's work area [K0..K3; Z] lets rk4 form each stage
+input c k + Z as one bound BLAS dot (a dgemv) over contiguous rows and sum its
+stages in another.  Each step's divergence check is one bound BLAS dot,
+Zf.dot(Zf), against threshold squared; the exact max |Z| test runs only when
+that fails, so both stop a run at the same step.  An rk4 step makes 26 numpy
+calls, an euler step 8.  Bit-identical to stepping leader_rhs and dpto_rhs
+with the stage inputs Z + c k and the stage-sum dot.  A stage input can
+differ only in a zero's sign (a dgemv starts from +0, so -0.0 + -0.0 gives
++0.0), which reaches only zero slopes, and the stage-sum dot drops it.
 """
 
 from __future__ import annotations
@@ -339,21 +343,26 @@ def run(
     L0s = [_extended_laplacian(a).dot for a in analyses]  # bound BLAS dots: no np.dot dispatch per stage
 
     rk4 = cfg.method == "rk4"
-    X, K, stages = _stacked_kernel(N, n, cfg.sign_smoothing, 4 if rk4 else 1)
-    Z, K0 = X[0], K[0]  # the state, the leader row over the estimates; stage 1 reads it in place
+    KZ, X, stages = _stacked_kernel(N, n, cfg.sign_smoothing, 4 if rk4 else 1)
+    K, Z, K0 = KZ[:-1], KZ[-1], KZ[0]  # the slopes; the state, the leader row over the estimates
     Z[0], Z[1:] = leader.initial_state, E
-    rhs0 = stages[0]
-    if rk4:
-        (X1, X2, X3), (K1, K2), (_, rhs1, rhs2, rhs3) = X[1:], K[1:3], stages
+    rhs0 = stages[0]  # stage 1 reads Z in place
     T, A, Zf = np.empty_like(Z), np.empty_like(Z), Z.reshape(-1)  # step increment; |Z|; Z flat
     # Divergence pre-check z.z < thr^2 (BLAS ddot): rounding is monotone, so |z| > thr
     # gives fl(z^2) >= fl(thr^2) and a sum at least that; NaN and inf fail it too.
     thr2, sum_sq = cfg.divergence_threshold * cfg.divergence_threshold, Zf.dot
-    # 0-d arrays (a ufunc converts a Python float argument on every call) and rk4's weights
-    # (h/6, h/3, h/3, h/6), set when h changes.  stage_sum writes their dot with the
-    # slopes k1..k4 in K[0..3] (kept: Diverged reads them) into T, one dgemv.
-    half, full, wts, h_set = np.empty(()), np.empty(()), np.empty(4), None
+    # Euler's 0-d h (a ufunc converts a Python float argument on every call) and rk4's weights,
+    # set when h changes.  stage_sum writes the dot of (h/6, h/3, h/3, h/6) with the slopes
+    # k1..k4 (kept: Diverged reads them) into T, one dgemv.  Stage input s is one dgemv over KZ's
+    # rows from k_s down to Z, (h/2, 0, 0, 0, 1), (h/2, 0, 0, 1), (h, 0, 1): the product first,
+    # so it is fl(fl(c k) + Z) as the ufunc pair (Z first, OpenBLAS fuses c k + Z); the zero
+    # weights meet the previous step's finite slopes.
+    full, wts, h_set = np.empty(()), np.empty(4), None
+    w1, w2, w3 = (np.append(np.zeros(m), 1.0) for m in (4, 3, 2))
     stage_sum, K_rows, Tf = wts.dot, K.reshape(len(K), -1), T.reshape(-1)
+    if rk4:
+        (_, rhs1, rhs2, rhs3), (X1, X2, X3), R = stages, X.reshape(3, -1), KZ.reshape(5, -1)
+        in1, in2, in3, R1, R2, R3 = w1.dot, w2.dot, w3.dot, R, R[1:], R[2:]
     multiply, add = np.multiply, np.add  # out goes positionally: see the module docstring
     snaps = np.empty((np.count_nonzero(rec), N + 1, n))  # [x0; estimates] per recorded point
     snaps[0] = Z
@@ -373,18 +382,17 @@ def run(
             for t, tn, L0, ga, gm, gn, keep in islice(step, stop):
                 h = tn - t
                 if h != h_set:
-                    half[()], full[()], h_set = 0.5 * h, h, h
+                    full[()], h_set = h, h
                     wts[:] = h / 6.0, h / 3.0, h / 3.0, h / 6.0
+                    w1[0] = w2[0] = 0.5 * h
+                    w3[0] = h
                 rhs0(L0, ga)
-                if rk4:  # stage inputs Z + (h/2) k1, Z + (h/2) k2, Z + h k3
-                    multiply(K0, half, X1)
-                    add(Z, X1, X1)
+                if rk4:  # stage inputs (h/2) k1 + Z, (h/2) k2 + Z, h k3 + Z
+                    in1(R1, X1)
                     rhs1(L0, gm)
-                    multiply(K1, half, X2)
-                    add(Z, X2, X2)
+                    in2(R2, X2)
                     rhs2(L0, gm)
-                    multiply(K2, full, X3)
-                    add(Z, X3, X3)
+                    in3(R3, X3)
                     rhs3(L0, gn)
                     stage_sum(K_rows, Tf)
                 else:

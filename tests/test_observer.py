@@ -101,6 +101,44 @@ def test_kernel_dot_equals_matmul_bit_for_bit(N, n):
         assert np.array_equal(np.dot(L0, D), out)
 
 
+@pytest.mark.parametrize("n", [1, 3, 6])
+@pytest.mark.parametrize("N", [1, 3, 40, 120])
+def test_stage_input_dots_equal_the_ufunc_pair(N, n):
+    # sim.run forms rk4's stage inputs (h/2) k1 + Z, (h/2) k2 + Z and h k3 + Z
+    # as one dot each of (c, 0, ..., 0, 1) with the rows of [K0..K3; Z] from
+    # k1, k2 or k3 down to Z; it was multiply(K, c, X) then add(Z, X, X).  With
+    # the product first every later term is an exact zero or the final + Z, so
+    # the dgemv computes fl(fl(c k) + Z) on the BLAS this runs on; with Z first
+    # OpenBLAS fuses c k + Z.  The zero weights meet finite slopes, as in the
+    # loop.  Only the sign of a zero may differ: the dgemv starts from +0, so
+    # -0.0 + -0.0 gives +0.0 where the ufunc pair gives -0.0.
+    rng = np.random.default_rng(1000 * N + n)
+    M = (N + 1) * n
+    out = np.empty(M)
+    signed_zeros = 0
+    for with_zeros in (False, True):
+        for _ in range(25):
+            KZ = rng.choice([-1.0, 1.0], (5, M)) * 10.0 ** rng.uniform(-12.0, 12.0, (5, M))
+            if with_zeros:
+                KZ[rng.random((5, M)) < 0.4] = 0.0
+                KZ[rng.random((5, M)) < 0.5] *= -1.0
+            h = 10.0 ** rng.uniform(-6.0, -1.0)
+            for first, c in ((0, 0.5 * h), (1, 0.5 * h), (2, h)):
+                w = np.zeros(5 - first)
+                w[0], w[-1] = c, 1.0
+                w.dot(KZ[first:], out)
+                want = np.add(KZ[4], np.multiply(KZ[first], c))
+                if not with_zeros:
+                    assert out.tobytes() == want.tobytes()
+                    continue
+                assert np.array_equal(out, want)
+                differ = out.view(np.uint64) != want.view(np.uint64)
+                assert not np.signbit(out[differ]).any() and np.signbit(want[differ]).all()
+                assert np.all(want[differ] == 0.0) and np.signbit(KZ[4, differ]).all()
+                signed_zeros += np.count_nonzero(differ)
+    assert signed_zeros > 0  # the zero draws reach the one difference
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e154, 1e-160, 1e-170])
 @pytest.mark.parametrize("N", [3, 40, 120])
 def test_divergence_precheck_dot_equals_vdot_bit_for_bit(N, scale):

@@ -341,8 +341,8 @@ def _short_bundled_run(method):
 def _counting_kernel(begun):
     # _stacked_kernel whose first stage, called once per step, appends to begun.
     def kernel(*args):
-        X, K, (first, *rest) = _stacked_kernel(*args)
-        return X, K, [lambda *a: begun.append(None) or first(*a), *rest]
+        KZ, X, (first, *rest) = _stacked_kernel(*args)
+        return KZ, X, [lambda *a: begun.append(None) or first(*a), *rest]
     return kernel
 
 

@@ -1,6 +1,9 @@
+import contextlib
 import dataclasses
 import functools
 import re
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -452,8 +455,56 @@ def test_divergence_threshold_boundary_is_exact(digraph1, cascade, method, scale
             assert info.value.time == ref.times[over[0] + 1]
 
 
+class _CountingUfunc:
+    # Stands in for a np.* ufunc: counts the calls, forwards the rest (np.maximum.reduce).
+    def __init__(self, ufunc, counts):
+        self.ufunc, self.counts = ufunc, counts
+
+    def __call__(self, *args, **kwargs):
+        self.counts["ufunc"] += 1
+        return self.ufunc(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.ufunc, name)
+
+
+@pytest.mark.parametrize("method, dots, ufuncs", [("rk4", 9, 17), ("euler", 2, 6)])
+def test_numpy_calls_per_step(method, dots, ufuncs):
+    # On arrays this small a numpy call costs its dispatch, so the step's call
+    # count is its cost.  An rk4 step makes 26: per stage psi's dot and 4
+    # ufunc calls, 3 stage-input dots, the stage-sum dot, the state update and
+    # the divergence pre-check's dot; an euler step makes 8.  Ufunc calls are
+    # counted through the np.* names that run and _stacked_kernel bind, bound
+    # dots through the profiler's c_call events; the difference of a 400- and
+    # a 200-step bundled run cancels the per-run and per-block calls.
+    counts = {"dot": 0, "ufunc": 0}
+
+    def profile(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__name__", None) == "dot":
+            counts["dot"] += 1
+
+    def calls(t_end):
+        exp = load_experiment(str(BUNDLED_CONFIG), [f"sim.t_end={t_end}", f"sim.method={method}"])
+        assert exp.sim.sign_smoothing is None  # the hard sign: 5 calls a stage
+        args = exp.sequence, exp.leader, exp.gains, exp.sched, exp.initial_estimates, exp.sim
+        counts.update(dot=0, ufunc=0)
+        with contextlib.ExitStack() as stack:
+            for name in ("add", "subtract", "multiply", "divide", "sign", "abs"):
+                stack.enter_context(mock.patch.object(np, name, _CountingUfunc(getattr(np, name), counts)))
+            previous = sys.getprofile()
+            sys.setprofile(profile)
+            try:
+                ptobs.run(*args)
+            finally:
+                sys.setprofile(previous)
+        return counts["dot"], counts["ufunc"]
+
+    (d1, u1), (d2, u2) = calls(0.02), calls(0.04)
+    assert ((d2 - d1) / 200, (u2 - u1) / 200) == (dots, ufuncs)
+
+
 def _public_rhs_replay(res, seq, leader, gains, sched, estimates, cfg):
-    """Step a plain loop over res.times with the public leader_rhs and dpto_rhs."""
+    """Step a plain loop over res.times with the public leader_rhs and dpto_rhs; compare bytes."""
     analyses = seq.analyses()
     x0 = leader.initial_state.copy()
     E = np.array(estimates, dtype=float)
@@ -483,10 +534,10 @@ def _public_rhs_replay(res, seq, leader, gains, sched, estimates, cfg):
             k1 = f(t, x0, E, a)
             x0 = x0 + h * k1[0]
             E = E + h * k1[1]
-        assert np.array_equal(res.leader_states[i], x0), f"leader differs at t={tn}"
-        assert np.array_equal(res.estimate_errors[i], E - x0[None, :]), f"errors differ at t={tn}"
+        assert res.leader_states[i].tobytes() == x0.tobytes(), f"leader differs at t={tn}"
+        assert res.estimate_errors[i].tobytes() == (E - x0[None, :]).tobytes(), f"errors differ at t={tn}"
         psi = local_errors(analyses[seq.active_index(tn) - 1], E, x0)
-        assert np.array_equal(res.local_errors[i], psi), f"psi differs at t={tn}"
+        assert res.local_errors[i].tobytes() == psi.tobytes(), f"psi differs at t={tn}"
 
 
 def _random_static_case(N, n, seed):
@@ -516,7 +567,8 @@ _SWEEP = [
 ]
 
 
-@pytest.mark.parametrize("case", ["static", "switching", "smoothing", "euler", *_SWEEP, "switch-every-0.0137"])
+@pytest.mark.parametrize("case", ["static", "switching", "smoothing", "euler", *_SWEEP, "switch-every-0.0137",
+                                  "signed-zero", "signed-zero-euler"])
 def test_integrator_matches_public_rhs_exactly(digraph1, digraph2, sine_leader, cascade, case):
     leader, sched, estimates = sine_leader, cascade, INITIAL_ESTIMATES
     gains = ptobs.ObserverGains(alpha=1.05, beta=5.692, sigma=0.125)
@@ -538,6 +590,12 @@ def test_integrator_matches_public_rhs_exactly(digraph1, digraph2, sine_leader, 
             indices=1 + np.arange(22) % 2,
             common_H=ETA,
         )
+    elif case.startswith("signed-zero"):
+        # A -0.0 start under the zero input: the loop's stage input dots start
+        # from +0, where the replay's Z + c k keeps -0.0 + -0.0 at -0.0; the
+        # stage sum's dot, from +0 too, drops that, so the bytes still match.
+        seq = ptobs.TopologySequence.static(digraph1, 0.0)
+        leader, estimates = _zero_leader(3, x0=np.full(3, -0.0)), np.full((3, 3), -0.0)
     elif case in _SWEEP:
         N, n = map(int, case.split("-")[0].split("x"))
         seq, leader, sched, estimates = _random_static_case(N, n, seed=N * 10 + n)
